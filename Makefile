@@ -23,12 +23,17 @@ MIN_SPEEDUP ?= 2.5
 # reach at least this multiple of the baseline's open-loop
 # serve_decisions_per_sec on the same core count (DESIGN.md §16).
 MIN_HTTP_MULT ?= 10
+# Whole-system benchmark knobs (BENCHMARK.json, benchmark/): the workload
+# bench-workload runs, and the git revision bench-compare measures the working
+# tree against (HEAD for an uncommitted change, HEAD~1 for a committed one).
+W ?= plan_paper
+BENCH_BASE ?= HEAD
 # Static-analysis tool pins; the targets run them via `go run pkg@version`,
 # so the module cache (restored by CI) is the only install step.
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race cover bench bench-smoke serve-smoke chaos-smoke regret-smoke rebalance-smoke perf perf-gate scale-gate ingress-gate staticcheck govulncheck figures figures-smoke examples fuzz clean ci fmt-check
+.PHONY: all build test race cover bench bench-smoke bench-workload bench-compare serve-smoke chaos-smoke regret-smoke rebalance-smoke perf perf-gate scale-gate ingress-gate staticcheck govulncheck figures figures-smoke examples fuzz clean ci fmt-check
 
 all: build test
 
@@ -63,6 +68,33 @@ bench:
 # and the exp sweep harness without paying for a full benchmark run.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=Fig4 -benchtime=1x .
+
+# One workload of the whole-system benchmark, untraced: the three end-to-end
+# metrics and the correctness checks. `make bench-workload W=plan_scale`;
+# benchmark/README.md lists the six workloads and the traced pass.
+bench-workload:
+	$(GO) run ./benchmark --workload $(W) --seed 1 --seconds 16 --trace 0
+
+# What every performance claim is made with: the working tree against
+# $(BENCH_BASE), each built once, two -all runs a side in the order base,
+# head, head, base (the VM drifts 15-20 % over a run, so a pair shares its
+# stretch of it), then -compare per pair. -compare exits nonzero when an
+# end-to-end metric is worse than the base by more than its bound or more
+# operations fail. About twenty minutes. The base checkout, both binaries and
+# the result files stay under benchmark/out/ (git-ignored, like everything the
+# benchmark writes).
+bench-compare:
+	rm -rf benchmark/out/compare/base
+	mkdir -p benchmark/out/compare/base
+	git archive $(BENCH_BASE) | tar -x -C benchmark/out/compare/base
+	cd benchmark/out/compare/base && $(GO) build -o ../bench-base ./benchmark
+	$(GO) build -o benchmark/out/compare/bench-head ./benchmark
+	benchmark/out/compare/bench-base -all -seed 1 -seconds 16 -out benchmark/out/compare/base-1.json
+	benchmark/out/compare/bench-head -all -seed 1 -seconds 16 -out benchmark/out/compare/head-1.json
+	benchmark/out/compare/bench-head -all -seed 2 -seconds 16 -out benchmark/out/compare/head-2.json
+	benchmark/out/compare/bench-base -all -seed 2 -seconds 16 -out benchmark/out/compare/base-2.json
+	benchmark/out/compare/bench-head -compare benchmark/out/compare/base-1.json benchmark/out/compare/head-1.json | tee benchmark/out/compare/compare-1.txt
+	benchmark/out/compare/bench-head -compare benchmark/out/compare/base-2.json benchmark/out/compare/head-2.json | tee benchmark/out/compare/compare-2.txt
 
 # Boot the live daemon in-process, fire a 1-second 8000 req/s burst through
 # the open-loop load generator while the scripted fault schedule crashes and

@@ -45,7 +45,9 @@ type NoopDetector[S any] interface {
 // mutates s directly into a candidate neighbor and returns the exact cost
 // difference, computed from cached evaluation state in O(changed cells).
 // The engine then either keeps the candidate (Apply) or rolls it back
-// (Revert); rejected proposals cost an undo instead of a full clone.
+// (Revert); rejected proposals cost an undo instead of a full clone. The
+// best state seen is kept current the same way: the engine clones it once
+// and then calls Sync, which copies only what Apply changed since.
 //
 // Contract: the engine strictly alternates Propose with exactly one of
 // Apply or Revert (never two outstanding moves), so implementations may
@@ -73,6 +75,11 @@ type DeltaProblem[S, M any] interface {
 	// IsNoop reports whether the move changed nothing; no-ops are counted
 	// as steps but never accepted, applied, or reverted.
 	IsNoop(move M) bool
+	// Sync makes best equal to cur at a cost proportional to what Apply
+	// changed in cur since the previous Sync. The engine calls it only with
+	// no move outstanding, and only with a best it obtained from Clone(cur)
+	// before the first Propose and has modified through Sync alone since.
+	Sync(best, cur S)
 }
 
 // Options tunes the annealing schedule. The zero value is replaced by
@@ -173,9 +180,11 @@ func Minimize[S any](p Problem[S], initial S, opts Options) (Result[S], error) {
 		return zero, err
 	}
 	rng := stats.NewRNG(o.Seed)
+	// Neighbor never mutates its argument, so Best may share cur's value:
+	// the one clone keeps the caller's initial state out of the result.
 	cur := p.Clone(initial)
 	curCost := p.Cost(cur)
-	res := Result[S]{Best: p.Clone(cur), BestCost: curCost}
+	res := Result[S]{Best: cur, BestCost: curCost}
 	nd, hasNoop := p.(NoopDetector[S])
 
 	temp := o.InitialTemp
@@ -194,7 +203,7 @@ func Minimize[S any](p Problem[S], initial S, opts Options) (Result[S], error) {
 				cur, curCost = cand, candCost
 				res.Accepted++
 				if curCost < res.BestCost {
-					res.Best, res.BestCost = p.Clone(cur), curCost
+					res.Best, res.BestCost = cur, curCost
 				}
 			}
 		}
@@ -208,7 +217,9 @@ func Minimize[S any](p Problem[S], initial S, opts Options) (Result[S], error) {
 // The current state is mutated in place by Propose and either kept (Apply)
 // or rolled back (Revert); the running cost is maintained by summing the
 // returned deltas, so a proposal costs O(changed cells) instead of a full
-// clone plus rescan. Result, Options, and seed semantics match Minimize.
+// clone plus rescan. The best state is cloned once up front and brought up
+// to date by Sync on every improvement, so it is materialised at every
+// return. Result, Options, and seed semantics match Minimize.
 func MinimizeDelta[S, M any](p DeltaProblem[S, M], initial S, opts Options) (Result[S], error) {
 	var zero Result[S]
 	o, err := opts.normalized()
@@ -236,7 +247,8 @@ func MinimizeDelta[S, M any](p DeltaProblem[S, M], initial S, opts Options) (Res
 				curCost += d
 				res.Accepted++
 				if curCost < res.BestCost {
-					res.Best, res.BestCost = p.Clone(cur), curCost
+					p.Sync(res.Best, cur)
+					res.BestCost = curCost
 				}
 			} else {
 				p.Revert(cur, move)
@@ -303,7 +315,9 @@ func MinimizeParallel[S any](p Problem[S], initial S, opts Options, chains int) 
 			for i := range jobs {
 				co := o
 				co.Seed = root.Derive(int64(i)).Seed()
-				results[i], errs[i] = Minimize(p, p.Clone(initial), co)
+				// Minimize only reads initial (it clones it first), so the
+				// chains can share it.
+				results[i], errs[i] = Minimize(p, initial, co)
 			}
 		}()
 	}

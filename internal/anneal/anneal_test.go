@@ -239,6 +239,8 @@ func (d deltaQuadratic) Revert(x *float64, move any) { *x = move.(float64) }
 
 func (d deltaQuadratic) IsNoop(move any) bool { return false }
 
+func (d deltaQuadratic) Sync(best, cur *float64) { *best = *cur }
+
 func TestMinimizeRoutesDeltaProblems(t *testing.T) {
 	proposes, neighbors := 0, 0
 	d := deltaQuadratic{proposes: &proposes, neighbors: &neighbors}
@@ -309,6 +311,7 @@ func (noopProblem) Propose(x *float64, rng *stats.RNG) (any, float64) {
 func (noopProblem) Apply(x *float64, move any)  {}
 func (noopProblem) Revert(x *float64, move any) {}
 func (noopProblem) IsNoop(move any) bool        { return move == nil }
+func (noopProblem) Sync(best, cur *float64)     { *best = *cur }
 
 func TestNoopProposalsNotCountedAccepted(t *testing.T) {
 	opts := Options{InitialTemp: 1, Cooling: 0.5, PlateauSteps: 10, MinTemp: 0.4, Seed: 1}

@@ -26,13 +26,24 @@ type BitRateLayout struct {
 	cache *brCache
 }
 
+// newLayout returns a zeroed m×n layout whose rows are windows into one
+// backing array, so a layout is three allocations instead of M+2. Rows are
+// capped at their length, so an append to one cannot reach into the next.
+func newLayout(m, n int) *BitRateLayout {
+	l := &BitRateLayout{RateIdx: make([][]int16, m)}
+	flat := make([]int16, m*n)
+	for v := range l.RateIdx {
+		l.RateIdx[v] = flat[v*n : (v+1)*n : (v+1)*n]
+	}
+	return l
+}
+
 // NewBitRateLayout returns an empty layout for m videos and n servers.
 func NewBitRateLayout(m, n int) *BitRateLayout {
-	l := &BitRateLayout{RateIdx: make([][]int16, m)}
-	for v := range l.RateIdx {
-		l.RateIdx[v] = make([]int16, n)
-		for s := range l.RateIdx[v] {
-			l.RateIdx[v][s] = -1
+	l := newLayout(m, n)
+	for _, row := range l.RateIdx {
+		for s := range row {
+			row[s] = -1
 		}
 	}
 	return l
@@ -58,11 +69,15 @@ func (l *BitRateLayout) TotalCopies() int {
 	return total
 }
 
-// clone deep-copies the layout.
+// clone deep-copies the layout, without its cache.
 func (l *BitRateLayout) clone() *BitRateLayout {
-	c := &BitRateLayout{RateIdx: make([][]int16, len(l.RateIdx))}
-	for v := range l.RateIdx {
-		c.RateIdx[v] = append([]int16(nil), l.RateIdx[v]...)
+	m, n := len(l.RateIdx), 0
+	if m > 0 {
+		n = len(l.RateIdx[0])
+	}
+	c := newLayout(m, n)
+	for v, row := range l.RateIdx {
+		copy(c.RateIdx[v], row)
 	}
 	return c
 }
@@ -408,9 +423,33 @@ func (bp *BitRateProblem) Propose(l *BitRateLayout, rng *stats.RNG) (any, float6
 }
 
 // Apply implements DeltaProblem: Propose already mutated the state, so
-// committing only advances the rebuild counter that bounds float drift.
+// committing only advances the rebuild counter that bounds float drift and
+// marks the move's video rows dirty for the next Sync.
 func (bp *BitRateProblem) Apply(l *BitRateLayout, move any) {
-	l.cache.applies++
+	c := l.cache
+	c.applies++
+	for _, cell := range move.(*brMove).cells {
+		if !c.isDirty[cell.v] {
+			c.isDirty[cell.v] = true
+			c.dirty = append(c.dirty, cell.v)
+		}
+	}
+}
+
+// Sync implements DeltaProblem: copy the rows Apply marked since the last
+// Sync from cur into best and clear the marks. Reverted proposals restore
+// their cells bit-exactly and are never marked. A cur without a cache has
+// had no proposal yet, so there is nothing to copy.
+func (bp *BitRateProblem) Sync(best, cur *BitRateLayout) {
+	c := cur.cache
+	if c == nil {
+		return
+	}
+	for _, v := range c.dirty {
+		copy(best.RateIdx[v], cur.RateIdx[v])
+		c.isDirty[v] = false
+	}
+	c.dirty = c.dirty[:0]
 }
 
 // Revert implements DeltaProblem: undo the proposal's cell changes in

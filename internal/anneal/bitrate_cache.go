@@ -64,9 +64,18 @@ type brCache struct {
 	// off[s] the rest; pos[s][v] is v's index in whichever list it is in.
 	// They make "pick a uniform random (non-)resident video" O(1) instead
 	// of the O(M) classification scan Neighbor pays per proposal.
+	// pos and off are carved out of two flat N·M arrays (a server's off
+	// list can hold the whole catalog), so rebuild never grows them; on
+	// lists are short and grow by append.
 	on  [][]int32
 	off [][]int32
 	pos [][]int32
+
+	// Best-so-far tracking: the video rows committed moves changed since
+	// the last Sync, each listed once (isDirty dedups), so dirty never
+	// outgrows its initial capacity M.
+	dirty   []int32
+	isDirty []bool
 
 	// Scratch buffers.
 	mv        brMove
@@ -90,12 +99,17 @@ func newBRCache(bp *BitRateProblem, l *BitRateLayout) *brCache {
 		on:      make([][]int32, n),
 		off:     make([][]int32, n),
 		pos:     make([][]int32, n),
+		dirty:   make([]int32, 0, m),
+		isDirty: make([]bool, m),
 	}
 	for v := 0; v < m; v++ {
 		c.popPeak[v] = bp.P.PeakWeight(v)
 	}
+	posFlat := make([]int32, n*m)
+	offFlat := make([]int32, n*m)
 	for s := 0; s < n; s++ {
-		c.pos[s] = make([]int32, m)
+		c.pos[s] = posFlat[s*m : (s+1)*m : (s+1)*m]
+		c.off[s] = offFlat[s*m : s*m : (s+1)*m]
 	}
 	c.rebuild(l)
 	return c

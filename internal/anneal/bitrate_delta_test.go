@@ -410,26 +410,42 @@ func TestDeltaPathFindsFeasibleOptimum(t *testing.T) {
 // clone-and-rescan path against the delta fast path at three catalog sizes.
 // The ≥20× acceptance target for M=500 is enforced end to end by
 // cmd/vodperf's gated anneal_steps_per_sec metric; this benchmark is the
-// developer-facing view of the same number.
+// developer-facing view of the same number. The last case is the benchmark's
+// plan_scale shape, delta path only (a scratch proposal there rescans 1.28 M
+// cells): its allocations per proposal are what best-so-far tracking by Sync
+// keeps near zero.
 func BenchmarkAnnealBitRate(b *testing.B) {
-	for _, m := range []int{100, 500, 2000} {
-		n := 8
+	for _, c := range []struct {
+		m, n  int
+		paths []string
+	}{
+		{100, 8, []string{"scratch", "delta"}},
+		{500, 8, []string{"scratch", "delta"}},
+		{2000, 8, []string{"scratch", "delta"}},
+		{20000, 64, []string{"delta"}},
+	} {
+		m, n := c.m, c.n
 		storageGB := 4 * 1.35 * float64(m) / float64(n)
 		bp := bitrateProblem(b, m, n, storageGB)
 		init, err := bp.InitialSolution()
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, path := range []string{"scratch", "delta"} {
+		size := fmt.Sprintf("M=%d", m)
+		if n != 8 {
+			size += fmt.Sprintf(",N=%d", n)
+		}
+		for _, path := range c.paths {
 			var prob Problem[*BitRateLayout] = bp
 			if path == "scratch" {
 				prob = Scratch[*BitRateLayout](bp)
 			}
-			b.Run(fmt.Sprintf("path=%s/M=%d", path, m), func(b *testing.B) {
+			b.Run(fmt.Sprintf("path=%s/%s", path, size), func(b *testing.B) {
 				opts := DefaultOptions()
 				opts.Seed = 1
 				opts.MaxSteps = b.N
 				opts.PlateauSteps = b.N // one plateau; MaxSteps terminates the run
+				b.ReportAllocs()
 				b.ResetTimer()
 				res, err := Minimize[*BitRateLayout](prob, init, opts)
 				if err != nil {

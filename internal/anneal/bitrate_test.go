@@ -1,6 +1,7 @@
 package anneal
 
 import (
+	"reflect"
 	"testing"
 
 	"vodcluster/internal/core"
@@ -215,6 +216,15 @@ func TestBitRateLayoutClone(t *testing.T) {
 	}
 	if l.TotalCopies() != 1 {
 		t.Fatal("TotalCopies miscounts")
+	}
+	// The shared backing array is an allocation detail: a layout built by
+	// hand, or with a row replaced, clones cell for cell all the same.
+	h := &BitRateLayout{RateIdx: [][]int16{{-1, 1}, {0, -1}}}
+	l.RateIdx[2] = []int16{3, -1}
+	for _, src := range []*BitRateLayout{h, l} {
+		if c := src.clone(); !reflect.DeepEqual(c.RateIdx, src.RateIdx) {
+			t.Fatalf("clone of %v gave %v", src.RateIdx, c.RateIdx)
+		}
 	}
 }
 

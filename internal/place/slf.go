@@ -74,14 +74,21 @@ func placeRound(st *state, round []replicaRef) error {
 		return sv
 	}
 
+	// Order the free servers by (load, index): smallest load first. The
+	// order is total and a server's load cannot change while it is free, so
+	// taking servers out keeps the list sorted; only the conflict path below
+	// touches free servers' loads and asks for a re-sort.
+	sorted := false
 	for _, ref := range round {
-		// Order the free servers by (load, index): smallest load first.
-		sort.SliceStable(free, func(a, b int) bool {
-			if st.loads[free[a]] != st.loads[free[b]] {
-				return st.loads[free[a]] < st.loads[free[b]]
-			}
-			return free[a] < free[b]
-		})
+		if !sorted {
+			sort.SliceStable(free, func(a, b int) bool {
+				if st.loads[free[a]] != st.loads[free[b]] {
+					return st.loads[free[a]] < st.loads[free[b]]
+				}
+				return free[a] < free[b]
+			})
+			sorted = true
+		}
 		placed := false
 		for idx := range free {
 			if st.canHost(free[idx], ref.video) {
@@ -102,6 +109,7 @@ func placeRound(st *state, round []replicaRef) error {
 		// swap — find (sv1, v1) where sv1 can host ref.video and some free
 		// server can host v1 — and as a last resort relocate an existing
 		// replica from an earlier round to make room.
+		sorted = false
 		moved, err := swapRepair(st, &free, done, ref)
 		if err != nil {
 			sf := st.relocateFor(ref.video)

@@ -144,11 +144,14 @@ perf:
 # kept under $(PERF_OUT) so CI can attach them as artifacts. The serve
 # comparison excludes the baseline's scale_* and http_* metrics — those
 # sections belong to scale-gate and ingress-gate, and a serve-smoke record
-# legitimately carries neither. The allocation guard asserts the zero-alloc
-# admission contract before any throughput is measured.
+# legitimately carries neither. The two allocation guards run before any
+# throughput is measured: the daemon's zero-alloc admission contract and the
+# simulator's ≤ 0.1 allocations per event. Both are counts, not timings, so
+# they hold on a shared runner.
 perf-gate:
 	mkdir -p $(PERF_OUT)
 	GOMAXPROCS=1 $(GO) test -run TestAdmissionPathAllocs -count=1 ./internal/serve/
+	GOMAXPROCS=1 $(GO) test -run TestRunAllocsPerEvent -count=1 ./internal/sim/
 	GOMAXPROCS=1 $(GO) run ./cmd/vodload -selftest -rate 8000 -burst 1 -faults testdata/faults_smoke.json -bench-out $(PERF_OUT)/BENCH_serve.json
 	GOMAXPROCS=1 $(GO) run ./cmd/vodperf -runs 3 -out $(PERF_OUT)/BENCH_perf.json
 	$(GO) run ./cmd/vodperf -compare BENCH_serve.json $(PERF_OUT)/BENCH_serve.json -tolerance $(PERF_TOLERANCE) -exclude scale_,http_ | tee $(PERF_OUT)/compare_serve.txt
@@ -211,6 +214,7 @@ fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzApportion -fuzztime=$(FUZZTIME) ./internal/apportion/
 	$(GO) test -run=Fuzz -fuzz=FuzzWireParse -fuzztime=$(FUZZTIME) ./internal/serve/
 	$(GO) test -run=Fuzz -fuzz=FuzzIngressConn -fuzztime=$(FUZZTIME) ./internal/serve/
+	$(GO) test -run=Fuzz -fuzz=FuzzEngineOrder -fuzztime=$(FUZZTIME) ./internal/sim/
 
 clean:
 	rm -f cover.out

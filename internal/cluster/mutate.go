@@ -116,11 +116,11 @@ func (st *State) RemoveReplica(v, s int) error {
 // the copy is feeding live sessions.
 func (st *State) PinnedStreams(v, s int) int {
 	n := 0
-	for _, stream := range st.streams {
+	st.streams.Each(func(_ StreamID, stream Stream) {
 		if stream.Video == v && (stream.Server == s || stream.Source == s) {
 			n++
 		}
-	}
+	})
 	return n
 }
 

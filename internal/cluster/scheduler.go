@@ -91,7 +91,8 @@ func (FirstAvailable) Schedule(st *State, v int) Decision {
 // before the first SeedDecision) it draws from a private stream seeded at
 // construction, staying deterministic per seed.
 type RandomHolder struct {
-	rng *stats.RNG
+	rng      *stats.RNG
+	feasible []int // scratch for Schedule, reused across requests
 }
 
 // NewRandomHolder returns a random-holder policy whose fallback stream is
@@ -109,12 +110,13 @@ func (r *RandomHolder) SeedDecision(rng *stats.RNG) { r.rng = rng }
 
 // Schedule implements Scheduler.
 func (r *RandomHolder) Schedule(st *State, v int) Decision {
-	feasible := make([]int, 0, len(st.holders[v]))
+	feasible := r.feasible[:0]
 	for _, s := range st.holders[v] {
 		if st.CanServe(s, v) {
 			feasible = append(feasible, s)
 		}
 	}
+	r.feasible = feasible
 	if len(feasible) == 0 {
 		return Reject
 	}

@@ -57,6 +57,11 @@ func Direct(s int) Decision { return Decision{Accept: true, Server: s, Source: s
 
 // State is the mutable runtime state of the cluster. It is not safe for
 // concurrent use; each simulation run owns one State.
+//
+// Admit, Release and Lookup neither hash nor allocate: active streams live
+// in a StreamTable indexed by their handle, whose memory is the span of live
+// handles — at most arrival rate × longest title, however long the State
+// lives (see StreamTable for the bound and the one way to break it).
 type State struct {
 	p       *core.Problem
 	layout  *core.Layout
@@ -71,7 +76,7 @@ type State struct {
 	streamLimit int         // max concurrent streams per server; 0 = unlimited
 	copyRates   [][]float64 // optional per-(video,server) encoding rates
 
-	streams map[StreamID]Stream
+	streams StreamTable[Stream]
 	nextID  StreamID
 
 	rrNext []int // static round-robin cursor per video
@@ -107,7 +112,6 @@ func New(p *core.Problem, layout *core.Layout, opts ...Option) (*State, error) {
 		usedBW:       make([]float64, p.N()),
 		activeByServ: make([]int, p.N()),
 		up:           make([]bool, p.N()),
-		streams:      make(map[StreamID]Stream),
 		rrNext:       make([]int, p.M()),
 	}
 	for s := range st.up {
@@ -235,7 +239,7 @@ func (st *State) UsedBandwidths() []float64 {
 func (st *State) ActiveStreams(s int) int { return st.activeByServ[s] }
 
 // TotalActive returns the number of active streams cluster-wide.
-func (st *State) TotalActive() int { return len(st.streams) }
+func (st *State) TotalActive() int { return st.streams.Len() }
 
 // BackboneFree returns the unused internal backbone bandwidth in bits/s.
 func (st *State) BackboneFree() float64 { return st.p.BackboneBandwidth - st.backboneUsed }
@@ -272,18 +276,17 @@ func (st *State) FailServer(s int) []Torn {
 		return nil
 	}
 	st.up[s] = false
+	// The table walks in ID order and IDs are monotone, so teardown and any
+	// failover see the streams in admission order.
 	var torn []Torn
-	for id, stream := range st.streams {
+	st.streams.Each(func(id StreamID, stream Stream) {
 		if stream.Server == s || stream.Source == s {
 			torn = append(torn, Torn{ID: id, Stream: stream})
 		}
-	}
-	// Map iteration order is random; admission order (IDs are monotone)
-	// keeps teardown and any failover deterministic.
-	sort.Slice(torn, func(i, j int) bool { return torn[i].ID < torn[j].ID })
+	})
 	for _, t := range torn {
 		if err := st.Release(t.ID); err != nil {
-			panic(err) // ids were just read from the live map
+			panic(err) // ids were just read from the live table
 		}
 	}
 	return torn
@@ -365,17 +368,17 @@ func (st *State) admit(v int, d Decision) (StreamID, bool) {
 	st.activeByServ[d.Server]++
 	st.nextID++
 	id := st.nextID
-	st.streams[id] = s
+	st.streams.Put(id, s)
 	return id, true
 }
 
 // Release ends the stream with the given handle and frees its resources.
 func (st *State) Release(id StreamID) error {
-	s, ok := st.streams[id]
+	s, ok := st.streams.Get(id)
 	if !ok {
 		return fmt.Errorf("cluster: unknown stream %d", id)
 	}
-	delete(st.streams, id)
+	st.streams.Delete(id)
 	st.usedBW[s.Server] -= s.Rate
 	if st.usedBW[s.Server] < 0 {
 		st.usedBW[s.Server] = 0 // absorb floating-point dust
@@ -392,6 +395,15 @@ func (st *State) Release(id StreamID) error {
 
 // Lookup returns the record of an active stream.
 func (st *State) Lookup(id StreamID) (Stream, bool) {
-	s, ok := st.streams[id]
-	return s, ok
+	return st.streams.Get(id)
+}
+
+// SwapStreamTable exchanges the state's stream table with *t. It exists so
+// that a caller running many short-lived States (sim.Run) can lend each one
+// an empty table whose slots are already grown, and take the storage back
+// when the State is done: swap an empty table in before the first admission,
+// swap again after the last use of the State. It changes no behaviour, only
+// where the table's memory comes from.
+func (st *State) SwapStreamTable(t *StreamTable[Stream]) {
+	st.streams, *t = *t, st.streams
 }

@@ -129,13 +129,28 @@ func TestEngineHandlersCanSchedule(t *testing.T) {
 	}
 }
 
+// BenchmarkEngineScheduleAndRun schedules and fires 1000 events on a fresh
+// engine, as closures and as events of a registered kind.
 func BenchmarkEngineScheduleAndRun(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e := NewEngine()
-		for j := 0; j < 1000; j++ {
-			_ = e.Schedule(float64(j%37), func(float64) {})
+	b.Run("closure", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			e := NewEngine()
+			for j := 0; j < 1000; j++ {
+				_ = e.Schedule(float64(j%37), func(float64) {})
+			}
+			e.RunAll()
 		}
-		e.RunAll()
-	}
+	})
+	b.Run("op", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			e := NewEngine()
+			op := e.RegisterOp(func(float64, int64) {})
+			for j := 0; j < 1000; j++ {
+				_ = e.ScheduleOp(float64(j%37), op, int64(j))
+			}
+			e.RunAll()
+		}
+	})
 }

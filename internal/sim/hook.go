@@ -8,6 +8,10 @@ import (
 // Session is the lifecycle record of one admitted stream. Hooks receive the
 // same *Session across the session's lifecycle events, so pointer identity
 // can be used to correlate an admission with its later end, tear, or salvage.
+//
+// Lifetime: a *Session is valid until the run's OnDone returns. The records
+// live in slabs that the next run reuses, so a hook that wants anything of a
+// session after the run copies the fields out (as obs.SimHook does).
 type Session struct {
 	// ID is the stream handle within the run's cluster.State.
 	ID cluster.StreamID
@@ -35,8 +39,8 @@ type Session struct {
 // every registered hook at each transition; metrics collection, resilience
 // accounting, and runtime controllers are all implemented as hooks rather
 // than being wired into the event loop. Hooks run synchronously on the
-// simulation goroutine in registration order and must not retain the cluster
-// state beyond the call.
+// simulation goroutine in registration order. They must not retain the
+// cluster state beyond the call, nor a *Session beyond OnDone (see Session).
 //
 // Embed BaseHook to implement only the events of interest.
 type Hook interface {
@@ -98,6 +102,8 @@ type RejectInterceptor interface {
 // sessions torn down by a server failure — session failover is one. The
 // first interceptor to return a replacement session wins; returning nil,
 // false passes the torn session down the chain (and ultimately to OnTear).
+// The replacement's ID must be a stream admitted during the call — stream
+// handles ascend, and the run's session table relies on it.
 type TearInterceptor interface {
 	InterceptTear(now float64, old *Session) (*Session, bool)
 }
@@ -116,8 +122,9 @@ type Ticker interface {
 // honouring the measurement window via Session.Measured.
 type metricsHook struct {
 	BaseHook
-	col *metrics.Collector
-	st  *cluster.State
+	col   *metrics.Collector
+	st    *cluster.State
+	loads []float64 // per-server snapshot OnSample refills every tick
 }
 
 func (h *metricsHook) OnArrival(now float64, video int) {
@@ -171,7 +178,10 @@ func (h *metricsHook) OnSalvage(now float64, old, s *Session) {
 }
 
 func (h *metricsHook) OnSample(now float64, st *cluster.State) {
-	h.col.SampleLoads(st.UsedBandwidths(), st.TotalActive())
+	for s := range h.loads {
+		h.loads[s] = st.UsedBandwidth(s)
+	}
+	h.col.SampleLoads(h.loads, st.TotalActive())
 }
 
 // controllerHook adapts a runtime Controller to the hook interfaces: the

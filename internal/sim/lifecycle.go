@@ -31,8 +31,14 @@ type run struct {
 
 	// sessions tracks every live stream's lifecycle record, so failover can
 	// re-schedule a salvaged stream's departure at its original end time and
-	// later outcomes adjust statistics only for measured sessions.
-	sessions map[cluster.StreamID]*Session
+	// later outcomes adjust statistics only for measured sessions. The
+	// records themselves come from slab.
+	sessions cluster.StreamTable[*Session]
+	slab     sessionSlab
+
+	// opDepart is the session-departure event kind; its argument is the
+	// stream ID.
+	opDepart Op
 
 	hooks     []Hook
 	rejectors []RejectInterceptor
@@ -68,6 +74,17 @@ func (r *run) register(h Hook) {
 	if ob, ok := h.(DecisionObserver); ok {
 		r.deciders = append(r.deciders, ob)
 	}
+}
+
+// swapBuffers exchanges the run's growable storage — engine queues, both
+// stream tables, session slabs — with b's. Run calls it twice: to lend a
+// fresh run the recycled buffers, and to take them back (leaving the run
+// with the empty ones) once nothing will touch the run again.
+func (r *run) swapBuffers(b *runBuffers) {
+	r.eng.engineBuffers, b.eng = b.eng, r.eng.engineBuffers
+	r.st.SwapStreamTable(&b.streams)
+	r.sessions, b.sessions = b.sessions, r.sessions
+	r.slab, b.slab = b.slab, r.slab
 }
 
 func (r *run) warm(now float64) bool { return now >= r.warmup }
@@ -140,24 +157,38 @@ func (r *run) fireDone(now float64) {
 	}
 }
 
-// departAfter schedules the session's normal departure. A server failure may
-// tear the stream down first; a missing stream at departure time is expected
-// then and the event is a no-op.
+// departAfter schedules the session's normal departure.
 func (r *run) departAfter(id cluster.StreamID, delay float64) {
 	if delay < 0 {
 		delay = 0
 	}
-	r.mustAfter(delay, func(now float64) {
-		if _, ok := r.st.Lookup(id); ok {
-			if err := r.st.Release(id); err != nil {
-				panic(err) // release of a live stream cannot fail
-			}
-			if s := r.sessions[id]; s != nil {
-				r.fireEnd(now, s)
-			}
+	if err := r.eng.ScheduleOp(r.eng.Now()+delay, r.opDepart, int64(id)); err != nil {
+		panic(err) // as in mustAfter
+	}
+}
+
+// depart handles opDepart. A server failure may have torn the stream down
+// first; a missing stream at departure time is expected then and the event
+// is a no-op.
+func (r *run) depart(now float64, arg int64) {
+	id := cluster.StreamID(arg)
+	if _, ok := r.st.Lookup(id); ok {
+		if err := r.st.Release(id); err != nil {
+			panic(err) // release of a live stream cannot fail
 		}
-		delete(r.sessions, id)
-	})
+		if s, _ := r.sessions.Get(id); s != nil {
+			r.fireEnd(now, s)
+		}
+	}
+	r.sessions.Delete(id)
+}
+
+// newSession returns a slab record holding v. Sessions are never freed one
+// by one; see sessionSlab.
+func (r *run) newSession(v Session) *Session {
+	s := r.slab.alloc()
+	*s = v
+	return s
 }
 
 // startSession runs one admission attempt and, on success, registers the
@@ -171,7 +202,7 @@ func (r *run) startSession(now float64, video int, measured bool) (*Session, boo
 		return nil, false
 	}
 	st, _ := r.st.Lookup(id)
-	s := &Session{
+	s := r.newSession(Session{
 		ID:         id,
 		Video:      video,
 		Server:     st.Server,
@@ -179,11 +210,11 @@ func (r *run) startSession(now float64, video int, measured bool) (*Session, boo
 		Redirected: st.Redirected,
 		Measured:   measured,
 		End:        now + r.p.Catalog[video].Duration,
-	}
+	})
 	if r.degrader != nil && r.degrader.LastDegraded() {
 		s.Degraded = true
 	}
-	r.sessions[id] = s
+	r.sessions.Put(id, s)
 	r.departAfter(id, r.p.Catalog[video].Duration)
 	return s, true
 }
@@ -279,13 +310,13 @@ func (r *run) admit(now float64, video int) {
 // otherwise. Shared by the stochastic and the scripted failure paths.
 func (r *run) failServer(now float64, srv int) {
 	for _, t := range r.st.FailServer(srv) {
-		old := r.sessions[t.ID]
+		old, _ := r.sessions.Get(t.ID)
 		if old == nil {
 			// Unreachable for streams admitted through startSession; keep
 			// the zero-value semantics of the pre-hook bookkeeping maps.
 			old = &Session{ID: t.ID, Video: t.Video, Server: t.Server}
 		}
-		delete(r.sessions, t.ID)
+		r.sessions.Delete(t.ID)
 		seq := r.claimDecision(KindFailover)
 		feasible := r.feasibleSet(old.Video)
 		salvaged := false
@@ -294,7 +325,7 @@ func (r *run) failServer(now float64, srv int) {
 			if !ok {
 				continue
 			}
-			r.sessions[s.ID] = s
+			r.sessions.Put(s.ID, s)
 			r.fireSalvage(now, old, s)
 			r.departAfter(s.ID, s.End-now)
 			r.settleDecision(KindFailover, seq, now, old.Video, s, Admitted, old.Measured, feasible)
@@ -329,14 +360,17 @@ func (r *run) scheduleTicker(tk Ticker) error {
 	return r.eng.Schedule(interval, tick)
 }
 
-// scheduleTrace replays a materialized request trace.
+// scheduleTrace replays a materialized request trace. Every request is
+// queued up front (32 B each), not one ahead of the clock: an arrival
+// scheduled lazily would take a later sequence number than a departure
+// already queued for the same instant and fire after it instead of before.
 func (r *run) scheduleTrace(tr *workload.Trace) error {
+	arrive := r.eng.RegisterOp(func(now float64, video int64) { r.admit(now, int(video)) })
 	for _, req := range tr.Requests {
-		req := req
 		if req.Video >= r.p.M() {
 			return fmt.Errorf("sim: trace request targets video %d outside catalog of %d", req.Video, r.p.M())
 		}
-		if err := r.eng.Schedule(req.Time, func(now float64) { r.admit(now, req.Video) }); err != nil {
+		if err := r.eng.ScheduleOp(req.Time, arrive, int64(req.Video)); err != nil {
 			return err
 		}
 	}
@@ -354,20 +388,21 @@ func (r *run) scheduleArrivals(arrivals workload.ArrivalProcess) error {
 	if err != nil {
 		return fmt.Errorf("sim: building video sampler: %w", err)
 	}
-	var nextArrival func(now float64)
-	nextArrival = func(now float64) {
+	var arrive Op
+	nextArrival := func(now float64) {
 		gap := arrivals.Next(arrRNG)
 		t := now + gap
 		if t > r.duration {
 			return
 		}
-		if err := r.eng.Schedule(t, func(tt float64) {
-			r.admit(tt, sampler.Sample(vidRNG))
-			nextArrival(tt)
-		}); err != nil {
+		if err := r.eng.ScheduleOp(t, arrive, 0); err != nil {
 			panic(err)
 		}
 	}
+	arrive = r.eng.RegisterOp(func(now float64, _ int64) {
+		r.admit(now, sampler.Sample(vidRNG))
+		nextArrival(now)
+	})
 	nextArrival(0)
 	return nil
 }
@@ -434,7 +469,7 @@ func (h *failoverHook) InterceptTear(now float64, old *Session) (*Session, bool)
 		return nil, false
 	}
 	ns, _ := h.r.st.Lookup(nid)
-	return &Session{
+	return h.r.newSession(Session{
 		ID:         nid,
 		Video:      old.Video,
 		Server:     ns.Server,
@@ -442,7 +477,7 @@ func (h *failoverHook) InterceptTear(now float64, old *Session) (*Session, bool)
 		Redirected: ns.Redirected,
 		Measured:   old.Measured,
 		End:        old.End,
-	}, true
+	}), true
 }
 
 // repairHook runs the re-replication repairer as a ticker and reports its

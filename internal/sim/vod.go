@@ -112,13 +112,29 @@ type Controller interface {
 // and the periodic load sampler. With no hooks beyond the defaults the run
 // reproduces the paper's model bit for bit.
 func Run(cfg Config) (metrics.Result, error) {
-	var zero metrics.Result
 	r, err := newRun(cfg)
 	if err != nil {
-		return zero, err
+		return metrics.Result{}, err
 	}
+	// The run borrows the storage of an earlier one. It goes back to the
+	// pool (unless the run outgrew maxPooled) on every return, failed set-up
+	// included, but not past a panic: a buffer abandoned mid-event is not
+	// worth reasoning about.
+	bufs := bufferPool.Get().(*runBuffers)
+	r.swapBuffers(bufs)
+	res, err := r.execute(cfg)
+	r.swapBuffers(bufs)
+	if bufs.poolable() {
+		bufs.reset()
+		bufferPool.Put(bufs)
+	}
+	return res, err
+}
+
+// execute seeds the event queue, drains it, and collects the result.
+func (r *run) execute(cfg Config) (metrics.Result, error) {
 	if err := r.schedule(cfg); err != nil {
-		return zero, err
+		return metrics.Result{}, err
 	}
 	events := r.eng.RunAll()
 	r.fireDone(r.eng.Now())
@@ -194,8 +210,8 @@ func newRun(cfg Config) (*run, error) {
 		warmup:   cfg.Warmup,
 		pol:      pol,
 		degrader: degrader,
-		sessions: make(map[cluster.StreamID]*Session),
 	}
+	r.opDepart = r.eng.RegisterOp(r.depart)
 	// Randomized policies (cluster.SeededScheduler, possibly under the
 	// degrade/redirect decorators) draw per-decision RNG streams derived
 	// from their own substream of the run seed — split from the arrival,
@@ -209,7 +225,7 @@ func newRun(cfg Config) (*run, error) {
 	// the scheduling order of tickers (ties at one instant fire FIFO):
 	// metrics first, then the controller, the resilience mechanisms, the
 	// repairer, the load sampler, and finally any caller-supplied hooks.
-	r.register(&metricsHook{col: r.col, st: st})
+	r.register(&metricsHook{col: r.col, st: st, loads: make([]float64, p.N())})
 	if cfg.NewController != nil {
 		r.register(&controllerHook{c: cfg.NewController()})
 	}

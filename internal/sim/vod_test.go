@@ -237,14 +237,35 @@ func TestRunManyValidation(t *testing.T) {
 	}
 }
 
+// BenchmarkSimPeakPeriod is the developer's view of the benchmark's
+// fig4_sweep workload: whole peak periods through Run, reported as simulated
+// events per second. "equal" is the paper's model, where every departure
+// takes the engine's lane; "mixed" has two session lengths and works the heap.
 func BenchmarkSimPeakPeriod(b *testing.B) {
-	p, layout := buildScenario(b, 10, 1.2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(Config{Problem: p, Layout: layout, Seed: int64(i)}); err != nil {
-			b.Fatal(err)
-		}
+	ep, elayout := buildScenario(b, 10, 1.2)
+	mp, mlayout := mixedScenario(b)
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"equal", Config{Problem: ep, Layout: elayout}},
+		{"mixed", Config{Problem: mp, Layout: mlayout}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			cfg := c.cfg
+			events := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cfg.Seed = int64(i)
+				res, err := Run(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				events += res.Events
+			}
+			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+		})
 	}
 }
 

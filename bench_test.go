@@ -62,8 +62,7 @@ func BenchmarkFig4RejectionByDegree(b *testing.B) {
 // BenchmarkFig4Sweep measures one Figure-4(a)-style sweep end to end on the
 // experiment harness — the quick grid (3 degrees × 3 arrival rates × 3
 // replications) — sequentially and with parallel workers. The CI bench-smoke
-// step runs this once per push, and BENCH_sweep.json records the wall clock
-// of the full vodbench figure.
+// step runs this once per push.
 func BenchmarkFig4Sweep(b *testing.B) {
 	series := make([]exp.Series, 0, 3)
 	for _, degree := range []float64{1.0, 1.4, 2.0} {

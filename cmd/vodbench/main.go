@@ -24,15 +24,11 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"time"
 
 	"vodcluster/internal/exp"
-	"vodcluster/internal/obs"
 )
 
 // benchConfig carries the shared harness knobs into each figure generator.
@@ -76,7 +72,6 @@ func main() {
 	quick := flag.Bool("quick", false, "coarser sweeps and fewer runs, for a fast look")
 	csvDir := flag.String("csv", "", "also write every table as CSV into this directory")
 	workers := flag.Int("workers", 0, "parallel simulations across each sweep; 0 = GOMAXPROCS, 1 = sequential")
-	timing := flag.String("timing", "", "write a JSON wall-clock record of the invoked figure(s) to this file")
 	annealSteps := flag.Int("anneal-steps", 0, "§4.3 annealer: cap proposals per chain (0 = figure default)")
 	annealChains := flag.Int("anneal-chains", 0, "§4.3 annealer: parallel independent chains (0 = figure default)")
 	annealSeed := flag.Int64("anneal-seed", -1, "§4.3 annealer: seed override (-1 = use -seed)")
@@ -96,13 +91,7 @@ func main() {
 		cfg.runs = 5
 	}
 
-	start := time.Now()
-	err := runFigure(*fig, cfg)
-	elapsed := time.Since(start)
-	if err == nil && *timing != "" {
-		err = writeTiming(*timing, *fig, cfg, elapsed)
-	}
-	if err != nil {
+	if err := runFigure(*fig, cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "vodbench:", err)
 		os.Exit(1)
 	}
@@ -123,33 +112,4 @@ func runFigure(fig string, cfg benchConfig) error {
 		}
 	}
 	return fmt.Errorf("unknown figure %q", fig)
-}
-
-// writeTiming records the wall clock of the figure run as JSON, so sweep
-// performance stays comparable across revisions (see BENCH_sweep.json). The
-// embedded manifest pins the environment the number came from.
-func writeTiming(path, fig string, cfg benchConfig, elapsed time.Duration) error {
-	man := obs.NewManifest()
-	man.Seed = cfg.seed
-	man.Flags = map[string]string{
-		"fig":     fig,
-		"runs":    fmt.Sprint(cfg.runs),
-		"quick":   fmt.Sprint(cfg.quick),
-		"workers": fmt.Sprint(cfg.workers),
-	}
-	rec := struct {
-		Figure       string       `json:"figure"`
-		Manifest     obs.Manifest `json:"manifest"`
-		Runs         int          `json:"runs"`
-		Seed         int64        `json:"seed"`
-		Quick        bool         `json:"quick"`
-		Workers      int          `json:"workers"`
-		GOMAXPROCS   int          `json:"gomaxprocs"`
-		WallClockSec float64      `json:"wall_clock_sec"`
-	}{fig, man, cfg.runs, cfg.seed, cfg.quick, cfg.workers, runtime.GOMAXPROCS(0), elapsed.Seconds()}
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

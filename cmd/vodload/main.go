@@ -10,8 +10,7 @@
 // With -validate, the same trace also runs through the discrete-event
 // simulator (sim.Run) and the live and simulated rejection rates must agree
 // within -tolerance percentage points — the cross-validation tying the
-// serving layer back to the paper's Fig. 4 predictions. With -bench-out,
-// a JSON benchmark record (throughput, latency percentiles) is written.
+// serving layer back to the paper's Fig. 4 predictions.
 //
 // With -faults, a scripted fault schedule replays against the daemon over
 // HTTP while the trace runs: backends crash, recover, drain, and restore at
@@ -20,13 +19,11 @@
 // heals itself, -validate feeds the same failures to sim.Run
 // (Config.FailAt + Resilience) and additionally compares the post-failure
 // rejection rates — live decisions dispatched after the first crash against
-// a simulator run warmed up to that instant — and the benchmark record
-// gains post_failure_decisions_per_sec, which the vodperf gate tracks.
+// a simulator run warmed up to that instant.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
@@ -35,14 +32,12 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"vodcluster"
 	"vodcluster/internal/cluster"
 	"vodcluster/internal/config"
 	"vodcluster/internal/core"
 	"vodcluster/internal/faults"
-	"vodcluster/internal/obs"
 	"vodcluster/internal/report"
 	"vodcluster/internal/resilience"
 	"vodcluster/internal/serve"
@@ -73,7 +68,6 @@ func run() error {
 	seed := flag.Int64("seed", 42, "seed for generated arrivals")
 	validate := flag.Bool("validate", false, "cross-validate the live rejection rate against sim.Run on the same trace")
 	tolerance := flag.Float64("tolerance", 2, "allowed |live−sim| rejection-rate gap in percentage points (-validate)")
-	benchOut := flag.String("bench-out", "", "write a JSON benchmark record (throughput, latency percentiles) to this file")
 	faultsPath := flag.String("faults", "", "replay this JSON fault schedule against the daemon over HTTP during the trace")
 	driftAt := flag.Float64("drift-at", 0, "re-rank the popularity curve at this virtual time (seconds); 0 disables")
 	driftRotate := flag.Int("drift-rotate", 0, "drift rank-rotation distance; 0 means half the catalog")
@@ -219,13 +213,6 @@ func run() error {
 		return fmt.Errorf("no sessions admitted; the daemon rejected the whole burst")
 	}
 
-	if *benchOut != "" {
-		if err := writeBench(*benchOut, tr, rep, sched, *compress, *policy, *seed, *rate, *burst, *shards, achieved, bound); err != nil {
-			return err
-		}
-		fmt.Printf("benchmark record written to %s\n", *benchOut)
-	}
-
 	if *validate {
 		return crossValidate(p, layout, *policy, tr, rep, sched, *seed, *tolerance)
 	}
@@ -243,8 +230,8 @@ func postFailureWindow(tr *workload.Trace, sched *faults.Schedule) (float64, boo
 }
 
 // postFailureDecisionsPerSec measures settled admission throughput over the
-// window from the first scripted crash to the end of the trace — the gated
-// proof that failure handling (eviction scans, health state reads, repair
+// window from the first scripted crash to the end of the trace: the printed
+// evidence that failure handling (eviction scans, health state reads, repair
 // traffic) does not stall the admission path.
 func postFailureDecisionsPerSec(tr *workload.Trace, rep *serve.Report, sched *faults.Schedule, compress float64) float64 {
 	failAt, ok := postFailureWindow(tr, sched)
@@ -471,114 +458,6 @@ func simSchedulerFor(policy string, backbone bool) (func() cluster.Scheduler, er
 		policy = "least-loaded"
 	}
 	return vodcluster.SchedulerFactory(policy, false)
-}
-
-// writeBench records the replay as a JSON benchmark artifact
-// (BENCH_serve.json in CI) so serving throughput stays comparable across
-// revisions. The embedded manifest pins the environment the numbers came
-// from (git SHA, CPU, GOMAXPROCS, seed, flags).
-func writeBench(path string, tr *workload.Trace, rep *serve.Report, sched *faults.Schedule, compress float64, policy string, seed int64, rate, burst float64, shards int, achieved float64, bound bool) error {
-	man := obs.NewManifest()
-	man.Seed = seed
-	man.Flags = map[string]string{
-		"policy":   policy,
-		"compress": fmt.Sprint(compress),
-		"rate":     fmt.Sprint(rate),
-		"burst":    fmt.Sprint(burst),
-		"shards":   fmt.Sprint(shards),
-	}
-	if sched != nil {
-		man.Flags["faults"] = fmt.Sprintf("%d events", len(sched.Events))
-	}
-	rec := struct {
-		Generated       string       `json:"generated"`
-		Manifest        obs.Manifest `json:"manifest"`
-		Policy          string       `json:"policy"`
-		Compress        float64      `json:"compress"`
-		Requests        int          `json:"requests"`
-		Accepted        int          `json:"accepted"`
-		Rejected        int          `json:"rejected"`
-		Redirected      int          `json:"redirected"`
-		WallSeconds     float64      `json:"wall_seconds"`
-		DecisionsPerSec float64      `json:"decisions_per_sec"`
-		// PostFailureDecisionsPerSec is settled throughput over the window
-		// from the first scripted crash to the end of the trace; present
-		// only when a fault schedule ran (vodperf -compare gates it, so a
-		// faulted baseline keeps every later run honest about it).
-		PostFailureDecisionsPerSec float64 `json:"post_failure_decisions_per_sec,omitempty"`
-		LatencyP50Ms               float64 `json:"latency_p50_ms"`
-		LatencyP90Ms               float64 `json:"latency_p90_ms"`
-		LatencyP99Ms               float64 `json:"latency_p99_ms"`
-		LatencyMaxMs               float64 `json:"latency_max_ms"`
-		VirtualSeconds             float64 `json:"virtual_seconds"`
-		// AchievedRate is the dispatch rate the generator actually offered;
-		// OfferedRateBound marks a record whose generator fell short of the
-		// requested rate, so its numbers bound the generator, not the daemon.
-		AchievedRate     float64 `json:"achieved_rate"`
-		OfferedRateBound bool    `json:"offered_rate_bound,omitempty"`
-	}{
-		Generated:                  time.Now().UTC().Format(time.RFC3339),
-		Manifest:                   man,
-		Policy:                     policy,
-		Compress:                   compress,
-		Requests:                   rep.Requests,
-		Accepted:                   rep.Accepted,
-		Rejected:                   rep.Rejected + rep.Draining,
-		Redirected:                 rep.Redirected,
-		WallSeconds:                rep.Wall.Seconds(),
-		DecisionsPerSec:            rep.DecisionsPerSec(),
-		PostFailureDecisionsPerSec: postFailureDecisionsPerSec(tr, rep, sched, compress),
-		LatencyP50Ms:               rep.LatencyQuantile(0.50).Seconds() * 1e3,
-		LatencyP90Ms:               rep.LatencyQuantile(0.90).Seconds() * 1e3,
-		LatencyP99Ms:               rep.LatencyQuantile(0.99).Seconds() * 1e3,
-		LatencyMaxMs:               rep.LatencyQuantile(1).Seconds() * 1e3,
-		VirtualSeconds:             tr.Meta.Duration,
-		AchievedRate:               achieved,
-		OfferedRateBound:           bound,
-	}
-	buf, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	var flat map[string]json.RawMessage
-	if err := json.Unmarshal(buf, &flat); err != nil {
-		return err
-	}
-	// A checked-in baseline may carry sections merged in by other tools
-	// (`vodperf -bench scale -merge`, `vodperf -bench http -merge`). The
-	// replay only re-measures the flat keys, so carry those sections over —
-	// otherwise every serve-smoke refresh would silently strip them and
-	// disarm their gates.
-	if prev, err := os.ReadFile(path); err == nil {
-		preserveSections(flat, prev)
-	}
-	out, err := json.MarshalIndent(flat, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
-}
-
-// preservedSections are the benchmark-record sections owned by vodperf
-// -merge rather than the replay: writeBench must carry them across a
-// flat-key refresh.
-var preservedSections = []string{"scaling", "http"}
-
-// preserveSections copies vodperf-owned sections from a previous benchmark
-// record into a freshly measured flat map, without overwriting a section the
-// new record already has.
-func preserveSections(flat map[string]json.RawMessage, prev []byte) {
-	var old map[string]json.RawMessage
-	if json.Unmarshal(prev, &old) != nil {
-		return
-	}
-	for _, key := range preservedSections {
-		if sec, ok := old[key]; ok {
-			if _, fresh := flat[key]; !fresh {
-				flat[key] = sec
-			}
-		}
-	}
 }
 
 // loadLayout mirrors vodserved's layout resolution so both tools agree on

@@ -408,9 +408,9 @@ func TestDeltaPathFindsFeasibleOptimum(t *testing.T) {
 
 // BenchmarkAnnealBitRate compares raw proposal throughput of the scratch
 // clone-and-rescan path against the delta fast path at three catalog sizes.
-// The ≥20× acceptance target for M=500 is enforced end to end by
-// cmd/vodperf's gated anneal_steps_per_sec metric; this benchmark is the
-// developer-facing view of the same number. The last case is the benchmark's
+// ./benchmark's plan_paper and plan_scale workloads measure the delta path
+// end to end (anneal.proposals_per_s); this benchmark is the developer-facing
+// view of the same number. The last case is the benchmark's
 // plan_scale shape, delta path only (a scratch proposal there rescans 1.28 M
 // cells): its allocations per proposal are what best-so-far tracking by Sync
 // keeps near zero.

@@ -3,8 +3,7 @@ package exp
 import "time"
 
 // Timed runs f n times and returns the wall-clock seconds of each run, in
-// run order. It is the measurement loop of the perf harness (cmd/vodperf):
-// the harness times whole sweeps externally because per-run wall time must
+// run order. Whole sweeps are timed externally because per-run wall time must
 // stay out of metrics.Result, whose values are compared bit-for-bit by the
 // determinism tests. f receives the run index so callers can vary seeds or
 // labels per repetition.

@@ -267,8 +267,8 @@ type Result struct {
 	// Events counts the discrete events the engine executed during the
 	// run. It is deterministic for a given configuration and seed (so it
 	// survives the bit-identical replay tests), and dividing it by a
-	// measured wall clock gives the simulator's events/s throughput — the
-	// raw-speed metric the perf-regression gate tracks.
+	// measured wall clock gives the simulator's events/s throughput
+	// (./benchmark's sim.events_per_s).
 	Events int
 }
 

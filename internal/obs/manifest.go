@@ -9,25 +9,22 @@ import (
 )
 
 // Manifest identifies the code revision and hardware a benchmark record was
-// produced on. Every BENCH_*.json artifact carries one, so a regression
+// produced on. Every ./benchmark result file carries one as its stamp, so a
 // comparison can tell "the code got slower" apart from "the runner changed"
 // — the first question anyone asks of a perf delta.
 type Manifest struct {
-	Generated  string            `json:"generated"`
-	GitSHA     string            `json:"git_sha"`
-	GoVersion  string            `json:"go_version"`
-	OS         string            `json:"os"`
-	Arch       string            `json:"arch"`
-	NumCPU     int               `json:"num_cpu"`
-	GOMAXPROCS int               `json:"gomaxprocs"`
-	CPUModel   string            `json:"cpu_model"`
-	Host       string            `json:"host"`
-	Seed       int64             `json:"seed,omitempty"`
-	Flags      map[string]string `json:"flags,omitempty"`
+	Generated  string `json:"generated"`
+	GitSHA     string `json:"git_sha"`
+	GoVersion  string `json:"go_version"`
+	OS         string `json:"os"`
+	Arch       string `json:"arch"`
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	CPUModel   string `json:"cpu_model"`
+	Host       string `json:"host"`
 }
 
-// NewManifest collects the environment of the current process. Seed and
-// Flags are the caller's to fill: they describe the workload, not the host.
+// NewManifest collects the environment of the current process.
 func NewManifest() Manifest {
 	host, _ := os.Hostname()
 	return Manifest{

@@ -1,9 +1,8 @@
 // Package obs is the observability layer shared by the simulator and the
 // live serving daemon: a low-overhead ring-buffer event tracer for
 // per-session lifecycle spans, concurrent histograms built on
-// internal/stats rendered in the Prometheus text format, a run manifest
-// identifying the code and hardware a benchmark ran on, and the
-// noise-adjusted benchmark comparison cmd/vodperf gates CI with.
+// internal/stats rendered in the Prometheus text format, and a run manifest
+// identifying the code and hardware a benchmark ran on.
 //
 // The tracer is deliberately minimal: a fixed-size ring of atomically
 // published event records. Recording is lock-free (one atomic fetch-add for

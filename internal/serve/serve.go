@@ -56,16 +56,15 @@ type SessionInfo struct {
 	ExpiresInS float64 `json:"expires_in_s"`
 }
 
-// session is the server-side record: the live grant plus the lifetime
-// handle of whichever engine owns it — the cancel handle of the session
-// goroutine's context on the single-shard path, the expiry deadline the
-// owning shard's heap fires on under sharded dispatch.
+// session is the server-side record: the live grant plus, on the
+// single-shard path, the cancel handle of the session goroutine's context.
+// Under sharded dispatch the birth shard's expiry heap holds the deadline by
+// id, so a sharded session carries no lifetime handle.
 type session struct {
-	id       int64
-	video    int
-	grant    Grant
-	cancel   context.CancelFunc
-	deadline time.Time
+	id     int64
+	video  int
+	grant  Grant
+	cancel context.CancelFunc
 }
 
 // Config tunes a Server beyond the problem/layout pair.
@@ -86,12 +85,6 @@ type Config struct {
 	// exposes GET /debug/trace on the HTTP API. Nil disables tracing at the
 	// cost of one branch per event.
 	Tracer *obs.Tracer
-	// AdmitDelay inserts an artificial stall into every admission decision
-	// before the policy runs. It exists for the perf-regression test
-	// harness — a knob that provably slows the admit path so the vodperf
-	// gate can be shown to catch it — and for latency chaos experiments.
-	// Production configurations leave it zero.
-	AdmitDelay time.Duration
 	// Retry enables admission retry-with-backoff: a capacity-rejected
 	// request waits (exponential backoff with jitter, in compressed virtual
 	// time) and retries until admitted or its patience runs out, instead of
@@ -103,20 +96,21 @@ type Config struct {
 	// batches and committing admissions onto its own servers (DESIGN.md
 	// §15). 0 or 1 keeps the original single-shard engine — the
 	// bit-identical code path the live-vs-sim smoke cross-checks validate.
-	// Values above the server count are clamped to it.
+	// Values above the server count are clamped to it. Sharded dispatch
+	// serves least-loaded, static-rr and first-available (bare or sim:) and
+	// no backbone redirection; New rejects any other combination.
 	Shards int
 }
 
 // Server is the live dispatch engine. Create with New; all exported methods
 // are safe for concurrent use.
 type Server struct {
-	c          *Cluster
-	pol        Policy
-	met        *Metrics
-	tracer     *obs.Tracer
-	admitDelay time.Duration
-	compress   float64
-	maxWall    time.Duration
+	c        *Cluster
+	pol      Policy
+	met      *Metrics
+	tracer   *obs.Tracer
+	compress float64
+	maxWall  time.Duration
 
 	baseCtx  context.Context
 	baseStop context.CancelFunc
@@ -163,16 +157,15 @@ func New(p *core.Problem, layout *core.Layout, cfg Config) (*Server, error) {
 	}
 	ctx, stop := context.WithCancel(context.Background())
 	s := &Server{
-		c:          c,
-		pol:        pol,
-		met:        NewMetrics(streamCeiling(p)),
-		tracer:     cfg.Tracer,
-		admitDelay: cfg.AdmitDelay,
-		compress:   compress,
-		maxWall:    cfg.MaxSessionWall,
-		baseCtx:    ctx,
-		baseStop:   stop,
-		sessions:   make(map[int64]*session),
+		c:        c,
+		pol:      pol,
+		met:      NewMetrics(streamCeiling(p)),
+		tracer:   cfg.Tracer,
+		compress: compress,
+		maxWall:  cfg.MaxSessionWall,
+		baseCtx:  ctx,
+		baseStop: stop,
+		sessions: make(map[int64]*session),
 	}
 	if cfg.Shards > 1 {
 		eng, err := newEngine(s, cfg.Shards, cfg.Policy)
@@ -291,9 +284,6 @@ func (s *Server) attempt(v int, arriveNS int64, settleReject bool) (SessionInfo,
 		return s.eng.attempt(v, arriveNS, settleReject)
 	}
 	start := time.Now()
-	if s.admitDelay > 0 {
-		time.Sleep(s.admitDelay)
-	}
 	s.met.ObserveQueueDepth(float64(s.activeN.Load()))
 	if s.draining.Load() {
 		s.met.Decision(false, false, true, time.Since(start))

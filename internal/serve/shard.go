@@ -12,6 +12,13 @@ package serve
 // context per session, and session/op objects are pooled, so an admission
 // allocates nothing in steady state.
 //
+// Failover is the one reservation that bypasses the owners: a crash or drain
+// scan (evictSessions) reserves the target by CAS from the calling goroutine and
+// swaps the session's grant in place under its birth shard's registry lock.
+// A live session never leaves its registry, so Close, expiry and the scan
+// settle it exactly once between them, and the expiry entry pushed at
+// admission is the only one it ever has.
+//
 // The sim:* policies, which the single-shard engine serves through a global
 // lock (SimPolicy), run sharded on a snapshot-and-verify protocol instead:
 // the dispatcher reads each shard's version counter, ranks candidates
@@ -24,7 +31,8 @@ package serve
 //
 // Shards ≤ 1 never constructs any of this: the daemon runs the original
 // code path bit-identically, which is what the live-vs-sim smoke
-// cross-checks validate.
+// cross-checks validate; the benchmark's serve_churn workload cross-checks
+// the sharded engine against sim.Run the same way.
 
 import (
 	"context"
@@ -84,8 +92,9 @@ type shard struct {
 	notify chan struct{}
 
 	// registry of birth-shard sessions. The owner is the main writer, but
-	// eviction scans and Close remove entries from other goroutines, so a
-	// shard-local mutex guards it; presence in the map is the settlement
+	// Close removes entries, and eviction scans remove them or swap their
+	// grant in place, from other goroutines, so a shard-local mutex guards
+	// it and every session's grant; presence in the map is the settlement
 	// token — whoever removes an entry owns ending that session.
 	regMu sync.Mutex
 	reg   map[int64]*session
@@ -99,24 +108,20 @@ type shard struct {
 type opKind uint8
 
 const (
-	opAdmit    opKind = iota // reserve + register one session on an owned server
-	opSchedule               // async: re-arm an expiry entry (failover reinstate)
-	opLand                   // rebalance migration: publish a replica
-	opEvict                  // rebalance eviction: remove a replica
-	opRepair                 // repair landing: publish a replica, no migration count
+	opAdmit  opKind = iota // reserve + register one session on an owned server
+	opLand                 // rebalance migration: publish a replica
+	opEvict                // rebalance eviction: remove a replica
+	opRepair               // repair landing: publish a replica, no migration count
 )
 
-// shardOp is one pooled mailbox message; sync ops carry a 1-buffered done
+// shardOp is one pooled mailbox message; it carries a 1-buffered done
 // channel the owner signals exactly once.
 type shardOp struct {
-	kind     opKind
-	async    bool
-	video    int
-	server   int
-	rate     int64
-	verify   int64 // expected shard version; -1 disables the snapshot check
-	id       int64
-	deadline time.Time
+	kind   opKind
+	video  int
+	server int
+	rate   int64
+	verify int64 // expected shard version; -1 disables the snapshot check
 
 	info     SessionInfo
 	ok       bool
@@ -338,10 +343,6 @@ func (sh *shard) submit(op *shardOp) {
 	sh.mbMu.Lock()
 	if sh.dead {
 		sh.mbMu.Unlock()
-		if op.async {
-			sh.eng.putOp(op)
-			return
-		}
 		op.err = errShardStopped
 		op.done <- struct{}{}
 		return
@@ -359,15 +360,6 @@ func (sh *shard) submit(op *shardOp) {
 func (sh *shard) call(op *shardOp) {
 	sh.submit(op)
 	<-op.done
-}
-
-// scheduleExpiry asks the owner to (re-)arm an expiry entry — the failover
-// reinstate path; duplicate entries for one id are harmless because firing
-// checks the registry.
-func (sh *shard) scheduleExpiry(id int64, at time.Time) {
-	op := sh.eng.getOp()
-	op.kind, op.async, op.id, op.deadline = opSchedule, true, id, at
-	sh.submit(op)
 }
 
 // --- owner loop ---
@@ -421,10 +413,6 @@ func (sh *shard) exec(op *shardOp) {
 	switch op.kind {
 	case opAdmit:
 		sh.execAdmit(op)
-	case opSchedule:
-		sh.exp.push(expiry{at: op.deadline, id: op.id})
-		sh.eng.putOp(op)
-		return
 	case opLand:
 		op.err = sh.execLand(op)
 	case opEvict:
@@ -447,21 +435,26 @@ func (sh *shard) execAdmit(op *shardOp) {
 		return
 	}
 	s := e.s
-	sess := e.getSession()
 	sh.nextID++
-	sess.id = sh.nextID*int64(len(e.shards)) + int64(sh.idx)
+	id := sh.nextID*int64(len(e.shards)) + int64(sh.idx)
+	wall := s.wallDuration(op.video)
+	deadline := time.Now().Add(wall)
+	sess := e.getSession()
+	sess.id = id
 	sess.video = op.video
 	sess.grant = Grant{Video: op.video, Server: op.server, Source: op.server, Rate: op.rate}
-	wall := s.wallDuration(op.video)
-	sess.deadline = time.Now().Add(wall)
-	sh.regMu.Lock()
-	sh.reg[sess.id] = sess
-	sh.regMu.Unlock()
+	// The insert publishes sess: an eviction scan may drop and recycle it
+	// (putSession zeroes it) before the next line runs, so everything below
+	// works from locals and never reads sess again. The gauge counts the
+	// session before it is visible so such a drop cannot drive it negative.
 	s.activeN.Add(1)
-	sh.exp.push(expiry{at: sess.deadline, id: sess.id})
+	sh.regMu.Lock()
+	sh.reg[id] = sess
+	sh.regMu.Unlock()
+	sh.exp.push(expiry{at: deadline, id: id})
 	op.ok = true
 	op.info = SessionInfo{
-		ID: sess.id, Video: op.video, Server: op.server, Source: op.server,
+		ID: id, Video: op.video, Server: op.server, Source: op.server,
 		RateBps: op.rate, ExpiresInS: wall.Seconds(),
 	}
 }
@@ -534,8 +527,7 @@ func (sh *shard) execRepair(op *shardOp) bool {
 }
 
 // fireExpired settles every session whose deadline passed. Stale entries —
-// closed, evicted, or re-armed sessions — find no registry entry and are
-// skipped.
+// sessions already closed or dropped — find no registry entry and are skipped.
 func (sh *shard) fireExpired() {
 	now := time.Now()
 	for len(sh.exp) > 0 && !sh.exp[0].at.After(now) {
@@ -585,10 +577,6 @@ func (sh *shard) shutdown() {
 	sh.mb = nil
 	sh.mbMu.Unlock()
 	for _, op := range batch {
-		if op.async {
-			sh.eng.putOp(op)
-			continue
-		}
 		op.err = errShardStopped
 		op.done <- struct{}{}
 	}
@@ -612,9 +600,6 @@ func (sh *shard) shutdown() {
 func (e *engine) attempt(v int, arriveNS int64, settleReject bool) (SessionInfo, Outcome) {
 	s := e.s
 	start := time.Now()
-	if s.admitDelay > 0 {
-		time.Sleep(s.admitDelay)
-	}
 	s.met.ObserveQueueDepth(float64(s.activeN.Load()))
 	if s.draining.Load() {
 		s.met.Decision(false, false, true, time.Since(start))
@@ -702,20 +687,29 @@ func (e *engine) pinnedSessions(v, b int) int {
 	return n
 }
 
-// evictSessions is the sharded eviction scan: collect (and thereby own)
-// every session referencing b, fail each over with a direct reservation,
-// reinstate survivors into their birth registry, and repeat until no session
-// references b — catching failovers that land onto b concurrently.
+// evictSessions is the sharded eviction scan: Server.evictSessions'
+// snapshot-and-settle algorithm over k registries. A session never leaves
+// its registry while it is live — failover swaps its grant in place — so a
+// racing Close or expiry always finds it and settles whichever grant is
+// current, and its deadline (hence its one heap entry) does not change. The
+// snapshot carries (id, video) pairs, never *session: sessions are pooled,
+// and one that ends after the snapshot may already be another admission's.
+// The loop repeats until no session references b, catching failovers that
+// land onto b concurrently.
 func (e *engine) evictSessions(b int, cause string) (failedOver, dropped int) {
 	s := e.s
+	type ref struct {
+		id    int64
+		video int
+	}
+	var affected []ref
 	for {
-		var affected []*session
+		affected = affected[:0]
 		for _, sh := range e.shards {
 			sh.regMu.Lock()
 			for id, sess := range sh.reg {
 				if sess.grant.Server == b || sess.grant.Source == b {
-					delete(sh.reg, id)
-					affected = append(affected, sess)
+					affected = append(affected, ref{id, sess.video})
 				}
 			}
 			sh.regMu.Unlock()
@@ -723,64 +717,56 @@ func (e *engine) evictSessions(b int, cause string) (failedOver, dropped int) {
 		if len(affected) == 0 {
 			return failedOver, dropped
 		}
-		for _, sess := range affected {
-			old := sess.grant
-			ng, ok := failoverMostFree(s.c, sess.video, b)
+		for _, r := range affected {
+			ng, ok := failoverMostFree(s.c, r.video, b)
 			if ok {
 				e.shards[e.shardOf[ng.Server]].version.Add(1)
-				// Never commit onto a server that went Down meanwhile; its
-				// own eviction scan may already have run and missed us.
-				if s.c.State(ng.Server) == BackendDown {
-					e.release(ng)
-					ok = false
-				}
 			}
-			if ok && e.reinstate(sess, ng) {
-				e.release(old)
+			sh := e.shards[int(r.id%int64(len(e.shards)))]
+			sh.regMu.Lock()
+			sess, live := sh.reg[r.id]
+			if !live || (sess.grant.Server != b && sess.grant.Source != b) {
+				// Ended or moved concurrently; undo our failover reservation.
+				sh.regMu.Unlock()
+				if ok {
+					e.release(ng)
+				}
+				continue
+			}
+			// The target can be drained or crashed between our reservation
+			// and this commit, and its own eviction scan may already have
+			// passed this registry — so never commit a grant onto an
+			// ineligible server; drop the session instead. The state read
+			// happens under the lock that scan takes too, so one of the two
+			// always sees the other.
+			moved := ok && s.c.Eligible(ng.Server)
+			old := sess.grant
+			if moved {
+				sess.grant = ng
+			} else {
+				delete(sh.reg, r.id)
+			}
+			sh.regMu.Unlock()
+			e.release(old)
+			if moved {
 				s.met.FailedOver()
 				s.tracer.Record(obs.Event{TS: s.tracer.NowNS(), Kind: obs.KindFailover,
-					Session: sess.id, Video: sess.video, Server: ng.Server,
+					Session: r.id, Video: r.video, Server: ng.Server,
 					Detail: "from server " + fmt.Sprint(b)})
 				failedOver++
 				continue
 			}
-			e.release(old)
+			if ok {
+				e.release(ng)
+			}
 			s.activeN.Add(-1)
+			e.putSession(sess)
 			s.met.Dropped()
 			s.tracer.Record(obs.Event{TS: s.tracer.NowNS(), Kind: obs.KindTear,
-				Session: sess.id, Video: sess.video, Server: b, Detail: cause})
+				Session: r.id, Video: r.video, Server: b, Detail: cause})
 			dropped++
-			e.putSession(sess)
 		}
 	}
-}
-
-// reinstate publishes a failed-over session back into its birth registry
-// under the new grant and re-arms its expiry. When the failover target was
-// itself claimed (drained or crashed) while the grant landed, the session is
-// taken back out: if we win that removal the new reservation is returned and
-// the caller drops the session; if the target's own eviction scan won, that
-// scan settles it and the failover stands.
-func (e *engine) reinstate(sess *session, ng Grant) bool {
-	sess.grant = ng
-	sh := e.shards[int(sess.id%int64(len(e.shards)))]
-	sh.regMu.Lock()
-	sh.reg[sess.id] = sess
-	sh.regMu.Unlock()
-	if e.s.c.Draining(ng.Server) {
-		sh.regMu.Lock()
-		_, still := sh.reg[sess.id]
-		if still {
-			delete(sh.reg, sess.id)
-		}
-		sh.regMu.Unlock()
-		if still {
-			e.release(ng)
-			return false
-		}
-	}
-	sh.scheduleExpiry(sess.id, sess.deadline)
-	return true
 }
 
 // drain waits for the active sessions to expire naturally; on ctx expiry the
@@ -843,8 +829,9 @@ func (e *engine) landRepair(v, dst int) bool {
 	return ok
 }
 
-// expiry is one deadline entry; entries are lazy — settlement consults the
-// registry, so duplicates and stale entries are no-ops.
+// expiry is one deadline entry, pushed once at admission; entries are lazy —
+// settlement consults the registry, so the entry of a session that already
+// ended is a no-op.
 type expiry struct {
 	at time.Time
 	id int64

@@ -455,3 +455,113 @@ func TestShardedRepairLanding(t *testing.T) {
 		t.Fatal("landed repair copy missing from the directory")
 	}
 }
+
+// TestShardedFailoverThenExpiry: a failover swaps the grant in place and
+// leaves the session's deadline alone, so the heap entry pushed at admission
+// is the only thing that ends a failed-over session. Every survivor of a
+// crash must still complete at its natural expiry — none canceled, nothing
+// left on any link.
+func TestShardedFailoverThenExpiry(t *testing.T) {
+	srv := newShardedServer(t, Config{Shards: 4, Compress: 3.6e4}) // 5400 s video = 150 ms wall
+	// Videos 3 and 7 both live on servers 3 and 7 (5 slots each): six
+	// sessions split across the pair, so crashing 3 fails some over to 7.
+	const opened = 6
+	for i := 0; i < opened; i++ {
+		if _, outcome, err := srv.Open(3 + 4*(i%2)); err != nil || outcome != OutcomeAccepted {
+			t.Fatalf("open %d: outcome %v err %v", i, outcome, err)
+		}
+	}
+	failedOver, dropped, err := srv.FailBackend(3)
+	if err != nil {
+		t.Fatalf("fail backend 3: %v", err)
+	}
+	if failedOver == 0 {
+		t.Fatalf("crash failed nothing over (dropped %d); the test needs a failed-over survivor", dropped)
+	}
+	m := srv.Metrics()
+	survivors := int64(opened - dropped)
+	waitUntil(t, 5*time.Second, "survivors to expire", func() bool { return m.completed.Load() == survivors })
+	if got := m.canceled.Load(); got != 0 {
+		t.Errorf("canceled = %d, want 0: every survivor ends by natural expiry", got)
+	}
+	if got := m.dropped.Load(); got != int64(dropped) {
+		t.Errorf("dropped metric = %d, FailBackend reported %d", got, dropped)
+	}
+	assertNoLeaks(t, srv)
+}
+
+// TestShardedFailoverTargetDrained races the eviction scan against its own
+// failover target: video 3 lives on servers 3 and 7, the test drains 3 round
+// after round while a second goroutine drains and restores 7, so a target
+// regularly turns ineligible between the scan's reservation and its commit.
+// Whichever way each race falls, every opened session settles exactly once:
+// Close finds exactly the sessions no scan dropped, and nothing leaks.
+func TestShardedFailoverTargetDrained(t *testing.T) {
+	srv := newShardedServer(t, Config{Shards: 4}) // real time: no session expires
+	var stop atomic.Bool
+	var togglerDropped int
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			_, dr, err := srv.DrainBackend(7)
+			if err != nil {
+				t.Errorf("drain backend 7: %v", err)
+				return
+			}
+			togglerDropped += dr
+			if err := srv.RestoreBackend(7); err != nil {
+				t.Errorf("restore backend 7: %v", err)
+				return
+			}
+		}
+	}()
+
+	opened, closed, dropped := 0, 0, 0
+	for round := 0; round < 1000; round++ {
+		var ids []int64
+		for i := 0; i < 6; i++ {
+			info, outcome, err := srv.Open(3)
+			if err != nil {
+				t.Fatalf("round %d open: %v", round, err)
+			}
+			if outcome == OutcomeAccepted {
+				ids = append(ids, info.ID)
+			}
+		}
+		opened += len(ids)
+		_, dr, err := srv.DrainBackend(3)
+		if err != nil {
+			t.Fatalf("round %d drain backend 3: %v", round, err)
+		}
+		dropped += dr
+		if err := srv.RestoreBackend(3); err != nil {
+			t.Fatalf("round %d restore backend 3: %v", round, err)
+		}
+		for _, id := range ids {
+			if srv.Close(id) {
+				closed++
+			}
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	dropped += togglerDropped
+
+	if opened == 0 {
+		t.Fatal("no session was ever admitted")
+	}
+	if closed+dropped != opened {
+		t.Errorf("opened %d sessions, Close settled %d and the scans dropped %d: %d settled zero or multiple times",
+			opened, closed, dropped, opened-closed-dropped)
+	}
+	m := srv.Metrics()
+	if got := m.canceled.Load(); got != int64(closed) {
+		t.Errorf("canceled metric = %d, Close settled %d", got, closed)
+	}
+	if got := m.dropped.Load(); got != int64(dropped) {
+		t.Errorf("dropped metric = %d, the scans reported %d", got, dropped)
+	}
+	assertNoLeaks(t, srv)
+}

@@ -83,19 +83,22 @@ bench-compare:
 # the open-loop load generator while the scripted fault schedule crashes and
 # recovers a backend mid-trace, scrape /metrics for non-zero admissions,
 # and cross-validate the rejection rate (overall and post-failure) against
-# sim.Run with the same scripted failures.
+# sim.Run with the same scripted failures. The second run repeats the check
+# with the exact sim:least-loaded adapter over four registry partitions.
 serve-smoke:
 	$(GO) run ./cmd/vodload -selftest -rate 8000 -burst 1 -validate -faults testdata/faults_smoke.json
+	$(GO) run ./cmd/vodload -selftest -rate 8000 -burst 1 -validate -faults testdata/faults_smoke.json -shards 4 -policy sim:least-loaded
 
 # The failure-drill integration test under the race detector: a scripted
 # mid-trace crash with health checking, admission retry, and automatic
 # re-replication, asserting single settlement, zero leaked bandwidth, and
 # live-vs-sim post-failure parity. Then the per-PR stress budget (≈ 1 min):
-# fifty race-detector passes over the sharded engine's failover, drain and
-# exactly-once drills, whose bugs so far showed up once in tens of runs.
+# fifty race-detector passes over the engine's failover, drain, eviction and
+# exactly-once drills at one registry partition and at several, whose bugs so
+# far showed up once in tens of runs.
 chaos-smoke:
 	$(GO) test -race -run 'TestChaos' -v .
-	$(GO) test -race -count=50 -run 'TestSharded|TestIngressChaosExactlyOnce|TestConcurrentFailDrainStorm' ./internal/serve
+	$(GO) test -race -count=50 -run 'TestSharded|TestIngressChaosExactlyOnce|TestConcurrentFailDrainStorm|TestConcurrentOpenCloseStress|TestSimPolicyRedirect|TestDrainBackendSimPolicy' ./internal/serve
 
 # The counterfactual-harness self-check: a tiny two-policy lockstep over one
 # shared trace. -smoke asserts the reference compared against itself yields

@@ -110,10 +110,13 @@ func figureSA(cfg benchConfig) error {
 	}
 	cfg.emit.Printf("note the objective's shape: Eq. 1 averages quality per *video*, so the\n")
 	cfg.emit.Printf("annealer buys high rates where they are bandwidth-cheap — cold titles —\n")
-	cfg.emit.Printf("lifting the copy-average rate to 5.6 Mb/s while the request-weighted\n")
-	cfg.emit.Printf("delivered rate and the rejection rate stay essentially unchanged; hot\n")
-	cfg.emit.Printf("titles keep moderate rates. A per-request quality weighting would shift\n")
-	cfg.emit.Printf("rates toward the head instead.\n")
+	cfg.emit.Printf("lifting the copy-average rate to %.2f Mb/s while the request-weighted\n", bestEval.MeanRateMbps)
+	cfg.emit.Printf("delivered rate stays at %.2f Mb/s (fixed layout: %.2f) and hot titles\n",
+		saAgg.SessionRateMbps.Mean(), fixedAgg.SessionRateMbps.Mean())
+	cfg.emit.Printf("keep moderate rates. With fewer replicas to balance over (degree %.2f\n", layout.ReplicationDegree())
+	cfg.emit.Printf("against %.2f), rejection moves from %.3f %% to %.3f %%. A per-request\n",
+		flayout.ReplicationDegree(), 100*fixedAgg.RejectionRate.Mean(), 100*saAgg.RejectionRate.Mean())
+	cfg.emit.Printf("quality weighting would shift rates toward the head instead.\n")
 
 	// Convergence trace of a single chain for the chart.
 	res, err := anneal.Minimize[*anneal.BitRateLayout](bp, init, opts)

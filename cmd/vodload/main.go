@@ -58,7 +58,7 @@ func run() error {
 	scenarioPath := flag.String("scenario", "", "JSON scenario for the layout (selftest/validate); empty uses the paper defaults")
 	planPath := flag.String("plan", "", "plan file for the layout (selftest/validate)")
 	policy := flag.String("policy", "least-loaded", "admission policy of the in-process daemon (selftest)")
-	shards := flag.Int("shards", 1, "admission dispatch shards of the in-process daemon (selftest); 1 runs the single-queue engine")
+	shards := flag.Int("shards", 1, "session registry partitions of the in-process daemon (selftest); every policy admits at any count")
 	listeners := flag.Int("listeners", 0, "sharded ingress accept loops of the in-process daemon (selftest); 0 serves the plain net/http mux")
 	conns := flag.Int("conns", 0, "persistent fast connections the replay drives; 0 picks 4×GOMAXPROCS clamped to [8,64]")
 	tracePath := flag.String("trace", "", "replay this trace file instead of generating arrivals")

@@ -81,7 +81,7 @@ func run() error {
 	policyName := flag.String("policy", "least-loaded", fmt.Sprintf("admission policy: one of %v", serve.PolicyNames()))
 	listPolicies := flag.Bool("list-policies", false, "print the admission-policy registry and exit")
 	compress := flag.Float64("compress", 1, "time-compression factor: a D-second video holds bandwidth for D/compress wall seconds")
-	shards := flag.Int("shards", 1, "admission dispatch shards (DESIGN.md §15); 1 runs the single-queue engine, >1 partitions backends across shard owners for multi-core admission")
+	shards := flag.Int("shards", 1, "session registry partitions (DESIGN.md §15), each with its own lock and expiry goroutine; every policy admits at any count, clamped to the backend count")
 	listeners := flag.Int("listeners", 0, "sharded SO_REUSEPORT ingress accept loops (DESIGN.md §16); 0 serves the plain net/http mux")
 	maxBatch := flag.Int("batch", 0, "max videos per POST /open/batch request (0 = default 256)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain waits for active sessions")

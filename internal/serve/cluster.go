@@ -241,17 +241,6 @@ func (c *Cluster) Eligible(s int) bool { return c.State(s).Eligible() }
 // for both the cooperative Draining state and the crashed Down state.
 func (c *Cluster) Draining(s int) bool { return !c.Eligible(s) }
 
-// SetDraining toggles server s between the operator-driven Draining state
-// and Up. It is the legacy drain switch: state transitions richer than
-// up ⇄ draining go through CASState.
-func (c *Cluster) SetDraining(s int, v bool) {
-	if v {
-		c.SetState(s, BackendDraining)
-	} else {
-		c.SetState(s, BackendUp)
-	}
-}
-
 // BackboneUsed returns the backbone bandwidth in use, bits/s.
 func (c *Cluster) BackboneUsed() int64 { return c.backboneUsed.Load() }
 

@@ -40,8 +40,7 @@ type layoutBody struct {
 	// ReplicatedBytes is the total storage footprint of every replica in the
 	// live directory.
 	ReplicatedBytes float64 `json:"replicated_bytes"`
-	// Shards is the number of dispatch shards the daemon runs (1 = legacy
-	// single-queue path).
+	// Shards is the number of session registry partitions the daemon runs.
 	Shards int `json:"shards"`
 }
 

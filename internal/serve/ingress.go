@@ -8,12 +8,11 @@ package serve
 // pipelining (responses accumulate while more requests are already
 // buffered, and flush before the loop would block), and the wire.go codecs
 // on the /open, /open/batch, and /close hot paths — no encoding/json, no
-// net/http machinery, no per-request goroutine. Admissions route through
-// Server.OpenRetry, which under sharded dispatch lands each decision in the
-// owning shard's mailbox — shard-affine by construction. Every other route
-// (admin, /metrics, /fault, …) is replayed into a net/http fallback handler
-// and answered with Connection: close; admin traffic is rare enough that
-// correctness beats reuse there.
+// net/http machinery, no per-request goroutine. Admissions call
+// Server.OpenRetry, which decides and commits on the connection's own
+// goroutine. Every other route (admin, /metrics, /fault, …) is replayed into
+// a net/http fallback handler and answered with Connection: close; admin
+// traffic is rare enough that correctness beats reuse there.
 
 import (
 	"bufio"

@@ -415,7 +415,7 @@ func TestAdmissionPathAllocs(t *testing.T) {
 		cs.out = cs.out[:0]
 		ing.fastClose(cs, st, closeBody, false)
 	}
-	for i := 0; i < 100; i++ { // warm buffers, pools, and the shard mailboxes
+	for i := 0; i < 100; i++ { // warm buffers and pools
 		roundTrip()
 	}
 	allocs := testing.AllocsPerRun(500, roundTrip)

@@ -46,8 +46,7 @@ type Metrics struct {
 	migrations      atomic.Int64 // rebalance copies landed as new replicas
 	evictions       atomic.Int64 // surplus replicas removed by rebalancing
 
-	snapshotConflicts atomic.Int64 // snapshot-and-verify admissions retried on a stale shard version
-	shards            atomic.Int64 // dispatch shards in use (1 = legacy single-queue daemon)
+	shards atomic.Int64 // session registry partitions in use
 
 	latCount atomic.Int64
 	latSumNs atomic.Int64
@@ -224,15 +223,12 @@ func (m *Metrics) Migrated() { m.migrations.Add(1) }
 // Evicted records one surplus replica removed by the rebalancer.
 func (m *Metrics) Evicted() { m.evictions.Add(1) }
 
-// SnapshotConflict records one admission attempt that read a shard snapshot,
-// decided, and found the shard's version moved before the decision committed.
-func (m *Metrics) SnapshotConflict() { m.snapshotConflicts.Add(1) }
+// SnapshotConflicts always returns 0: every admission commits on the
+// calling goroutine, so none is ever retried on a stale snapshot. It stays
+// for the benchmark's serve.snapshot_conflicts reading.
+func (m *Metrics) SnapshotConflicts() int64 { return 0 }
 
-// SnapshotConflicts returns the snapshot-and-verify retry count so far.
-func (m *Metrics) SnapshotConflicts() int64 { return m.snapshotConflicts.Load() }
-
-// SetShards records how many dispatch shards the daemon runs (1 = legacy
-// single-queue path).
+// SetShards records how many session registry partitions the daemon runs.
 func (m *Metrics) SetShards(n int) { m.shards.Store(int64(n)) }
 
 // Probe records one health-probe result.
@@ -295,10 +291,7 @@ func (m *Metrics) Render(w io.Writer, c *Cluster, active int64, policy string) {
 	fmt.Fprintf(w, "# HELP vod_evictions_total Surplus replicas removed by rebalancing.\n")
 	fmt.Fprintf(w, "# TYPE vod_evictions_total counter\n")
 	fmt.Fprintf(w, "vod_evictions_total %d\n", m.evictions.Load())
-	fmt.Fprintf(w, "# HELP vod_snapshot_conflicts_total Admissions retried because a shard snapshot went stale before commit.\n")
-	fmt.Fprintf(w, "# TYPE vod_snapshot_conflicts_total counter\n")
-	fmt.Fprintf(w, "vod_snapshot_conflicts_total %d\n", m.snapshotConflicts.Load())
-	fmt.Fprintf(w, "# HELP vod_dispatch_shards Dispatch shards in use (1 = single-queue daemon).\n")
+	fmt.Fprintf(w, "# HELP vod_dispatch_shards Session registry partitions in use, each with its own lock and expiry goroutine.\n")
 	fmt.Fprintf(w, "# TYPE vod_dispatch_shards gauge\n")
 	fmt.Fprintf(w, "vod_dispatch_shards %d\n", m.shards.Load())
 	fmt.Fprintf(w, "# HELP vod_health_probes_total Health-probe results.\n")

@@ -82,11 +82,6 @@ func (s *Server) LandReplica(v, b int) error {
 	if b < 0 || b >= s.c.Servers() {
 		return &BackendRangeError{Backend: b, Servers: s.c.Servers()}
 	}
-	if s.eng != nil {
-		// Sharded dispatch: the landing routes through b's shard owner so it
-		// serializes with that shard's admission stream.
-		return s.eng.landReplica(v, b)
-	}
 	if s.c.State(b) == BackendDown {
 		return ErrBackendDown
 	}
@@ -105,41 +100,21 @@ func (s *Server) LandReplica(v, b int) error {
 	return nil
 }
 
-// PinnedSessions counts live sessions pinned to video v's replica on backend
-// b: sessions streaming v from b's outgoing link plus redirected sessions of
-// v sourced from b's copy. A pinned replica must not be evicted.
-func (s *Server) PinnedSessions(v, b int) int {
-	if s.eng != nil {
-		return s.eng.pinnedSessions(v, b)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, sess := range s.sessions {
-		if sess.video == v && (sess.grant.Server == b || sess.grant.Source == b) {
-			n++
-		}
-	}
-	return n
-}
-
 // EvictReplica removes video v's replica from backend b when it is safe: the
 // copy must exist, must not be the video's last live copy, and must have no
-// pinned sessions. The pinned check runs again after the holder list shrinks
-// — a session admitted between check and removal rolls the eviction back, so
-// an admission racing the eviction never loses its replica. On success the
-// eviction is mirrored into a sim-parity policy when one is active.
+// pinned sessions. The pinned check runs again after the holder list
+// shrinks, under each registry partition's lock: an admission or failover
+// that committed meanwhile is seen and rolls the eviction back, and one that
+// commits later re-checks the holder under that lock, finds it gone, and
+// decides again — so no live session ever streams from an evicted copy. On
+// success the eviction is mirrored into a sim-parity policy when one is
+// active.
 func (s *Server) EvictReplica(v, b int) error {
 	if v < 0 || v >= s.c.Videos() {
 		return ErrNoReplica
 	}
 	if b < 0 || b >= s.c.Servers() {
 		return &BackendRangeError{Backend: b, Servers: s.c.Servers()}
-	}
-	if s.eng != nil {
-		// Sharded dispatch: the eviction runs on b's shard owner, exclusive
-		// with every admission that could pin the replica on this shard.
-		return s.eng.evictReplica(v, b)
 	}
 	if !holds(s.c, v, b) {
 		return ErrNoReplica

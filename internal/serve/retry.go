@@ -142,10 +142,8 @@ func (r *retrier) run(ctx context.Context, v int, arriveNS int64, start time.Tim
 			return renege("context canceled")
 		case <-s.baseCtx.Done():
 			t.Stop()
-			s.met.Decision(false, false, true, time.Since(start))
-			s.tracer.Record(obs.Event{TS: arriveNS, Kind: obs.KindDrain, Video: v,
-				DurNS: s.tracer.NowNS() - arriveNS})
-			return SessionInfo{}, OutcomeDraining, nil
+			info, outcome := s.refuse(v, arriveNS, start)
+			return info, outcome, nil
 		}
 		s.met.Retried()
 		s.tracer.Record(obs.Event{TS: s.tracer.NowNS(), Kind: obs.KindRetry, Video: v,

@@ -7,12 +7,14 @@
 // the locked sim-parity adapters over the exact cluster.Scheduler/redirect
 // implementations the simulator uses.
 //
-// Every admitted session runs as its own goroutine holding a
-// context.WithTimeout for the (time-compressed) video duration; ending the
-// context — natural expiry, client cancel, backend drain without a failover
-// target, or daemon shutdown — releases the session's bandwidth reservation
-// exactly once. Backend drain marks a server ineligible for new placements
-// and fails its active sessions over to surviving replica holders
+// Admission runs on the calling goroutine: the policy decides and reserves
+// by compare-and-swap, and the session is registered, with its
+// (time-compressed) deadline, in one of Config.Shards registry partitions,
+// whose one goroutine fires expiries. Natural expiry, client close, backend
+// drain without a failover target, and daemon shutdown each remove the
+// registry entry, and whichever removes it releases the session's bandwidth
+// reservation, exactly once. Backend drain marks a server ineligible for new
+// placements and fails its active sessions over to surviving replica holders
 // (resilience semantics); daemon drain stops admissions and waits for the
 // active sessions to run out.
 //
@@ -56,15 +58,13 @@ type SessionInfo struct {
 	ExpiresInS float64 `json:"expires_in_s"`
 }
 
-// session is the server-side record: the live grant plus, on the
-// single-shard path, the cancel handle of the session goroutine's context.
-// Under sharded dispatch the birth shard's expiry heap holds the deadline by
-// id, so a sharded session carries no lifetime handle.
+// session is the server-side record of one live grant. Its partition's
+// expiry heap holds the deadline by id, so the record carries no lifetime
+// handle and is pooled.
 type session struct {
-	id     int64
-	video  int
-	grant  Grant
-	cancel context.CancelFunc
+	id    int64
+	video int
+	grant Grant
 }
 
 // Config tunes a Server beyond the problem/layout pair.
@@ -91,14 +91,11 @@ type Config struct {
 	// failing immediately. Nil disables retry; see RetryConfig for the
 	// tunables, whose defaults mirror the simulator's resilience policy.
 	Retry *RetryConfig
-	// Shards partitions the cluster's servers into that many admission
-	// shards, each owned by one dispatcher goroutine draining its queue in
-	// batches and committing admissions onto its own servers (DESIGN.md
-	// §15). 0 or 1 keeps the original single-shard engine — the
-	// bit-identical code path the live-vs-sim smoke cross-checks validate.
-	// Values above the server count are clamped to it. Sharded dispatch
-	// serves least-loaded, static-rr and first-available (bare or sim:) and
-	// no backbone redirection; New rejects any other combination.
+	// Shards splits the session registry into that many partitions, each
+	// with its own lock, expiry heap and expiry goroutine (DESIGN.md §15).
+	// Admission decisions do not depend on it: every policy commits on the
+	// calling goroutine at any partition count. 0 means 1; values above the
+	// server count are clamped to it.
 	Shards int
 }
 
@@ -115,21 +112,18 @@ type Server struct {
 	baseCtx  context.Context
 	baseStop context.CancelFunc
 
-	mu       sync.Mutex
-	sessions map[int64]*session
+	parts    []*partition // session registry partitions; id mod len picks one
+	sessPool sync.Pool    // *session
 	nextID   atomic.Int64
-	activeN  atomic.Int64 // mirrors len(sessions) for lock-free depth reads
+	activeN  atomic.Int64 // live sessions across every partition
 	draining atomic.Bool
 
 	retry *retrier // nil unless Config.Retry enabled admission retry
-	eng   *engine  // nil unless Config.Shards enabled sharded dispatch
 
 	hc  atomic.Pointer[HealthChecker] // attached health-check loop, if any
 	rep atomic.Pointer[Repairer]      // attached re-replication repairer, if any
 	reb atomic.Pointer[Rebalancer]    // attached placement controller, if any
 	inj atomic.Pointer[faults.Injector]
-
-	wg sync.WaitGroup // live session goroutines
 }
 
 // New builds a Server for a validated problem/layout pair.
@@ -138,15 +132,9 @@ func New(p *core.Problem, layout *core.Layout, cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	var pol Policy
-	if cfg.Shards <= 1 {
-		// The sharded engine replaces the Policy object wholesale (rankers
-		// plus owner-side commits), so it is only constructed on the
-		// single-shard path.
-		pol, err = NewPolicy(cfg.Policy, c)
-		if err != nil {
-			return nil, err
-		}
+	pol, err := NewPolicy(cfg.Policy, c)
+	if err != nil {
+		return nil, err
 	}
 	compress := cfg.Compress
 	if compress == 0 {
@@ -165,28 +153,16 @@ func New(p *core.Problem, layout *core.Layout, cfg Config) (*Server, error) {
 		maxWall:  cfg.MaxSessionWall,
 		baseCtx:  ctx,
 		baseStop: stop,
-		sessions: make(map[int64]*session),
-	}
-	if cfg.Shards > 1 {
-		eng, err := newEngine(s, cfg.Shards, cfg.Policy)
-		if err != nil {
-			stop()
-			return nil, err
-		}
-		s.eng = eng
 	}
 	if cfg.Retry != nil {
 		r, err := newRetrier(s, *cfg.Retry)
 		if err != nil {
 			stop()
-			s.wg.Wait()
-			if s.eng != nil {
-				s.eng.wait()
-			}
 			return nil, err
 		}
 		s.retry = r
 	}
+	s.startPartitions(min(max(cfg.Shards, 1), c.Servers()))
 	return s, nil
 }
 
@@ -225,25 +201,13 @@ func (s *Server) Metrics() *Metrics { return s.met }
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
 // PolicyName reports the active admission policy.
-func (s *Server) PolicyName() string {
-	if s.eng != nil {
-		return s.eng.name
-	}
-	return s.pol.Name()
-}
+func (s *Server) PolicyName() string { return s.pol.Name() }
 
 // Compress reports the time-compression factor sessions run under.
 func (s *Server) Compress() float64 { return s.compress }
 
 // Active returns the number of live sessions.
-func (s *Server) Active() int64 {
-	if s.eng != nil {
-		return s.activeN.Load()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return int64(len(s.sessions))
-}
+func (s *Server) Active() int64 { return s.activeN.Load() }
 
 // Draining reports whether the daemon refuses new sessions.
 func (s *Server) Draining() bool { return s.draining.Load() }
@@ -258,9 +222,9 @@ func (s *Server) wallDuration(v int) time.Duration {
 }
 
 // Open runs one admission decision for video v. On acceptance the session
-// goroutine is already running and will release the reservation when the
-// session's context ends. The returned outcome distinguishes a capacity
-// rejection from a drain refusal.
+// is registered with its deadline and releases its reservation when it
+// expires, is closed, or is dropped. The returned outcome distinguishes a
+// capacity rejection from a drain refusal.
 func (s *Server) Open(v int) (SessionInfo, Outcome, error) {
 	arriveNS := s.tracer.NowNS()
 	s.tracer.Record(obs.Event{TS: arriveNS, Kind: obs.KindArrive, Video: v})
@@ -273,117 +237,97 @@ func (s *Server) Open(v int) (SessionInfo, Outcome, error) {
 	return info, outcome, nil
 }
 
-// attempt runs one admission attempt against the policy. settleReject
-// controls whether a capacity rejection is recorded as a settled decision:
-// the retry path passes false for attempts it may later convert into an
-// acceptance and records the one final outcome itself, so retries never
-// inflate the request counters. Accepted and draining outcomes are always
-// final and always recorded here.
+// attempt runs one admission attempt on the calling goroutine: the policy
+// decides and reserves, then the session is registered in its partition.
+// settleReject controls whether a capacity rejection is recorded as a
+// settled decision: the retry path passes false for attempts it may later
+// convert into an acceptance and records the one final outcome itself, so
+// retries never inflate the request counters. Accepted and draining outcomes
+// are always final and always recorded here.
 func (s *Server) attempt(v int, arriveNS int64, settleReject bool) (SessionInfo, Outcome) {
-	if s.eng != nil {
-		return s.eng.attempt(v, arriveNS, settleReject)
-	}
 	start := time.Now()
 	s.met.ObserveQueueDepth(float64(s.activeN.Load()))
 	if s.draining.Load() {
-		s.met.Decision(false, false, true, time.Since(start))
-		s.tracer.Record(obs.Event{TS: arriveNS, Kind: obs.KindDrain, Video: v,
-			DurNS: s.tracer.NowNS() - arriveNS})
-		return SessionInfo{}, OutcomeDraining
+		return s.refuse(v, arriveNS, start)
 	}
-	g, ok := s.pol.Admit(v)
-	if !ok {
-		if settleReject {
-			s.met.Decision(false, false, false, time.Since(start))
-			s.tracer.Record(obs.Event{TS: arriveNS, Kind: obs.KindReject, Video: v,
-				DurNS: s.tracer.NowNS() - arriveNS})
+	for {
+		g, ok := s.pol.Admit(v)
+		if !ok {
+			if settleReject {
+				s.met.Decision(false, false, false, time.Since(start))
+				s.tracer.Record(obs.Event{TS: arriveNS, Kind: obs.KindReject, Video: v,
+					DurNS: s.tracer.NowNS() - arriveNS})
+			}
+			return SessionInfo{}, OutcomeRejected
 		}
-		return SessionInfo{}, OutcomeRejected
+		id := s.nextID.Add(1)
+		wall := s.wallDuration(v)
+		switch s.partOf(id).insert(id, g, time.Now().Add(wall)) {
+		case insertStopped:
+			s.pol.Release(g)
+			return s.refuse(v, arriveNS, start)
+		case insertEvicted:
+			// The source lost its replica between the decision and the
+			// insert: give the reservation back, uncounted, and decide again.
+			s.pol.Release(g)
+			continue
+		}
+		s.met.Decision(true, g.Redirected, false, time.Since(start))
+		s.tracer.Record(obs.Event{TS: arriveNS, Kind: obs.KindAdmit,
+			Session: id, Video: v, Server: g.Server,
+			DurNS: s.tracer.NowNS() - arriveNS})
+		return SessionInfo{
+			ID:         id,
+			Video:      v,
+			Server:     g.Server,
+			Source:     g.Source,
+			RateBps:    g.Rate,
+			Redirected: g.Redirected,
+			ExpiresInS: wall.Seconds(),
+		}, OutcomeAccepted
 	}
-	wall := s.wallDuration(v)
-	ctx, cancel := context.WithTimeout(s.baseCtx, wall)
-	sess := &session{id: s.nextID.Add(1), video: v, grant: g, cancel: cancel}
-	s.mu.Lock()
-	s.sessions[sess.id] = sess
-	s.mu.Unlock()
-	s.activeN.Add(1)
-
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		<-ctx.Done()
-		cancel()
-		s.finish(sess, ctx.Err() == context.DeadlineExceeded)
-	}()
-
-	s.met.Decision(true, g.Redirected, false, time.Since(start))
-	s.tracer.Record(obs.Event{TS: arriveNS, Kind: obs.KindAdmit,
-		Session: sess.id, Video: v, Server: g.Server,
-		DurNS: s.tracer.NowNS() - arriveNS})
-	return SessionInfo{
-		ID:         sess.id,
-		Video:      v,
-		Server:     g.Server,
-		Source:     g.Source,
-		RateBps:    g.Rate,
-		Redirected: g.Redirected,
-		ExpiresInS: wall.Seconds(),
-	}, OutcomeAccepted
 }
 
-// finish settles one ended session exactly once: it removes the registry
-// entry (if a drain or close has not already done so) and returns the
-// current grant's resources. natural reports whether the context ended by
-// its own deadline (a completed playback) rather than a cancel.
-func (s *Server) finish(sess *session, natural bool) {
-	s.mu.Lock()
-	cur, ok := s.sessions[sess.id]
-	if ok {
-		delete(s.sessions, sess.id)
-	}
-	s.mu.Unlock()
-	if !ok {
-		return // dropped by a drain; resources already settled there
-	}
+// refuse settles one request as a drain refusal.
+func (s *Server) refuse(v int, arriveNS int64, start time.Time) (SessionInfo, Outcome) {
+	s.met.Decision(false, false, true, time.Since(start))
+	s.tracer.Record(obs.Event{TS: arriveNS, Kind: obs.KindDrain, Video: v,
+		DurNS: s.tracer.NowNS() - arriveNS})
+	return SessionInfo{}, OutcomeDraining
+}
+
+// end releases a session that its settler has just removed from the
+// registry, counts how it ended, and recycles the record. natural reports a
+// completed playback rather than a close or shutdown.
+func (s *Server) end(sess *session, natural bool) {
+	id, video, g := sess.id, sess.video, sess.grant
+	s.putSession(sess)
+	s.pol.Release(g)
 	s.activeN.Add(-1)
-	s.pol.Release(cur.grant)
 	if natural {
 		s.met.Completed()
 		s.tracer.Record(obs.Event{TS: s.tracer.NowNS(), Kind: obs.KindEnd,
-			Session: sess.id, Video: sess.video, Server: cur.grant.Server})
+			Session: id, Video: video, Server: g.Server})
 	} else {
 		s.met.Canceled()
 		s.tracer.Record(obs.Event{TS: s.tracer.NowNS(), Kind: obs.KindTear,
-			Session: sess.id, Video: sess.video, Server: cur.grant.Server, Detail: "canceled"})
+			Session: id, Video: video, Server: g.Server, Detail: "canceled"})
 	}
 }
 
 // Close ends session id early (the client hung up). It reports whether the
 // session was live.
 func (s *Server) Close(id int64) bool {
-	if s.eng != nil {
-		return s.eng.close(id)
-	}
-	s.mu.Lock()
-	sess, ok := s.sessions[id]
-	s.mu.Unlock()
-	if !ok {
+	if id <= 0 {
 		return false
 	}
-	sess.cancel() // the session goroutine settles it via finish
-	return true
+	return s.partOf(id).settle(id, false)
 }
 
-// landRepair publishes a repaired replica of video v on backend dst; the
-// sharded engine routes the landing through dst's shard owner so it
-// serializes with that shard's admission stream. It reports whether the copy
-// became a new replica (false: dst already held one).
-func (s *Server) landRepair(v, dst int) bool {
-	if s.eng != nil {
-		return s.eng.landRepair(v, dst)
-	}
-	return s.c.AddHolder(v, dst)
-}
+// landRepair publishes a repaired replica of video v on backend dst. It
+// reports whether the copy became a new replica (false: dst already held
+// one).
+func (s *Server) landRepair(v, dst int) bool { return s.c.AddHolder(v, dst) }
 
 // claimState moves backend b into target (BackendDraining or BackendDown)
 // from whatever state it is in, returning the typed error for states the
@@ -452,72 +396,79 @@ func (s *Server) FailBackend(b int) (failedOver, dropped int, err error) {
 
 // evictSessions settles every session that ineligible backend b was serving
 // or sourcing: failover onto a surviving replica holder where capacity
-// allows, teardown otherwise. The registry lock makes each settlement
-// exclusive with the session's own finish path, so every affected session's
-// bandwidth is released exactly once however the eviction races against
-// natural completions, client closes, or other backends' evictions. The
-// snapshot-and-settle loop repeats until no session references b, catching
-// sessions another backend's eviction concurrently failed over *onto* b
-// after its reservation but before our snapshot.
+// allows, teardown otherwise. The snapshot carries (id, video) pairs, never
+// *session: sessions are pooled, and one that ends after the snapshot may
+// already be another admission's. A live session never leaves its partition
+// — failover swaps its grant in place under the partition lock — so a racing
+// Close or expiry always finds it and settles whichever grant is current, and
+// every affected session's bandwidth is released exactly once. The loop
+// repeats until no session references b, catching sessions another
+// backend's eviction concurrently failed over *onto* b.
 func (s *Server) evictSessions(b int, cause string) (failedOver, dropped int) {
-	if s.eng != nil {
-		return s.eng.evictSessions(b, cause)
+	type ref struct {
+		id    int64
+		video int
 	}
+	var affected []ref
 	for {
-		s.mu.Lock()
-		var affected []*session
-		for _, sess := range s.sessions {
-			if sess.grant.Server == b || sess.grant.Source == b {
-				affected = append(affected, sess)
+		affected = affected[:0]
+		for _, p := range s.parts {
+			p.mu.Lock()
+			for id, sess := range p.reg {
+				if sess.grant.Server == b || sess.grant.Source == b {
+					affected = append(affected, ref{id, sess.video})
+				}
 			}
+			p.mu.Unlock()
 		}
-		s.mu.Unlock()
 		if len(affected) == 0 {
 			return failedOver, dropped
 		}
-		for _, sess := range affected {
-			ng, ok := s.pol.Failover(sess.video, b)
-			s.mu.Lock()
-			cur, live := s.sessions[sess.id]
-			if !live || (cur.grant.Server != b && cur.grant.Source != b) {
+		for _, r := range affected {
+			ng, ok := s.pol.Failover(r.video, b)
+			p := s.partOf(r.id)
+			p.mu.Lock()
+			sess, live := p.reg[r.id]
+			if !live || (sess.grant.Server != b && sess.grant.Source != b) {
 				// Ended or moved concurrently; undo our failover reservation.
-				s.mu.Unlock()
+				p.mu.Unlock()
 				if ok {
 					s.pol.Release(ng)
 				}
 				continue
 			}
-			// The failover target can crash between our reservation and this
-			// commit, and its own eviction scan may already have run and
-			// missed us — so never commit a grant onto a Down server; drop
-			// the session instead. (The state read happens under the same
-			// lock the crashed backend's eviction scan uses, so one of the
-			// two always sees the other.)
-			targetDown := ok && s.c.State(ng.Server) == BackendDown
-			old := cur.grant
-			if ok && !targetDown {
-				cur.grant = ng
+			// The target can be drained or crashed between our reservation
+			// and this commit, and its own eviction scan may already have
+			// passed this partition; its source can likewise lose the replica
+			// to EvictReplica, whose pinned re-check may already have passed.
+			// Both reads happen under the lock those scans take too, so one of
+			// the two always sees the other: never commit onto an ineligible
+			// server or a non-holder, drop the session instead.
+			moved := ok && s.c.Eligible(ng.Server) && holds(s.c, r.video, ng.Source)
+			old := sess.grant
+			if moved {
+				sess.grant = ng
 			} else {
-				delete(s.sessions, sess.id)
+				delete(p.reg, r.id)
 			}
-			s.mu.Unlock()
+			p.mu.Unlock()
 			s.pol.Release(old)
-			if ok && !targetDown {
+			if moved {
 				s.met.FailedOver()
 				s.tracer.Record(obs.Event{TS: s.tracer.NowNS(), Kind: obs.KindFailover,
-					Session: sess.id, Video: sess.video, Server: ng.Server,
+					Session: r.id, Video: r.video, Server: ng.Server,
 					Detail: "from server " + fmt.Sprint(b)})
 				failedOver++
 				continue
 			}
-			if targetDown {
+			if ok {
 				s.pol.Release(ng)
 			}
+			s.putSession(sess)
 			s.activeN.Add(-1)
-			sess.cancel()
 			s.met.Dropped()
 			s.tracer.Record(obs.Event{TS: s.tracer.NowNS(), Kind: obs.KindTear,
-				Session: sess.id, Video: sess.video, Server: b, Detail: cause})
+				Session: r.id, Video: r.video, Server: b, Detail: cause})
 			dropped++
 		}
 	}
@@ -565,26 +516,22 @@ func (s *Server) RecoverBackend(b int) error {
 
 // Drain gracefully stops the daemon: new sessions are refused with the
 // draining outcome, and Drain waits until every active session ends or ctx
-// expires, whichever is first. On ctx expiry the remaining sessions are
-// force-canceled so their reservations still release before return.
+// expires, whichever is first. On ctx expiry the partitions are stopped,
+// which force-settles the remaining sessions before return.
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
-	if s.eng != nil {
-		return s.eng.drain(ctx)
+	t := time.NewTicker(2 * time.Millisecond)
+	defer t.Stop()
+	for s.activeN.Load() != 0 {
+		select {
+		case <-ctx.Done():
+			s.baseStop()
+			s.waitPartitions()
+			return fmt.Errorf("serve: drain timed out; %w", ctx.Err())
+		case <-t.C:
+		}
 	}
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		s.baseStop() // cancel every session context
-		<-done
-		return fmt.Errorf("serve: drain timed out; %w", ctx.Err())
-	}
+	return nil
 }
 
 // Shutdown force-cancels every session, stops any attached health-check and
@@ -601,8 +548,5 @@ func (s *Server) Shutdown() {
 		(*rp).Stop()
 	}
 	s.baseStop()
-	s.wg.Wait()
-	if s.eng != nil {
-		s.eng.wait()
-	}
+	s.waitPartitions()
 }

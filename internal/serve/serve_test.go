@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -204,8 +205,8 @@ func TestServerSessionLifecycle(t *testing.T) {
 		t.Fatalf("active = %d, want 1", srv.Active())
 	}
 	waitUntil(t, 2*time.Second, "session expiry", func() bool { return srv.Active() == 0 })
-	// finish drops the active count before it releases the grant and counts
-	// the completion, so wait for the counter, the last of the three.
+	// The active count drops before the completion is counted, so wait for
+	// the counter, the last step of the settlement.
 	waitUntil(t, 2*time.Second, "completion count", func() bool { return srv.Metrics().completed.Load() == 1 })
 	if got := srv.Cluster().Used(info.Server); got != 0 {
 		t.Fatalf("server %d used = %d after expiry", info.Server, got)
@@ -327,30 +328,35 @@ func TestDrainBackendFailover(t *testing.T) {
 }
 
 // TestDrainBackendSimPolicy: the locked sim-parity policy mirrors drain and
-// failover through the real cluster.State without leaking accounting.
+// failover through the real cluster.State without leaking accounting, at one
+// registry partition and at several.
 func TestDrainBackendSimPolicy(t *testing.T) {
-	srv, err := New(testProblem(t, 0), testLayout(t), Config{Policy: "sim:least-loaded"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Shutdown()
-	if _, outcome, err := srv.Open(0); err != nil || outcome != OutcomeAccepted {
-		t.Fatalf("open: outcome %q, err %v", outcome, err)
-	}
-	failedOver, dropped, err := srv.DrainBackend(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if failedOver+dropped != 1 {
-		t.Fatalf("drain settled %d sessions, want 1", failedOver+dropped)
-	}
-	if got := srv.Cluster().Used(0); got != 0 {
-		t.Fatalf("drained server still charged %d", got)
-	}
-	if failedOver == 1 {
-		if got := srv.Cluster().Used(1); got != srv.Cluster().Rate(0) {
-			t.Fatalf("survivor charged %d, want %d", got, srv.Cluster().Rate(0))
-		}
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			srv, err := New(testProblem(t, 0), testLayout(t), Config{Policy: "sim:least-loaded", Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Shutdown()
+			if _, outcome, err := srv.Open(0); err != nil || outcome != OutcomeAccepted {
+				t.Fatalf("open: outcome %q, err %v", outcome, err)
+			}
+			failedOver, dropped, err := srv.DrainBackend(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if failedOver+dropped != 1 {
+				t.Fatalf("drain settled %d sessions, want 1", failedOver+dropped)
+			}
+			if got := srv.Cluster().Used(0); got != 0 {
+				t.Fatalf("drained server still charged %d", got)
+			}
+			if failedOver == 1 {
+				if got := srv.Cluster().Used(1); got != srv.Cluster().Rate(0) {
+					t.Fatalf("survivor charged %d, want %d", got, srv.Cluster().Rate(0))
+				}
+			}
+		})
 	}
 }
 
@@ -407,44 +413,51 @@ func TestServerDrainTimeout(t *testing.T) {
 
 // TestSimPolicyRedirect: with backbone bandwidth, the sim-parity policy
 // serves an exhausted video's requests over the backbone like the
-// simulator's redirect scheduler, and the backbone gauge tracks it.
+// simulator's redirect scheduler, and the backbone gauge tracks it, at one
+// registry partition and at several.
 func TestSimPolicyRedirect(t *testing.T) {
-	srv, err := New(testProblem(t, 100*core.Mbps), testLayout(t), Config{Policy: "sim:least-loaded"})
-	if err != nil {
-		t.Fatal(err)
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			srv, err := New(testProblem(t, 100*core.Mbps), testLayout(t), Config{Policy: "sim:least-loaded", Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Shutdown()
+			if name := srv.PolicyName(); !strings.Contains(name, "redirect") {
+				t.Fatalf("policy %q lacks redirect with a backbone", name)
+			}
+			// v1 lives only on s0 (2 slots). The third request must cross the
+			// backbone to s1.
+			for i := 0; i < 2; i++ {
+				info, outcome, err := srv.Open(1)
+				if err != nil || outcome != OutcomeAccepted || info.Redirected {
+					t.Fatalf("open %d: outcome %q, redirected=%v, err %v", i, outcome, info.Redirected, err)
+				}
+			}
+			info, outcome, err := srv.Open(1)
+			if err != nil || outcome != OutcomeAccepted {
+				t.Fatalf("redirect open: outcome %q, err %v", outcome, err)
+			}
+			if !info.Redirected {
+				t.Fatal("third v1 session was not redirected")
+			}
+			if got := srv.Cluster().BackboneUsed(); got != srv.Cluster().Rate(1) {
+				t.Fatalf("backbone used = %d, want %d", got, srv.Cluster().Rate(1))
+			}
+			if !srv.Close(info.ID) {
+				t.Fatal("close failed")
+			}
+			waitUntil(t, 2*time.Second, "redirected session teardown", func() bool {
+				return srv.Cluster().BackboneUsed() == 0
+			})
+		})
 	}
-	defer srv.Shutdown()
-	if name := srv.PolicyName(); !strings.Contains(name, "redirect") {
-		t.Fatalf("policy %q lacks redirect with a backbone", name)
-	}
-	// v1 lives only on s0 (2 slots). The third request must cross the
-	// backbone to s1.
-	for i := 0; i < 2; i++ {
-		info, outcome, err := srv.Open(1)
-		if err != nil || outcome != OutcomeAccepted || info.Redirected {
-			t.Fatalf("open %d: outcome %q, redirected=%v, err %v", i, outcome, info.Redirected, err)
-		}
-	}
-	info, outcome, err := srv.Open(1)
-	if err != nil || outcome != OutcomeAccepted {
-		t.Fatalf("redirect open: outcome %q, err %v", outcome, err)
-	}
-	if !info.Redirected {
-		t.Fatal("third v1 session was not redirected")
-	}
-	if got := srv.Cluster().BackboneUsed(); got != srv.Cluster().Rate(1) {
-		t.Fatalf("backbone used = %d, want %d", got, srv.Cluster().Rate(1))
-	}
-	if !srv.Close(info.ID) {
-		t.Fatal("close failed")
-	}
-	waitUntil(t, 2*time.Second, "redirected session teardown", func() bool {
-		return srv.Cluster().BackboneUsed() == 0
-	})
 }
 
 // TestConcurrentOpenCloseStress drives many concurrent admissions, closes,
-// and natural expiries; afterwards every gauge must read zero — the
+// and natural expiries under every policy kind at one registry partition and
+// at several; no admission may oversubscribe a link, every accepted session
+// must end exactly once, and afterwards every gauge must read zero — the
 // accounting audit the race detector runs alongside.
 func TestConcurrentOpenCloseStress(t *testing.T) {
 	p := testProblem(t, 0)
@@ -452,46 +465,58 @@ func TestConcurrentOpenCloseStress(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	for _, policy := range []string{"least-loaded", "static-rr", "sim:first-available"} {
+	for _, policy := range []string{"least-loaded", "static-rr", "sim:first-available", "sim:least-loaded"} {
 		t.Run(policy, func(t *testing.T) {
-			srv, err := New(p, testLayout(t), Config{Policy: policy, Compress: 2e5})
-			if err != nil {
-				t.Fatal(err)
-			}
-			const workers, perWorker = 8, 40
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for i := 0; i < perWorker; i++ {
-						info, outcome, err := srv.Open((w + i) % 3)
-						if err != nil {
-							t.Errorf("open: %v", err)
-							return
+			for _, shards := range []int{1, 4} {
+				t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+					srv, err := New(p, testLayout(t), Config{Policy: policy, Compress: 2e5, Shards: shards})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer srv.Shutdown()
+					c := srv.Cluster()
+					const workers, perWorker = 8, 40
+					var wg sync.WaitGroup
+					for w := 0; w < workers; w++ {
+						wg.Add(1)
+						go func(w int) {
+							defer wg.Done()
+							for i := 0; i < perWorker; i++ {
+								info, outcome, err := srv.Open((w + i) % 3)
+								if err != nil {
+									t.Errorf("open: %v", err)
+									return
+								}
+								if outcome != OutcomeAccepted {
+									continue
+								}
+								if c.Used(info.Server) > c.Capacity(info.Server) {
+									t.Errorf("server %d oversubscribed", info.Server)
+								}
+								if i%2 == 0 {
+									srv.Close(info.ID)
+								}
+							}
+						}(w)
+					}
+					wg.Wait()
+					waitUntil(t, 5*time.Second, "all sessions to end", func() bool { return srv.Active() == 0 })
+					for s := 0; s < c.Servers(); s++ {
+						if got := c.Used(s); got != 0 {
+							t.Fatalf("server %d used = %d after all sessions ended", s, got)
 						}
-						if outcome == OutcomeAccepted && i%2 == 0 {
-							srv.Close(info.ID)
+						if got := c.Active(s); got != 0 {
+							t.Fatalf("server %d active = %d after all sessions ended", s, got)
 						}
 					}
-				}(w)
+					m := srv.Metrics()
+					// Active() drops before the end is counted, so wait for
+					// the counters, the last step of each settlement.
+					waitUntil(t, 5*time.Second, "every end to be counted", func() bool {
+						return m.completed.Load()+m.canceled.Load() == m.accepted.Load()
+					})
+				})
 			}
-			wg.Wait()
-			waitUntil(t, 5*time.Second, "all sessions to end", func() bool { return srv.Active() == 0 })
-			for s := 0; s < srv.Cluster().Servers(); s++ {
-				if got := srv.Cluster().Used(s); got != 0 {
-					t.Fatalf("server %d used = %d after all sessions ended", s, got)
-				}
-				if got := srv.Cluster().Active(s); got != 0 {
-					t.Fatalf("server %d active = %d after all sessions ended", s, got)
-				}
-			}
-			m := srv.Metrics()
-			if m.completed.Load()+m.canceled.Load() != m.accepted.Load() {
-				t.Fatalf("ended %d+%d sessions, accepted %d",
-					m.completed.Load(), m.canceled.Load(), m.accepted.Load())
-			}
-			srv.Shutdown()
 		})
 	}
 }

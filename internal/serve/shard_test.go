@@ -2,7 +2,8 @@ package serve
 
 import (
 	"context"
-	"strings"
+	"fmt"
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,8 +14,7 @@ import (
 
 // shardProblem: 8 videos on 8 servers, 4 Mb/s streams on 20 Mb/s links —
 // 5 concurrent streams per backend — big enough that Config{Shards: 4}
-// yields four two-server shards with every video's replica pair split
-// across two different shards.
+// yields four registry partitions with sessions of every video in each.
 func shardProblem(t testing.TB) *core.Problem {
 	t.Helper()
 	cat := make(core.Catalog, 8)
@@ -35,9 +35,8 @@ func shardProblem(t testing.TB) *core.Problem {
 	return p
 }
 
-// shardLayout places video v on servers v and (v+4) mod 8: with four shards
-// of two servers each, the two replicas always live in different shards, so
-// every failover and every least-loaded tie crosses a shard boundary.
+// shardLayout places video v on servers v and (v+4) mod 8, so every video
+// has a failover target and every least-loaded choice a rival holder.
 func shardLayout(t testing.TB) *core.Layout {
 	t.Helper()
 	l := core.NewLayout(8)
@@ -86,17 +85,12 @@ func TestShardedConfigResolution(t *testing.T) {
 	if srv.Shards() != 4 {
 		t.Fatalf("Shards() = %d, want 4", srv.Shards())
 	}
-	if srv.eng == nil {
-		t.Fatal("Shards: 4 left the legacy engine in place")
-	}
 	if got := srv.PolicyName(); got != "least-loaded" {
 		t.Fatalf("PolicyName() = %q, want least-loaded", got)
 	}
 
-	legacy := newShardedServer(t, Config{})
-	if legacy.eng != nil || legacy.Shards() != 1 {
-		t.Fatalf("default config must run the legacy single-shard engine (eng=%v shards=%d)",
-			legacy.eng, legacy.Shards())
+	if single := newShardedServer(t, Config{}); single.Shards() != 1 {
+		t.Fatalf("default config runs %d partitions, want 1", single.Shards())
 	}
 
 	clamped := newShardedServer(t, Config{Shards: 100})
@@ -105,22 +99,39 @@ func TestShardedConfigResolution(t *testing.T) {
 	}
 }
 
-func TestShardedRejectsUnsupportedConfigs(t *testing.T) {
-	p := shardProblem(t)
-	p.BackboneBandwidth = 100 * core.Mbps
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(p, shardLayout(t), Config{Shards: 4}); err == nil ||
-		!strings.Contains(err.Error(), "backbone") {
-		t.Fatalf("sharded + backbone redirection must be rejected, got %v", err)
+// TestShardedAcceptsEveryPolicy: every advertised policy, with and without
+// backbone redirection, builds a Server and admits at one partition and at
+// four; an unknown name still fails.
+func TestShardedAcceptsEveryPolicy(t *testing.T) {
+	for _, backbone := range []float64{0, 100 * core.Mbps} {
+		p := shardProblem(t)
+		p.BackboneBandwidth = backbone
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range PolicyNames() {
+			for _, shards := range []int{1, 4} {
+				srv, err := New(p, shardLayout(t), Config{Shards: shards, Policy: name})
+				if err != nil {
+					t.Fatalf("backbone %g, policy %q, %d shards: %v", backbone, name, shards, err)
+				}
+				info, outcome, err := srv.Open(0)
+				if err != nil || outcome != OutcomeAccepted {
+					t.Errorf("backbone %g, policy %q, %d shards: outcome %v err %v", backbone, name, shards, outcome, err)
+				} else if !srv.Close(info.ID) {
+					t.Errorf("backbone %g, policy %q, %d shards: Close found no session", backbone, name, shards)
+				}
+				srv.Shutdown()
+				assertNoLeaks(t, srv)
+			}
+		}
 	}
 	if _, err := New(shardProblem(t), shardLayout(t), Config{Shards: 4, Policy: "no-such-policy"}); err == nil {
-		t.Fatal("sharded dispatch accepted an unknown policy")
+		t.Fatal("an unknown policy was accepted")
 	}
 }
 
-// TestShardedAdmitSaturateAndClose: sharded admission fills video 0's two
+// TestShardedAdmitSaturateAndClose: partitioned admission fills video 0's two
 // replicas to their link capacity (5 streams each), rejects the next
 // request, and returns the accounting to zero when every session closes.
 func TestShardedAdmitSaturateAndClose(t *testing.T) {
@@ -155,7 +166,7 @@ func TestShardedAdmitSaturateAndClose(t *testing.T) {
 	assertNoLeaks(t, srv)
 }
 
-// TestShardedExpiryAndDrain: with aggressive time compression the per-shard
+// TestShardedExpiryAndDrain: with aggressive time compression the partition
 // expiry heap settles sessions at their natural deadlines, and Drain returns
 // once the registry is empty.
 func TestShardedExpiryAndDrain(t *testing.T) {
@@ -181,19 +192,161 @@ func TestShardedExpiryAndDrain(t *testing.T) {
 	assertNoLeaks(t, srv)
 }
 
-// TestShardedAdmissionsRaceRebalance is the shard-boundary race drill the CI
-// race job runs: admissions and closes race rebalancer LandReplica /
-// EvictReplica calls targeting servers in every shard. The invariants: no
-// operation deadlocks, a video never loses its last replica, pinned replicas
-// survive, and after all sessions settle the accounting is exactly zero.
+// strandedSessions describes every live session whose grant streams its
+// video from a server that no longer holds a replica of it.
+func strandedSessions(srv *Server) []string {
+	var bad []string
+	for _, p := range srv.parts {
+		p.mu.Lock()
+		for id, sess := range p.reg {
+			if !holds(srv.c, sess.video, sess.grant.Source) {
+				bad = append(bad, fmt.Sprintf("session %d streams video %d from non-holder %d",
+					id, sess.video, sess.grant.Source))
+			}
+		}
+		p.mu.Unlock()
+	}
+	return bad
+}
+
+// TestExpiryHeapCompaction: sessions closed long before their deadline do
+// not pile up in the expiry heap, and the entries of live sessions survive
+// every compaction and still end them at their deadlines.
+func TestExpiryHeapCompaction(t *testing.T) {
+	srv := newShardedServer(t, Config{Shards: 1, Compress: 5400}) // 5400 s video = 1 s wall
+	p := srv.parts[0]
+	kept := 0
+	for i := 0; i < 20*compactSlack; i++ {
+		info, outcome, err := srv.Open(i % 8)
+		if err != nil || outcome != OutcomeAccepted {
+			t.Fatalf("open %d: outcome %v err %v", i, outcome, err)
+		}
+		if i%2001 == 0 { // 2001 mod 8 = 1: kept sessions walk the catalog
+			kept++
+			continue
+		}
+		srv.Close(info.ID)
+	}
+	p.mu.Lock()
+	n, live := len(p.exp), len(p.reg)
+	p.mu.Unlock()
+	if n >= 2*live+compactSlack {
+		t.Fatalf("expiry heap holds %d entries for %d live sessions", n, live)
+	}
+	m := srv.Metrics()
+	waitUntil(t, 5*time.Second, "kept sessions to expire", func() bool { return m.completed.Load() == int64(kept) })
+	assertNoLeaks(t, srv)
+}
+
+// TestExpiryHeapOrder: pushes and a heapify of an arbitrary slice both pop
+// in deadline order.
+func TestExpiryHeapOrder(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	base := time.Now()
+	var pushed, raw expiryHeap
+	for i := 0; i < 500; i++ {
+		e := expiry{at: base.Add(time.Duration(rng.IntN(1000)) * time.Millisecond), id: int64(i)}
+		pushed.push(e)
+		raw = append(raw, e)
+	}
+	raw.heapify()
+	for _, h := range []*expiryHeap{&pushed, &raw} {
+		prev := base
+		for len(*h) > 0 {
+			e := h.popMin()
+			if e.at.Before(prev) {
+				t.Fatalf("popped %v after %v", e.at.Sub(base), prev.Sub(base))
+			}
+			prev = e.at
+		}
+	}
+}
+
+// evictingPolicy wraps a policy and, once, removes the holder it just
+// reserved on from the directory: the interleaving of an EvictReplica that
+// lands between a decision and its registry commit, made deterministic.
+type evictingPolicy struct {
+	Policy
+	c               *Cluster
+	admit, failover bool // which call still evicts its pick
+}
+
+func (p *evictingPolicy) Admit(v int) (Grant, bool) {
+	g, ok := p.Policy.Admit(v)
+	if ok && p.admit {
+		p.admit = false
+		p.c.RemoveHolder(v, g.Source)
+	}
+	return g, ok
+}
+
+func (p *evictingPolicy) Failover(v, exclude int) (Grant, bool) {
+	g, ok := p.Policy.Failover(v, exclude)
+	if ok && p.failover {
+		p.failover = false
+		p.c.RemoveHolder(v, g.Source)
+	}
+	return g, ok
+}
+
+// TestAdmissionRedecidesOnEvictedSource: an admission whose source loses
+// its replica before the registry insert gives the reservation back
+// uncounted and is decided again onto the surviving holder.
+func TestAdmissionRedecidesOnEvictedSource(t *testing.T) {
+	srv := newShardedServer(t, Config{Shards: 4})
+	srv.pol = &evictingPolicy{Policy: srv.pol, c: srv.c, admit: true}
+	info, outcome, err := srv.Open(0)
+	if err != nil || outcome != OutcomeAccepted {
+		t.Fatalf("open: outcome %v err %v", outcome, err)
+	}
+	if !holds(srv.c, 0, info.Source) {
+		t.Fatalf("session streams video 0 from non-holder %d", info.Source)
+	}
+	if got := srv.Metrics().Requests(); got != 1 {
+		t.Fatalf("requests = %d, want 1: the abandoned first decision must not count", got)
+	}
+	if !srv.Close(info.ID) {
+		t.Fatal("Close found no session")
+	}
+	assertNoLeaks(t, srv)
+}
+
+// TestFailoverDropsOnEvictedTarget: a failover whose target loses its
+// replica before the grant swap drops the session instead of streaming
+// from a copy that no longer exists.
+func TestFailoverDropsOnEvictedTarget(t *testing.T) {
+	srv := newShardedServer(t, Config{Shards: 4})
+	srv.pol = &evictingPolicy{Policy: srv.pol, c: srv.c, failover: true}
+	if _, outcome, err := srv.Open(3); err != nil || outcome != OutcomeAccepted {
+		t.Fatalf("open: outcome %v err %v", outcome, err)
+	}
+	failedOver, dropped, err := srv.DrainBackend(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if failedOver != 0 || dropped != 1 {
+		t.Fatalf("drain: failedOver=%d dropped=%d, want 0,1", failedOver, dropped)
+	}
+	assertNoLeaks(t, srv)
+}
+
+// TestShardedAdmissionsRaceRebalance is the partition-boundary race drill
+// the CI race job runs: admissions and closes race rebalancer LandReplica /
+// EvictReplica calls targeting servers in every partition. The invariants:
+// no operation deadlocks, a video never loses its last replica, pinned
+// replicas survive, every live session's source holds its video once the
+// rebalancer stops, and after all sessions settle the accounting is exactly
+// zero.
 func TestShardedAdmissionsRaceRebalance(t *testing.T) {
 	srv := newShardedServer(t, Config{Shards: 4})
 	const workers = 8
 	var stop atomic.Bool
-	var wg sync.WaitGroup
+	var opening, wg sync.WaitGroup
+	settle := make(chan struct{})
 
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
+		opening.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			var open []int64
@@ -202,7 +355,7 @@ func TestShardedAdmissionsRaceRebalance(t *testing.T) {
 				info, outcome, err := srv.Open(v)
 				if err != nil {
 					t.Errorf("open: %v", err)
-					return
+					break
 				}
 				if outcome == OutcomeAccepted {
 					open = append(open, info.ID)
@@ -213,6 +366,8 @@ func TestShardedAdmissionsRaceRebalance(t *testing.T) {
 				}
 				v = (v + 1) % 8
 			}
+			opening.Done()
+			<-settle
 			for _, id := range open {
 				srv.Close(id)
 			}
@@ -220,10 +375,11 @@ func TestShardedAdmissionsRaceRebalance(t *testing.T) {
 	}
 
 	// The rebalancer thread lands a third replica and evicts it again, on a
-	// server two shards away from the video's birth replicas.
-	wg.Add(1)
+	// server two partitions away from the video's birth replicas.
+	var reb sync.WaitGroup
+	reb.Add(1)
 	go func() {
-		defer wg.Done()
+		defer reb.Done()
 		for i := 0; !stop.Load(); i++ {
 			v := i % 8
 			b := (v + 2) % 8
@@ -238,6 +394,12 @@ func TestShardedAdmissionsRaceRebalance(t *testing.T) {
 
 	time.Sleep(300 * time.Millisecond)
 	stop.Store(true)
+	reb.Wait()
+	opening.Wait()
+	for _, bad := range strandedSessions(srv) {
+		t.Error(bad)
+	}
+	close(settle)
 	wg.Wait()
 
 	c := srv.Cluster()
@@ -249,16 +411,15 @@ func TestShardedAdmissionsRaceRebalance(t *testing.T) {
 	assertNoLeaks(t, srv)
 }
 
-// TestShardedWholeShardDrain drains both servers of shard 0 while admissions
-// race from other goroutines: every session on the drained shard must fail
-// over to its cross-shard replica or be dropped, the drained servers must end
-// with zero accounting, and new admissions must keep flowing to the live
-// shards throughout.
+// TestShardedWholeShardDrain drains servers 0 and 1 while admissions race
+// from other goroutines: every session on them must fail over to its other
+// replica or be dropped, the drained servers must end with zero accounting,
+// and new admissions must keep flowing to the live servers throughout.
 func TestShardedWholeShardDrain(t *testing.T) {
 	srv := newShardedServer(t, Config{Shards: 4})
 	c := srv.Cluster()
 
-	// Pin sessions onto shard 0's servers (0 and 1) by saturating their
+	// Pin sessions onto servers 0 and 1 by saturating their
 	// videos: v0/v4 hold replicas on server 0, v1/v5 on server 1.
 	var ids []int64
 	for _, v := range []int{0, 4, 1, 5} {
@@ -272,13 +433,21 @@ func TestShardedWholeShardDrain(t *testing.T) {
 	}
 	before := srv.Active()
 
+	// Workers on videos 4 and 5 land on the drained servers too, so their
+	// sessions can be dropped as well: count what they open and close.
 	var stop atomic.Bool
+	var opened, closed atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			var open []int64
+			closeOne := func(id int64) {
+				if srv.Close(id) {
+					closed.Add(1)
+				}
+			}
 			for !stop.Load() {
 				info, outcome, err := srv.Open((w + 2) % 8)
 				if err != nil {
@@ -286,15 +455,16 @@ func TestShardedWholeShardDrain(t *testing.T) {
 					return
 				}
 				if outcome == OutcomeAccepted {
+					opened.Add(1)
 					open = append(open, info.ID)
 				}
 				if len(open) > 2 {
-					srv.Close(open[0])
+					closeOne(open[0])
 					open = open[1:]
 				}
 			}
 			for _, id := range open {
-				srv.Close(id)
+				closeOne(id)
 			}
 		}(w)
 	}
@@ -312,23 +482,31 @@ func TestShardedWholeShardDrain(t *testing.T) {
 	wg.Wait()
 
 	if got := c.Used(0) + c.Used(1); got != 0 {
-		t.Errorf("drained shard still carries %d bit/s", got)
+		t.Errorf("drained servers still carry %d bit/s", got)
 	}
 	if totalFailed+totalDropped == 0 {
-		t.Error("draining a loaded shard moved nothing")
+		t.Error("draining two loaded servers moved nothing")
 	}
-	if got := srv.Active(); got != before-int64(totalDropped) {
-		t.Errorf("Active() = %d after drain, want %d - %d dropped", got, before, totalDropped)
+	want := before + opened.Load() - closed.Load() - int64(totalDropped)
+	if got := srv.Active(); got != want {
+		t.Errorf("Active() = %d after drain, want %d pinned + %d opened - %d closed - %d dropped",
+			got, before, opened.Load(), closed.Load(), totalDropped)
 	}
+	live := int64(0)
 	for _, id := range ids {
-		srv.Close(id)
+		if srv.Close(id) {
+			live++
+		}
+	}
+	if live != want {
+		t.Errorf("Close settled %d pinned sessions, want the %d still active", live, want)
 	}
 	assertNoLeaks(t, srv)
 }
 
 // TestShardedCrossShardFailover crashes a backend while admissions race: the
-// eviction scan collects sessions from every shard registry, fails them over
-// across shard boundaries, and the survivors stay closable exactly once.
+// eviction scan collects sessions from every registry partition, fails them
+// over, and the survivors stay closable exactly once.
 func TestShardedCrossShardFailover(t *testing.T) {
 	srv := newShardedServer(t, Config{Shards: 4})
 
@@ -380,69 +558,8 @@ func TestShardedCrossShardFailover(t *testing.T) {
 	assertNoLeaks(t, srv)
 }
 
-// TestShardedSnapshotVerify runs the sim: form of least-loaded — the
-// snapshot-and-verify protocol — under racing admissions and rebalance
-// landings. Version conflicts must only ever retry the decision: every
-// admission settles exactly once and nothing oversubscribes.
-func TestShardedSnapshotVerify(t *testing.T) {
-	srv := newShardedServer(t, Config{Shards: 4, Policy: "sim:least-loaded"})
-	if got := srv.PolicyName(); got != "sim:least-loaded" {
-		t.Fatalf("PolicyName() = %q, want sim:least-loaded", got)
-	}
-	c := srv.Cluster()
-
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var open []int64
-			for !stop.Load() {
-				info, outcome, err := srv.Open(w % 8)
-				if err != nil {
-					t.Errorf("open: %v", err)
-					return
-				}
-				if outcome == OutcomeAccepted {
-					open = append(open, info.ID)
-					if c.Used(info.Server) > c.Capacity(info.Server) {
-						t.Errorf("server %d oversubscribed", info.Server)
-					}
-				}
-				if len(open) > 3 {
-					srv.Close(open[0])
-					open = open[1:]
-				}
-			}
-			for _, id := range open {
-				srv.Close(id)
-			}
-		}(w)
-	}
-	// Concurrent directory churn bumps shard versions, forcing conflicts.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; !stop.Load(); i++ {
-			v, b := i%8, (i+3)%8
-			if err := srv.LandReplica(v, b); err == nil {
-				for srv.EvictReplica(v, b) == ErrReplicaPinned && !stop.Load() {
-					time.Sleep(100 * time.Microsecond)
-				}
-			}
-		}
-	}()
-
-	time.Sleep(300 * time.Millisecond)
-	stop.Store(true)
-	wg.Wait()
-	t.Logf("snapshot conflicts retried: %d", srv.Metrics().SnapshotConflicts())
-	assertNoLeaks(t, srv)
-}
-
-// TestShardedRepairLanding routes a repair-style landing through the shard
-// owner: the first copy publishes, the duplicate is refused.
+// TestShardedRepairLanding: a repair landing publishes the first copy and
+// refuses the duplicate.
 func TestShardedRepairLanding(t *testing.T) {
 	srv := newShardedServer(t, Config{Shards: 4})
 	if !srv.landRepair(0, 2) {

@@ -146,6 +146,7 @@ fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzLoad -fuzztime=$(FUZZTIME) ./internal/config/
 	$(GO) test -run=Fuzz -fuzz=FuzzTraceLoad -fuzztime=$(FUZZTIME) ./internal/workload/
 	$(GO) test -run=Fuzz -fuzz=FuzzApportion -fuzztime=$(FUZZTIME) ./internal/apportion/
+	$(GO) test -run=Fuzz -fuzz=FuzzBoundedDivisorOracle -fuzztime=$(FUZZTIME) ./internal/apportion/
 	$(GO) test -run=Fuzz -fuzz=FuzzWireParse -fuzztime=$(FUZZTIME) ./internal/serve/
 	$(GO) test -run=Fuzz -fuzz=FuzzIngressConn -fuzztime=$(FUZZTIME) ./internal/serve/
 	$(GO) test -run=Fuzz -fuzz=FuzzEngineOrder -fuzztime=$(FUZZTIME) ./internal/sim/

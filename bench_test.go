@@ -198,34 +198,45 @@ func BenchmarkRedirection(b *testing.B) {
 }
 
 // BenchmarkBuildLayout is the ablation bench for layout construction cost:
-// every replicator × the two paper placers on the paper instance.
+// every replicator × the two paper placers on the paper instance, and again
+// under M=20000,N=64 on the benchmark's plan_scale instance (20 000 titles on
+// 64 servers), where the replication and placement passes are O(M) and more.
 func BenchmarkBuildLayout(b *testing.B) {
-	s := config.Paper()
-	p, err := s.Problem()
+	paper, err := config.Paper().Problem()
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, rn := range []string{"adams", "zipf", "classification", "uniform"} {
-		for _, pn := range []string{"slf", "roundrobin"} {
-			b.Run(rn+"+"+pn, func(b *testing.B) {
-				r, err := vodcluster.ReplicatorByName(rn)
-				if err != nil {
-					b.Fatal(err)
-				}
-				pl, err := vodcluster.PlacerByName(pn)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := vodcluster.BuildLayout(p, r, pl, 1.2); err != nil {
+	s := config.Paper()
+	s.Videos, s.Servers, s.LambdaPerMin = 20000, 64, 240
+	scale, err := s.Problem()
+	if err != nil {
+		b.Fatal(err)
+	}
+	combos := func(b *testing.B, p *core.Problem) {
+		for _, rn := range []string{"adams", "zipf", "classification", "uniform"} {
+			for _, pn := range []string{"slf", "roundrobin"} {
+				b.Run(rn+"+"+pn, func(b *testing.B) {
+					r, err := vodcluster.ReplicatorByName(rn)
+					if err != nil {
 						b.Fatal(err)
 					}
-				}
-			})
+					pl, err := vodcluster.PlacerByName(pn)
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if _, err := vodcluster.BuildLayout(p, r, pl, 1.2); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
 		}
 	}
+	combos(b, paper)
+	b.Run("M=20000,N=64", func(b *testing.B) { combos(b, scale) })
 }
 
 // BenchmarkSimulatedPeakPeriod measures the raw simulator throughput on the

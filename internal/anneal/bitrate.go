@@ -179,7 +179,8 @@ func (e Eval) Feasible() bool {
 	return e.StorageViolation == 0 && e.BandwidthViolation == 0 && e.Orphans == 0
 }
 
-// Evaluate scores a state.
+// Evaluate scores a state. It reads each RateIdx row once, collecting the
+// row's holders, and touches the per-server sums only at those.
 func (bp *BitRateProblem) Evaluate(l *BitRateLayout) Eval {
 	var e Eval
 	p := bp.P
@@ -187,16 +188,18 @@ func (bp *BitRateProblem) Evaluate(l *BitRateLayout) Eval {
 	peak := p.PeakRequests()
 	storage := make([]float64, n)
 	demand := make([]float64, n)
+	holders := make([]int, 0, n)
 	totalCopies := 0
 	for v := 0; v < m; v++ {
-		copies := 0
+		holders = holders[:0]
 		rateSum := 0.0
-		for s := 0; s < n; s++ {
-			if l.RateIdx[v][s] >= 0 {
-				copies++
-				rateSum += bp.RateSet[l.RateIdx[v][s]]
+		for s, ri := range l.RateIdx[v] {
+			if ri >= 0 {
+				holders = append(holders, s)
+				rateSum += bp.RateSet[ri]
 			}
 		}
+		copies := len(holders)
 		if copies == 0 {
 			e.Orphans++
 			continue
@@ -204,11 +207,8 @@ func (bp *BitRateProblem) Evaluate(l *BitRateLayout) Eval {
 		totalCopies += copies
 		e.MeanRateMbps += rateSum / float64(copies) / core.Mbps
 		w := p.Catalog[v].Popularity * peak / float64(copies)
-		for s := 0; s < n; s++ {
+		for _, s := range holders {
 			ri := l.RateIdx[v][s]
-			if ri < 0 {
-				continue
-			}
 			storage[s] += bp.copySizeBytes(v, ri)
 			demand[s] += w * bp.RateSet[ri]
 		}

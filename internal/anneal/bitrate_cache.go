@@ -115,7 +115,11 @@ func newBRCache(bp *BitRateProblem, l *BitRateLayout) *brCache {
 	return c
 }
 
-// rebuild recomputes every accumulator from the layout, resetting drift.
+// rebuild recomputes every accumulator from the layout, resetting drift. It
+// reads each RateIdx row once, collecting the row's holders, and touches the
+// per-server state only at those; then it lays out each server's off list
+// and positions in one sequential sweep over the catalog, filling the runs
+// between the entries of its (ascending) on list.
 func (c *brCache) rebuild(l *BitRateLayout) {
 	bp := c.bp
 	m, n := bp.P.M(), bp.P.N()
@@ -123,25 +127,23 @@ func (c *brCache) rebuild(l *BitRateLayout) {
 		c.storage[s] = 0
 		c.demand[s] = 0
 		c.on[s] = c.on[s][:0]
-		c.off[s] = c.off[s][:0]
 	}
 	c.qualitySum = 0
 	c.totalCopies = 0
 	c.orphans = 0
+	holders := make([]int, 0, n)
 	for v := 0; v < m; v++ {
-		copies := int32(0)
+		holders = holders[:0]
 		rateSum := 0.0
-		for s := 0; s < n; s++ {
-			if ri := l.RateIdx[v][s]; ri >= 0 {
-				copies++
+		for s, ri := range l.RateIdx[v] {
+			if ri >= 0 {
+				holders = append(holders, s)
 				rateSum += bp.RateSet[ri]
 				c.pos[s][v] = int32(len(c.on[s]))
 				c.on[s] = append(c.on[s], int32(v))
-			} else {
-				c.pos[s][v] = int32(len(c.off[s]))
-				c.off[s] = append(c.off[s], int32(v))
 			}
 		}
+		copies := int32(len(holders))
 		c.copies[v] = copies
 		c.rateSum[v] = rateSum
 		if copies == 0 {
@@ -151,12 +153,27 @@ func (c *brCache) rebuild(l *BitRateLayout) {
 		c.totalCopies += int(copies)
 		c.qualitySum += rateSum / float64(copies)
 		w := c.popPeak[v] / float64(copies)
-		for s := 0; s < n; s++ {
-			if ri := l.RateIdx[v][s]; ri >= 0 {
-				c.storage[s] += bp.copySizeBytes(v, ri)
-				c.demand[s] += w * bp.RateSet[ri]
-			}
+		for _, s := range holders {
+			ri := l.RateIdx[v][s]
+			c.storage[s] += bp.copySizeBytes(v, ri)
+			c.demand[s] += w * bp.RateSet[ri]
 		}
+	}
+	for s := 0; s < n; s++ {
+		on, pos, off := c.on[s], c.pos[s], c.off[s][:0]
+		next := int32(0)
+		for k := 0; k <= len(on); k++ {
+			end := int32(m) // past the last holder, the run reaches the catalog's end
+			if k < len(on) {
+				end = on[k]
+			}
+			for ; next < end; next++ {
+				pos[next] = int32(len(off))
+				off = append(off, next)
+			}
+			next = end + 1
+		}
+		c.off[s] = off
 	}
 	c.violCount = 0
 	for s := 0; s < n; s++ {

@@ -16,7 +16,6 @@
 package apportion
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -81,8 +80,8 @@ func (m Method) rank(k int) float64 {
 
 // Apportion distributes seats among parties with the given positive weights.
 // For divisor methods it runs the seat-by-seat priority formulation with a
-// max-heap, O(seats·log n). Ties are broken toward the lower index, making
-// the result deterministic.
+// max-heap (see BoundedDivisor). Ties are broken toward the lower index,
+// making the result deterministic.
 //
 // Adams' method requires seats ≥ len(weights) because it gives every party a
 // seat; Hamilton and the other divisor methods accept any seats ≥ 0.
@@ -94,12 +93,10 @@ func Apportion(weights []float64, seats int, method Method) ([]int, error) {
 	if seats < 0 {
 		return nil, fmt.Errorf("apportion: negative seat count %d", seats)
 	}
-	for i, w := range weights {
-		if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return nil, fmt.Errorf("apportion: weight %d must be positive and finite, got %g", i, w)
-		}
-	}
 	if method == Hamilton {
+		if err := checkWeights(weights); err != nil {
+			return nil, err
+		}
 		return hamilton(weights, seats), nil
 	}
 	if method == Adams && seats < n {
@@ -108,15 +105,37 @@ func Apportion(weights []float64, seats int, method Method) ([]int, error) {
 	return BoundedDivisor(weights, seats, method, nil)
 }
 
+// checkWeights rejects the weights no method can apportion: a non-positive,
+// NaN or infinite weight would take no seat, break the heap's order, or take
+// every seat up to its cap.
+func checkWeights(weights []float64) error {
+	for i, w := range weights {
+		if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+			return fmt.Errorf("apportion: weight %d must be positive and finite, got %g", i, w)
+		}
+	}
+	return nil
+}
+
 // BoundedDivisor runs a divisor method where party i may hold at most
 // maxSeats[i] seats (nil means unbounded). This is the paper's "bounded Adams
 // monotone divisor" generalization: replica counts are capped by the number
-// of servers (Eq. 7). It returns an error if the caps make the target
-// unreachable.
+// of servers (Eq. 7). It returns an error if a weight is not positive and
+// finite or the caps make the target unreachable.
+//
+// Each seat goes to the eligible party maximizing weight/d(seats held), ties
+// toward the lower index; that order is total, so the award sequence does not
+// depend on the heap's layout. Where d(0) = 0 (Adams, Hill) every party has
+// infinite priority until it holds a seat, so the first seats go to the
+// eligible parties in index order: one O(M) pass hands them out and one
+// heapify orders the rest, O(M + K log M) for K further seats.
 func BoundedDivisor(weights []float64, seats int, method Method, maxSeats []int) ([]int, error) {
 	n := len(weights)
 	if method == Hamilton {
 		return nil, fmt.Errorf("apportion: Hamilton is not a divisor method")
+	}
+	if err := checkWeights(weights); err != nil {
+		return nil, err
 	}
 	if maxSeats != nil {
 		if len(maxSeats) != n {
@@ -134,28 +153,39 @@ func BoundedDivisor(weights []float64, seats int, method Method, maxSeats []int)
 		}
 	}
 	out := make([]int, n)
-	h := &priorityHeap{}
-	h.items = make([]priorityItem, 0, n)
+	h := make(priorityHeap, 0, n)
+	infiniteFirst := method.rank(0) == 0
+	s := 0
 	for i, w := range weights {
 		if maxSeats != nil && maxSeats[i] == 0 {
 			continue
 		}
-		h.items = append(h.items, priorityItem{party: i, priority: priority(w, method.rank(0))})
-	}
-	heap.Init(h)
-	for s := 0; s < seats; s++ {
-		if h.Len() == 0 {
-			return nil, fmt.Errorf("apportion: ran out of eligible parties after %d of %d seats", s, seats)
-		}
-		top := h.items[0]
-		i := top.party
-		out[i]++
-		if maxSeats != nil && out[i] >= maxSeats[i] {
-			heap.Pop(h)
+		if !infiniteFirst {
+			h = append(h, priorityItem{party: i, priority: priority(w, method.rank(0))})
 			continue
 		}
-		h.items[0].priority = priority(weights[i], method.rank(out[i]))
-		heap.Fix(h, 0)
+		if s == seats {
+			break
+		}
+		out[i] = 1
+		s++
+		if maxSeats == nil || maxSeats[i] > 1 {
+			h = append(h, priorityItem{party: i, priority: priority(w, method.rank(1))})
+		}
+	}
+	h.init()
+	for ; s < seats; s++ {
+		if len(h) == 0 {
+			return nil, fmt.Errorf("apportion: ran out of eligible parties after %d of %d seats", s, seats)
+		}
+		i := h[0].party
+		out[i]++
+		if maxSeats != nil && out[i] >= maxSeats[i] {
+			h.popTop()
+			continue
+		}
+		h[0].priority = priority(weights[i], method.rank(out[i]))
+		h.down(0)
 	}
 	return out, nil
 }
@@ -209,28 +239,47 @@ type priorityItem struct {
 	priority float64
 }
 
-type priorityHeap struct {
-	items []priorityItem
-}
+type priorityHeap []priorityItem
 
-func (h *priorityHeap) Len() int { return len(h.items) }
-
-func (h *priorityHeap) Less(i, j int) bool {
-	a, b := h.items[i], h.items[j]
+// before reports whether a outranks b: higher priority, then lower index.
+func (a priorityItem) before(b priorityItem) bool {
 	if a.priority != b.priority {
 		return a.priority > b.priority
 	}
 	return a.party < b.party
 }
 
-func (h *priorityHeap) Swap(i, j int) { h.items[i], h.items[j] = h.items[j], h.items[i] }
+// init establishes the heap order in O(len(h)).
+func (h priorityHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
 
-func (h *priorityHeap) Push(x any) { h.items = append(h.items, x.(priorityItem)) }
+// down sifts h[i] toward the leaves until neither child outranks it.
+func (h priorityHeap) down(i int) {
+	n := len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			return
+		}
+		if r := c + 1; r < n && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
 
-func (h *priorityHeap) Pop() any {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
+// popTop removes the highest-ranked item.
+func (h *priorityHeap) popTop() {
+	old := *h
+	last := len(old) - 1
+	old[0] = old[last]
+	*h = old[:last]
+	h.down(0)
 }

@@ -165,6 +165,31 @@ func (p *Problem) ReplicaCapacityPerServer() (int, error) {
 // ReplicaCapacityOf returns the number of fixed-rate replicas server s can
 // hold.
 func (p *Problem) ReplicaCapacityOf(s int) (int, error) {
+	size, err := p.replicaSize()
+	if err != nil {
+		return 0, err
+	}
+	return int(p.StorageOf(s) / size), nil
+}
+
+// ClusterReplicaCapacity returns the total number of fixed-rate replicas the
+// cluster can hold: Σ_s ⌊storage_s / size⌋ (N·C when homogeneous). The copy
+// size is derived once, O(M + N).
+func (p *Problem) ClusterReplicaCapacity() (int, error) {
+	size, err := p.replicaSize()
+	if err != nil {
+		return 0, err
+	}
+	total := 0
+	for s := 0; s < p.NumServers; s++ {
+		total += int(p.StorageOf(s) / size)
+	}
+	return total, nil
+}
+
+// replicaSize returns the bytes of one replica of a fixed-rate catalog, in
+// which every video shares one bit rate and one duration.
+func (p *Problem) replicaSize() (float64, error) {
 	rate, ok := p.Catalog.FixedBitRate()
 	if !ok {
 		return 0, fmt.Errorf("core: replica capacity undefined for mixed bit rates")
@@ -177,21 +202,7 @@ func (p *Problem) ReplicaCapacityOf(s int) (int, error) {
 	if size <= 0 {
 		return 0, fmt.Errorf("core: non-positive video size")
 	}
-	return int(p.StorageOf(s) / size), nil
-}
-
-// ClusterReplicaCapacity returns the total number of fixed-rate replicas the
-// cluster can hold: Σ_s ⌊storage_s / size⌋ (N·C when homogeneous).
-func (p *Problem) ClusterReplicaCapacity() (int, error) {
-	total := 0
-	for s := 0; s < p.NumServers; s++ {
-		c, err := p.ReplicaCapacityOf(s)
-		if err != nil {
-			return 0, err
-		}
-		total += c
-	}
-	return total, nil
+	return size, nil
 }
 
 // StreamCapacityPerServer returns the number of concurrent fixed-rate streams

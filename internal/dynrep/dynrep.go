@@ -30,7 +30,7 @@ import (
 type Options struct {
 	// Replicator recomputes target replica counts from empirical
 	// popularity; nil means the Zipf-interval scheme (the paper's choice
-	// for runtime use, being O(M log M)).
+	// for runtime use, as the fast approximation to bounded Adams).
 	Replicator replicate.Replicator
 	// IntervalSec is the adjustment cadence; default 300 s.
 	IntervalSec float64

@@ -11,7 +11,7 @@ package place
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"vodcluster/internal/core"
 )
@@ -52,11 +52,16 @@ func sortedReplicas(p *core.Problem, replicas []int) []replicaRef {
 			refs = append(refs, replicaRef{video: v, weight: w})
 		}
 	}
-	sort.SliceStable(refs, func(i, j int) bool {
-		if refs[i].weight != refs[j].weight {
-			return refs[i].weight > refs[j].weight
+	// (weight, video) orders refs up to the replicas of one video, which are
+	// equal values, so an unstable sort gives the stable sort's result.
+	slices.SortFunc(refs, func(a, b replicaRef) int {
+		if a.weight != b.weight {
+			if a.weight > b.weight {
+				return -1
+			}
+			return 1
 		}
-		return refs[i].video < refs[j].video
+		return a.video - b.video
 	})
 	return refs
 }

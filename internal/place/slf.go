@@ -2,7 +2,7 @@ package place
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"vodcluster/internal/core"
 )
@@ -35,13 +35,13 @@ func (SmallestLoadFirst) Place(p *core.Problem, replicas []int) (*core.Layout, e
 	refs := sortedReplicas(p, replicas)
 	st := newState(p, replicas)
 	n := p.N()
-
+	free, done := make([]int, n), make([]roundAssignment, 0, n)
 	for start := 0; start < len(refs); start += n {
 		end := start + n
 		if end > len(refs) {
 			end = len(refs)
 		}
-		if err := placeRound(st, refs[start:end]); err != nil {
+		if err := placeRound(st, refs[start:end], free, done); err != nil {
 			return nil, err
 		}
 	}
@@ -60,13 +60,14 @@ type roundAssignment struct {
 }
 
 // placeRound distributes the given replicas (already weight-ordered), one per
-// server, smallest load first.
-func placeRound(st *state, round []replicaRef) error {
-	free := make([]int, st.p.N())
-	for i := range free {
-		free[i] = i
+// server, smallest load first. free and done are scratch of capacity N that
+// the caller reuses across rounds.
+func placeRound(st *state, round []replicaRef, free []int, done []roundAssignment) error {
+	free = free[:0]
+	for i := 0; i < st.p.N(); i++ {
+		free = append(free, i)
 	}
-	done := make([]roundAssignment, 0, len(round))
+	done = done[:0]
 
 	takeFree := func(idx int) int {
 		sv := free[idx]
@@ -81,11 +82,14 @@ func placeRound(st *state, round []replicaRef) error {
 	sorted := false
 	for _, ref := range round {
 		if !sorted {
-			sort.SliceStable(free, func(a, b int) bool {
-				if st.loads[free[a]] != st.loads[free[b]] {
-					return st.loads[free[a]] < st.loads[free[b]]
+			slices.SortFunc(free, func(a, b int) int {
+				if la, lb := st.loads[a], st.loads[b]; la != lb {
+					if la < lb {
+						return -1
+					}
+					return 1
 				}
-				return free[a] < free[b]
+				return a - b
 			})
 			sorted = true
 		}

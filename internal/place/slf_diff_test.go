@@ -10,18 +10,32 @@ import (
 	"vodcluster/internal/stats"
 )
 
+// referenceSortedReplicas is sortedReplicas as it was before it moved to
+// slices.SortFunc: the same (weight, video) order through sort.SliceStable.
+func referenceSortedReplicas(p *core.Problem, replicas []int) []replicaRef {
+	refs := groupedReplicas(p, replicas)
+	sort.SliceStable(refs, func(i, j int) bool {
+		if refs[i].weight != refs[j].weight {
+			return refs[i].weight > refs[j].weight
+		}
+		return refs[i].video < refs[j].video
+	})
+	return refs
+}
+
 // referenceSLF is smallest-load-first with the free servers re-sorted before
 // every replica — the straightforward reading of Algorithm 1 that placeRound
-// used to implement. It shares state, swapRepair and relocateFor with the
-// production placer and differs only in when it sorts; conflicts counts the
-// replicas that took the swap/relocate path. With sortEvery false it sorts
+// used to implement — through the reflective sort.SliceStable sorts the
+// placer used before it moved to slices. It shares state, swapRepair and
+// relocateFor with the production placer and differs only in how and when it
+// sorts; conflicts counts the replicas that took the swap/relocate path. With sortEvery false it sorts
 // once per round and never again: placeRound without its re-sort after a
 // conflict, the mutant the pinned instance below must tell from the reference.
 func referenceSLF(p *core.Problem, replicas []int, sortEvery bool) (layout *core.Layout, conflicts int, err error) {
 	if err := checkReplicaVector(p, replicas); err != nil {
 		return nil, 0, err
 	}
-	refs := sortedReplicas(p, replicas)
+	refs := referenceSortedReplicas(p, replicas)
 	st := newState(p, replicas)
 	n := p.N()
 	for start := 0; start < len(refs); start += n {
@@ -200,5 +214,59 @@ func TestSLFMatchesPerReplicaSortReference(t *testing.T) {
 	}
 	if reflect.DeepEqual(mutant.Servers, want.Servers) {
 		t.Fatalf("the pinned instance does not depend on the re-sort after a conflict: both give %v", want.Servers)
+	}
+}
+
+// TestSortedReplicasMatchesStableSort checks that the unstable slices sort
+// orders replicas exactly as the stable reflective sort did, on random
+// homogeneous instances and on uniform popularities, where every video with
+// the same replica count ties on weight and the video ID decides.
+func TestSortedReplicasMatchesStableSort(t *testing.T) {
+	rng := stats.NewRNG(77)
+	for trial := 0; trial < 300; trial++ {
+		m := 2 + rng.Intn(60)
+		n := 2 + rng.Intn(12)
+		theta := rng.Float64()
+		if trial%3 == 0 {
+			theta = 0
+		}
+		p := makeProblem(t, m, n, theta, m)
+		r := make([]int, m)
+		for v := range r {
+			r[v] = 1 + rng.Intn(n)
+		}
+		if got, want := sortedReplicas(p, r), referenceSortedReplicas(p, r); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: sortedReplicas = %v, reference %v", trial, got, want)
+		}
+	}
+}
+
+// TestSLFMatchesReferenceAtPlanScale runs the per-replica-sort reference at
+// the benchmark's plan_scale shape, M = 20 000 titles on N = 64 servers at
+// degree 1.2 from both bounded Adams and the Zipf-interval scheme, where
+// hundreds of rounds reuse placeRound's buffers.
+func TestSLFMatchesReferenceAtPlanScale(t *testing.T) {
+	const m, n = 20_000, 64
+	p := makeProblem(t, m, n, 0.75, (12*m/10+n-1)/n)
+	budget, err := p.TargetTotalReplicas(1.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rep := range []replicate.Replicator{replicate.BoundedAdams{}, replicate.ZipfInterval{}} {
+		r, err := rep.Replicate(p, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := referenceSLF(p, r, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := SmallestLoadFirst{}.Place(p, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Servers, want.Servers) {
+			t.Fatalf("%s replicas: layout differs from the reference", rep.Name())
+		}
 	}
 }

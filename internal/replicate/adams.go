@@ -15,9 +15,10 @@ import (
 // This is Adams' monotone divisor apportionment bounded by the server count;
 // Theorem 4.1 states it minimizes the maximum per-replica communication
 // weight (Eq. 8) among all vectors with Σ r_i equal to the budget and
-// r_i ≤ N. The heap-based implementation runs in O((M + K) log M) for K
-// duplications, matching the paper's O(M·N·C·log M) worst case when the
-// budget saturates cluster storage.
+// r_i ≤ N. The first replica of every video is handed out in one O(M) pass
+// and one heapify orders the rest, so the heap-based implementation runs in
+// O(M + K log M) for K duplications — within the paper's O(M·N·C·log M)
+// worst case when the budget saturates cluster storage.
 type BoundedAdams struct{}
 
 // Name implements Replicator.

@@ -7,8 +7,9 @@
 //
 //   - BoundedAdams — the optimal bounded Adams monotone divisor replication
 //     (§4.1.1, Theorem 4.1);
-//   - ZipfInterval — the O(M log M) approximation that classifies
-//     popularities into N Zipf-skewed intervals (§4.1.2);
+//   - ZipfInterval — the approximation that classifies popularities into N
+//     Zipf-skewed intervals (§4.1.2), binary-searching the skew in O(M) per
+//     step (about 35 steps at M = 20 000) without allocating per step;
 //   - Classification — the straightforward rank-class baseline the
 //     evaluation compares against (§5, citing the authors' earlier work);
 //   - Uniform — round-robin replication, optimal only for uniform

@@ -109,17 +109,28 @@ func Partition(total float64, n int, u float64) []float64 {
 	if n <= 0 {
 		panic("zipf: Partition needs at least one interval")
 	}
-	weights := make([]float64, n)
+	return PartitionInto(make([]float64, n+1), total, u)
+}
+
+// PartitionInto is Partition for n = len(bounds) − 1 intervals, writing the
+// boundaries into bounds instead of allocating them; it returns bounds. The
+// replication binary search calls it once per step.
+func PartitionInto(bounds []float64, total float64, u float64) []float64 {
+	n := len(bounds) - 1
+	if n <= 0 {
+		panic("zipf: Partition needs at least one interval")
+	}
+	// bounds[j+1] holds interval j's weight until the second pass replaces
+	// it with the boundary below the interval.
 	sum := 0.0
 	for j := 0; j < n; j++ {
-		weights[j] = math.Pow(float64(j+1), -u)
-		sum += weights[j]
+		bounds[j+1] = math.Pow(float64(j+1), -u)
+		sum += bounds[j+1]
 	}
-	bounds := make([]float64, n+1)
 	bounds[0] = total
 	acc := 0.0
 	for j := 0; j < n; j++ {
-		acc += weights[j] / sum
+		acc += bounds[j+1] / sum
 		bounds[j+1] = total * (1 - acc)
 	}
 	bounds[n] = 0 // absorb rounding error

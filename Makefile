@@ -149,6 +149,7 @@ fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzBoundedDivisorOracle -fuzztime=$(FUZZTIME) ./internal/apportion/
 	$(GO) test -run=Fuzz -fuzz=FuzzWireParse -fuzztime=$(FUZZTIME) ./internal/serve/
 	$(GO) test -run=Fuzz -fuzz=FuzzIngressConn -fuzztime=$(FUZZTIME) ./internal/serve/
+	$(GO) test -run=Fuzz -fuzz=FuzzRankParity -fuzztime=$(FUZZTIME) ./internal/serve/
 	$(GO) test -run=Fuzz -fuzz=FuzzEngineOrder -fuzztime=$(FUZZTIME) ./internal/sim/
 
 clean:

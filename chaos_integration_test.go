@@ -7,9 +7,9 @@ import (
 	"testing"
 	"time"
 
-	"vodcluster/internal/cluster"
 	"vodcluster/internal/core"
 	"vodcluster/internal/faults"
+	"vodcluster/internal/policy"
 	"vodcluster/internal/resilience"
 	"vodcluster/internal/serve"
 	"vodcluster/internal/sim"
@@ -131,10 +131,14 @@ func TestChaosFailureDrill(t *testing.T) {
 	// resilience mechanisms the live daemon runs: always-on failover and the
 	// repairer at the live config's rate.
 	pol := resilience.Policy{Failover: true, Repair: true, RepairRate: copyRate}
+	leastLoaded, err := policy.SchedulerFactory("least-loaded", false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	simCfg := sim.Config{
 		Problem:      p,
 		Layout:       layout,
-		NewScheduler: func() cluster.Scheduler { return cluster.LeastLoaded{} },
+		NewScheduler: leastLoaded,
 		Trace:        tr,
 		Duration:     tr.Meta.Duration,
 		Seed:         42,
@@ -150,6 +154,7 @@ func TestChaosFailureDrill(t *testing.T) {
 	if delta := math.Abs(livePct - simPct); delta > 2 {
 		t.Fatalf("live rejection %.2f%% vs simulated %.2f%%: |Δ| = %.2f points exceeds 2", livePct, simPct, delta)
 	}
+	t.Logf("whole run: live %.2f%% vs sim %.2f%%", livePct, simPct)
 
 	// Post-failure window: only decisions dispatched after the crash, against
 	// a simulator run warmed up to the same boundary.

@@ -447,15 +447,15 @@ func crossValidate(p *core.Problem, layout *core.Layout, policy string, tr *work
 }
 
 // simSchedulerFor maps a serve policy name onto the simulator scheduler
-// that makes the same decisions: lock-free names map to their bare
-// cluster.Scheduler counterparts; sim: names follow the pipeline convention
+// that makes the same decisions: a registered name maps to the scheduler
+// that runs the same rank; sim: names follow the pipeline convention
 // (redirect wrapping exactly when the problem defines backbone bandwidth).
 func simSchedulerFor(policy string, backbone bool) (func() cluster.Scheduler, error) {
 	if base, ok := strings.CutPrefix(policy, "sim:"); ok {
 		return vodcluster.SchedulerFactory(base, backbone)
 	}
 	if policy == "" {
-		policy = "least-loaded"
+		policy = serve.DefaultPolicy
 	}
 	return vodcluster.SchedulerFactory(policy, false)
 }

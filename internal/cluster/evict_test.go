@@ -200,7 +200,7 @@ func TestAddReplicaRateUnderLiveLoad(t *testing.T) {
 	v, dst := -1, -1
 	for cand := 0; cand < p.M() && v == -1; cand++ {
 		for srv := 0; srv < p.N(); srv++ {
-			if !contains(st.Holders(cand), srv) && st.Up(srv) {
+			if !contains(st.Holders(cand), srv) && st.Eligible(srv) {
 				v, dst = cand, srv
 				break
 			}

@@ -33,7 +33,7 @@ func TestFailServerDropsItsStreams(t *testing.T) {
 			t.Fatalf("torn stream %d records %+v, want video 1 on server 0", i, tr.Stream)
 		}
 	}
-	if st.Up(0) {
+	if st.Eligible(0) {
 		t.Fatal("server still up after FailServer")
 	}
 	if st.UpServers() != 1 {
@@ -58,7 +58,7 @@ func TestFailServerDropsItsStreams(t *testing.T) {
 	}
 
 	st.RestoreServer(0)
-	if !st.Up(0) {
+	if !st.Eligible(0) {
 		t.Fatal("RestoreServer did not revive")
 	}
 	if _, ok := st.Admit(1, FirstAvailable{}); !ok {

@@ -256,8 +256,9 @@ func (st *State) CanServe(s, v int) bool {
 	return st.FreeBandwidth(s) >= st.RateOf(v, s)-1e-6
 }
 
-// Up reports whether server s is alive.
-func (st *State) Up(s int) bool { return st.up[s] }
+// Eligible reports whether server s is alive, which in the simulator is
+// exactly when it takes new streams (View).
+func (st *State) Eligible(s int) bool { return st.up[s] }
 
 // Torn is one stream torn down by a server failure: its last known record
 // plus the handle it was admitted under (now released).

@@ -269,7 +269,7 @@ func (m *Manager) pickDestination(v int, target []int, st *cluster.State) int {
 	best := -1
 	bestFree := -1.0
 	for s := 0; s < m.p.N(); s++ {
-		if !st.Up(s) {
+		if !st.Eligible(s) {
 			continue
 		}
 		holders := st.Holders(v)

@@ -6,16 +6,16 @@
 // policy in one place makes it available, listable, and comparable
 // everywhere at once.
 //
-// The registry holds the simulator-side constructors (cluster.Scheduler);
-// the serve layer keeps its lock-free concurrent implementations in
-// internal/serve but advertises and validates their names through this
-// table (Entry.Serve), so the two layers can never drift apart on what a
-// name means.
+// Each entry carries one rank (cluster.Ranker), written once in
+// internal/cluster over a read-only cluster view. The simulator's scheduler
+// is that rank plus State.CanServe; the daemon's policy is the same rank
+// plus an atomic reservation. The daemon also accepts a "sim:" name per
+// entry: the exact simulator scheduler behind a mutex, which is the
+// backbone-redirection path.
 package policy
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"vodcluster/internal/cluster"
@@ -31,75 +31,38 @@ type Entry struct {
 	// NewScheduler constructs a fresh simulator-side policy instance per
 	// run (instances may keep per-run state, so they are never shared).
 	NewScheduler func() cluster.Scheduler
-	// Serve reports that internal/serve ships a lock-free concurrent
-	// implementation under the same name (the registry only advertises it;
-	// serve.NewPolicy constructs it).
-	Serve bool
+	// Rank is the policy's choice over a cluster view, the one function the
+	// simulator's scheduler and the daemon both call.
+	Rank cluster.Ranker
 }
 
 // registry is the ordered policy table; order is presentation order in
-// listings and error messages. Guarded by nothing: registration happens at
-// init time, lookups after.
+// listings and error messages.
 var registry = []Entry{
 	{
 		Name:         "static-rr",
 		Description:  "paper §3.2 static round-robin: requests rotate over a video's replicas in fixed order, no load awareness",
 		NewScheduler: func() cluster.Scheduler { return cluster.StaticRoundRobin{} },
-		Serve:        true,
+		Rank:         cluster.StaticRoundRobin{},
 	},
 	{
 		Name:         "first-available",
 		Description:  "static rotation, but probes the remaining replicas before rejecting when the designated server is full",
 		NewScheduler: func() cluster.Scheduler { return cluster.FirstAvailable{} },
-		Serve:        true,
+		Rank:         cluster.FirstAvailable{},
 	},
 	{
 		Name:         "least-loaded",
-		Description:  "serve from the replica holder with the most free outgoing bandwidth (strongest non-redirecting policy)",
+		Description:  "serve from the eligible replica holder with the most free outgoing bandwidth (strongest non-redirecting policy)",
 		NewScheduler: func() cluster.Scheduler { return cluster.LeastLoaded{} },
-		Serve:        true,
+		Rank:         cluster.LeastLoaded{},
 	},
 	{
 		Name:         "random",
 		Description:  "uniformly random feasible replica holder; draws per-decision RNG streams so counterfactual runs stay paired",
 		NewScheduler: func() cluster.Scheduler { return cluster.NewRandomHolder(0) },
-		Serve:        false,
+		Rank:         cluster.RandomHolder{},
 	},
-}
-
-// byName indexes the registry; rebuilt by Register.
-var byName = buildIndex()
-
-func buildIndex() map[string]int {
-	idx := make(map[string]int, len(registry))
-	for i, e := range registry {
-		idx[e.Name] = i
-	}
-	return idx
-}
-
-// Register adds a policy to the registry. It is meant to be called from
-// init functions of future policy packages (sharded, prefix-aware,
-// federated dispatch); duplicate names and nil constructors are programming
-// errors.
-func Register(e Entry) error {
-	if e.Name == "" || e.NewScheduler == nil {
-		return fmt.Errorf("policy: entry needs a name and a constructor")
-	}
-	if _, ok := byName[e.Name]; ok {
-		return fmt.Errorf("policy: %q is already registered", e.Name)
-	}
-	if strings.HasPrefix(e.Name, simPrefix) {
-		return fmt.Errorf("policy: name %q collides with the %q serve-adapter prefix", e.Name, simPrefix)
-	}
-	registry = append(registry, e)
-	byName[e.Name] = len(registry) - 1
-	return nil
-}
-
-// Entries returns the registry in presentation order (a copy).
-func Entries() []Entry {
-	return append([]Entry(nil), registry...)
 }
 
 // Names returns every registered policy name in presentation order.
@@ -124,8 +87,10 @@ func Lookup(name string) (Entry, error) {
 	if name == "" {
 		name = Default
 	}
-	if i, ok := byName[name]; ok {
-		return registry[i], nil
+	for _, e := range registry {
+		if e.Name == name {
+			return e, nil
+		}
 	}
 	return Entry{}, fmt.Errorf("policy: unknown policy %q (available: %s)", name, strings.Join(Names(), ", "))
 }
@@ -145,35 +110,14 @@ func SchedulerFactory(name string, withRedirect bool) (func() cluster.Scheduler,
 	return func() cluster.Scheduler { return redirect.New(e.NewScheduler()) }, nil
 }
 
-// ServeNames lists the names serve.NewPolicy accepts: the lock-free
-// concurrent policies first, then one "sim:" locked sim-parity adapter per
-// registry entry.
+// ServeNames lists the names serve.NewPolicy accepts: every registered
+// policy, then one "sim:" locked sim-parity adapter per entry.
 func ServeNames() []string {
-	names := make([]string, 0, 2*len(registry))
-	for _, e := range registry {
-		if e.Serve {
-			names = append(names, e.Name)
-		}
-	}
+	names := Names()
 	for _, e := range registry {
 		names = append(names, simPrefix+e.Name)
 	}
 	return names
-}
-
-// IsServeName reports whether name is accepted by serve.NewPolicy: a
-// lock-free serve policy, a "sim:" adapter over a registered scheduler, or
-// the empty default.
-func IsServeName(name string) bool {
-	if name == "" {
-		return true
-	}
-	if base, ok := strings.CutPrefix(name, simPrefix); ok {
-		_, err := Lookup(base)
-		return err == nil
-	}
-	i, ok := byName[name]
-	return ok && registry[i].Serve
 }
 
 // UnknownServeError is the error serve.NewPolicy returns for a name outside
@@ -182,53 +126,30 @@ func UnknownServeError(name string) error {
 	return fmt.Errorf("policy: unknown serve policy %q (available: %s)", name, strings.Join(ServeNames(), ", "))
 }
 
-// List renders the simulator-side registry with one-line descriptions —
-// the body of every -list-policies flag.
-func List() string {
-	var b strings.Builder
-	w := 0
-	for _, e := range registry {
-		if len(e.Name) > w {
-			w = len(e.Name)
-		}
-	}
-	for _, e := range registry {
-		layers := "sim"
-		if e.Serve {
-			layers = "sim+serve"
-		}
-		fmt.Fprintf(&b, "  %-*s  [%s]  %s\n", w, e.Name, layers, e.Description)
-	}
-	return b.String()
-}
+// List renders the registry with one-line descriptions — the body of the
+// simulator tools' -list-policies flag.
+func List() string { return table(Names()) }
 
-// ServeList renders the serve-layer name table with one-line descriptions:
-// the lock-free policies, then the locked sim-parity adapters.
-func ServeList() string {
-	var b strings.Builder
-	names := ServeNames()
+// ServeList renders the daemon's name table with one-line descriptions:
+// every registered policy, then its "sim:" adapter.
+func ServeList() string { return table(ServeNames()) }
+
+// table renders names, each with its entry's description; a "sim:" name is
+// marked as the locked adapter over its base entry.
+func table(names []string) string {
 	w := 0
 	for _, n := range names {
-		if len(n) > w {
-			w = len(n)
-		}
+		w = max(w, len(n))
 	}
+	var b strings.Builder
 	for _, n := range names {
-		if base, ok := strings.CutPrefix(n, simPrefix); ok {
-			e, _ := Lookup(base)
-			fmt.Fprintf(&b, "  %-*s  locked sim-parity adapter: %s\n", w, n, e.Description)
-			continue
+		base, sim := strings.CutPrefix(n, simPrefix)
+		e, _ := Lookup(base)
+		desc := e.Description
+		if sim {
+			desc = "the simulator's scheduler behind a mutex, with backbone redirection when the problem has a backbone"
 		}
-		e, _ := Lookup(n)
-		fmt.Fprintf(&b, "  %-*s  lock-free: %s\n", w, n, e.Description)
+		fmt.Fprintf(&b, "  %-*s  %s\n", w, n, desc)
 	}
 	return b.String()
-}
-
-// SortedNames returns the registered names sorted alphabetically — stable
-// input for tests and docs that must not depend on registration order.
-func SortedNames() []string {
-	names := Names()
-	sort.Strings(names)
-	return names
 }

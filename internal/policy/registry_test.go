@@ -10,24 +10,29 @@ import (
 func TestNamesAndEntries(t *testing.T) {
 	names := Names()
 	want := []string{"static-rr", "first-available", "least-loaded", "random"}
-	if len(names) < len(want) {
-		t.Fatalf("registry has %d policies, want at least %d", len(names), len(want))
+	if len(names) != len(want) {
+		t.Fatalf("registry has %d policies, want %d", len(names), len(want))
 	}
 	for i, n := range want {
 		if names[i] != n {
 			t.Fatalf("Names()[%d] = %q, want %q", i, names[i], n)
 		}
 	}
-	for _, e := range Entries() {
+	for _, e := range registry {
 		if e.Description == "" {
 			t.Errorf("policy %q has no description", e.Name)
 		}
-		if e.NewScheduler == nil {
-			t.Errorf("policy %q has no constructor", e.Name)
+		if e.NewScheduler == nil || e.Rank == nil {
+			t.Errorf("policy %q lacks a constructor or a rank", e.Name)
 			continue
 		}
-		if got := e.NewScheduler().Name(); got != e.Name {
+		sched := e.NewScheduler()
+		if got := sched.Name(); got != e.Name {
 			t.Errorf("policy %q constructs a scheduler named %q", e.Name, got)
+		}
+		// The simulator's scheduler is the entry's rank: same type.
+		if _, ok := sched.(cluster.Ranker); !ok {
+			t.Errorf("policy %q: scheduler %T does not rank", e.Name, sched)
 		}
 	}
 }
@@ -75,72 +80,24 @@ func TestSchedulerFactory(t *testing.T) {
 
 func TestServeNames(t *testing.T) {
 	names := ServeNames()
+	if len(names) != 2*len(Names()) {
+		t.Fatalf("serve names %v: want every policy and its sim: adapter", names)
+	}
 	seen := make(map[string]bool, len(names))
 	for _, n := range names {
 		if seen[n] {
 			t.Errorf("duplicate serve name %q", n)
 		}
 		seen[n] = true
-		if !IsServeName(n) {
-			t.Errorf("IsServeName(%q) = false for a listed name", n)
+	}
+	for _, n := range Names() {
+		if !seen[n] || !seen["sim:"+n] {
+			t.Errorf("serve names %v miss %q or its sim: adapter", names, n)
 		}
-	}
-	for _, n := range []string{"least-loaded", "sim:static-rr", "sim:random"} {
-		if !seen[n] {
-			t.Errorf("serve names missing %q (got %v)", n, names)
-		}
-	}
-	// random has no lock-free serve implementation, only the sim adapter.
-	if seen["random"] {
-		t.Error("serve names list bare \"random\", which serve does not implement")
-	}
-	if IsServeName("random") {
-		t.Error("IsServeName(\"random\") = true")
-	}
-	if !IsServeName("") {
-		t.Error("IsServeName(\"\") = false; empty must mean the default")
 	}
 	err := UnknownServeError("bogus")
 	if err == nil || !strings.Contains(err.Error(), "sim:least-loaded") {
 		t.Errorf("UnknownServeError does not list the adapters: %v", err)
-	}
-}
-
-func TestRegister(t *testing.T) {
-	if err := Register(Entry{Name: "static-rr", NewScheduler: func() cluster.Scheduler { return cluster.StaticRoundRobin{} }}); err == nil {
-		t.Fatal("Register accepted a duplicate name")
-	}
-	if err := Register(Entry{Name: "x"}); err == nil {
-		t.Fatal("Register accepted a nil constructor")
-	}
-	if err := Register(Entry{Name: "sim:x", NewScheduler: func() cluster.Scheduler { return cluster.StaticRoundRobin{} }}); err == nil {
-		t.Fatal("Register accepted a sim:-prefixed name")
-	}
-	if err := Register(Entry{
-		Name:         "test-policy",
-		Description:  "registered by the test",
-		NewScheduler: func() cluster.Scheduler { return cluster.LeastLoaded{} },
-	}); err != nil {
-		t.Fatalf("Register: %v", err)
-	}
-	t.Cleanup(func() {
-		registry = registry[:len(registry)-1]
-		byName = buildIndex()
-	})
-	if _, err := Lookup("test-policy"); err != nil {
-		t.Fatalf("registered policy not found: %v", err)
-	}
-	if !strings.Contains(List(), "test-policy") {
-		t.Error("List() does not mention the registered policy")
-	}
-	found := false
-	for _, n := range ServeNames() {
-		if n == "sim:test-policy" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("registered policy has no sim: serve adapter")
 	}
 }
 
@@ -151,8 +108,16 @@ func TestListFormatting(t *testing.T) {
 			t.Errorf("List() missing %q", n)
 		}
 	}
+	if strings.Contains(l, "sim:") {
+		t.Errorf("List() shows the daemon's sim: adapters:\n%s", l)
+	}
 	sl := ServeList()
-	if !strings.Contains(sl, "lock-free") || !strings.Contains(sl, "sim-parity") {
-		t.Errorf("ServeList() lacks layer annotations:\n%s", sl)
+	for _, n := range ServeNames() {
+		if !strings.Contains(sl, n+" ") {
+			t.Errorf("ServeList() missing %q:\n%s", n, sl)
+		}
+	}
+	if !strings.Contains(sl, "mutex") {
+		t.Errorf("ServeList() does not describe the sim: adapters:\n%s", sl)
 	}
 }

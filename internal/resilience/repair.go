@@ -90,7 +90,7 @@ func (r *Repairer) Tick(now float64, st *cluster.State, schedule func(delay floa
 func (r *Repairer) liveReplicas(st *cluster.State, v int) int {
 	n := 0
 	for _, s := range st.Holders(v) {
-		if st.Up(s) {
+		if st.Eligible(s) {
 			n++
 		}
 	}
@@ -103,7 +103,7 @@ func (r *Repairer) startCopy(v int, st *cluster.State, schedule func(delay float
 	src := -1
 	srcFree := 0.0
 	for _, s := range st.Holders(v) {
-		if !st.Up(s) {
+		if !st.Eligible(s) {
 			continue
 		}
 		if free := st.FreeBandwidth(s); src == -1 || free > srcFree {
@@ -121,7 +121,7 @@ func (r *Repairer) startCopy(v int, st *cluster.State, schedule func(delay float
 	dst := -1
 	dstFree := 0.0
 	for s := 0; s < r.p.N(); s++ {
-		if !st.Up(s) || s == src {
+		if !st.Eligible(s) || s == src {
 			continue
 		}
 		if holds(st, v, s) {
@@ -158,7 +158,7 @@ func (r *Repairer) startCopy(v int, st *cluster.State, schedule func(delay float
 		// The source may have died mid-copy, or the destination may have
 		// died or filled up; dropping the unfinished copy is the faithful
 		// outcome then.
-		if !st.Up(src) {
+		if !st.Eligible(src) {
 			r.aborted++
 			return
 		}

@@ -231,7 +231,7 @@ func TestRecoveryNeverTouchesDownServers(t *testing.T) {
 				v := rng.Intn(4)
 				if id, ok := st.Admit(v, d); ok {
 					s, _ := st.Lookup(id)
-					if !st.Up(s.Server) {
+					if !st.Eligible(s.Server) {
 						t.Fatalf("trial %d: degrader admitted onto down server %d", trial, s.Server)
 					}
 					live = append(live, id)
@@ -240,7 +240,7 @@ func TestRecoveryNeverTouchesDownServers(t *testing.T) {
 				v := rng.Intn(4)
 				if id, ok := TryFailover(st, v, 0.5); ok {
 					s, _ := st.Lookup(id)
-					if !st.Up(s.Server) {
+					if !st.Eligible(s.Server) {
 						t.Fatalf("trial %d: failover admitted onto down server %d", trial, s.Server)
 					}
 					live = append(live, id)

@@ -237,9 +237,13 @@ func (c *Cluster) CASState(s int, from, to BackendState) bool {
 // Eligible reports whether server s accepts new stream placements.
 func (c *Cluster) Eligible(s int) bool { return c.State(s).Eligible() }
 
-// Draining reports whether server s refuses new stream placements — true
-// for both the cooperative Draining state and the crashed Down state.
-func (c *Cluster) Draining(s int) bool { return !c.Eligible(s) }
+// FreeBandwidth implements cluster.View: Free as a float64, exact below
+// 2^53 bits/s.
+func (c *Cluster) FreeBandwidth(s int) float64 { return float64(c.Free(s)) }
+
+// CanServe implements cluster.View: server s accepts new placements and has
+// room for one more stream of v.
+func (c *Cluster) CanServe(s, v int) bool { return c.Eligible(s) && c.Free(s) >= c.rate[v] }
 
 // BackboneUsed returns the backbone bandwidth in use, bits/s.
 func (c *Cluster) BackboneUsed() int64 { return c.backboneUsed.Load() }

@@ -418,7 +418,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	drained := 0
 	states := make([]string, s.c.Servers())
 	for b := 0; b < s.c.Servers(); b++ {
-		if s.c.Draining(b) {
+		if !s.c.Eligible(b) {
 			drained++
 		}
 		states[b] = s.c.State(b).String()

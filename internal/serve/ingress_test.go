@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"vodcluster/internal/policy"
 )
 
 // newTestIngress binds a sharded ingress over a fresh micro-cluster daemon
@@ -421,6 +423,36 @@ func TestAdmissionPathAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(500, roundTrip)
 	if allocs > 2 {
 		t.Fatalf("admission round trip allocates %.1f objects/op, budget is 2", allocs)
+	}
+}
+
+// TestPolicyDecisionAllocs extends the guard to the decision itself for
+// every registered policy: Admit and Failover (rank, CAS reservation) and
+// Release allocate nothing.
+func TestPolicyDecisionAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated by the race detector")
+	}
+	for _, name := range policy.Names() {
+		pol, err := NewPolicy(name, newTestCluster(t, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for op, f := range map[string]func() (Grant, bool){
+			"Admit":    func() (Grant, bool) { return pol.Admit(0) },
+			"Failover": func() (Grant, bool) { return pol.Failover(0, 1) },
+		} {
+			allocs := testing.AllocsPerRun(500, func() {
+				g, ok := f()
+				if !ok {
+					t.Fatalf("%s %s rejected on an idle cluster", name, op)
+				}
+				pol.Release(g)
+			})
+			if allocs != 0 {
+				t.Errorf("%s %s + Release allocates %.1f objects/op, want 0", name, op, allocs)
+			}
+		}
 	}
 }
 

@@ -324,7 +324,7 @@ func (m *Metrics) Render(w io.Writer, c *Cluster, active int64, policy string) {
 	fmt.Fprintf(w, "# TYPE vod_server_draining gauge\n")
 	for s := 0; s < c.Servers(); s++ {
 		d := 0
-		if c.Draining(s) {
+		if !c.Eligible(s) {
 			d = 1
 		}
 		fmt.Fprintf(w, "vod_server_draining{server=\"%d\"} %d\n", s, d)

@@ -1,11 +1,13 @@
 package serve
 
 import (
-	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 
+	"vodcluster/internal/cluster"
 	"vodcluster/internal/policy"
+	"vodcluster/internal/stats"
 )
 
 // Grant is one admitted stream's reservation: which server's outgoing link
@@ -37,149 +39,99 @@ type Policy interface {
 	Failover(v, exclude int) (Grant, bool)
 }
 
+// DefaultPolicy is the admission policy an empty Config.Policy selects.
+const DefaultPolicy = "least-loaded"
+
 // PolicyNames lists the accepted -policy values from the shared registry:
-// the lock-free policies first, then the locked sim-parity adapters (see
+// every registered policy, then the locked sim-parity adapters (see
 // NewSimPolicy).
 func PolicyNames() []string { return policy.ServeNames() }
 
-// NewPolicy resolves a policy name against a cluster. Names without the
-// "sim:" prefix select the lock-free implementations; "sim:" names wrap the
-// exact simulator schedulers (any registered cluster.Scheduler, plus
-// redirect when the problem defines backbone bandwidth) behind a mutex.
-// Unknown names report the registry's full name table.
+// NewPolicy resolves a policy name against a cluster. A registered name
+// runs that policy's rank (cluster.Ranker) against the cluster with an
+// atomic reservation; a "sim:" name wraps the exact simulator scheduler
+// (plus redirect when the problem defines backbone bandwidth) behind a
+// mutex. The empty name selects DefaultPolicy. Unknown names report the
+// registry's full name table.
 func NewPolicy(name string, c *Cluster) (Policy, error) {
 	if base, ok := strings.CutPrefix(name, "sim:"); ok {
 		return NewSimPolicy(base, c)
 	}
-	switch name {
-	case "", "least-loaded":
-		return &leastLoaded{c: c}, nil
-	case "first-available":
-		return newRotating(c, true), nil
-	case "static-rr":
-		return newRotating(c, false), nil
+	if name == "" {
+		name = DefaultPolicy
 	}
-	return nil, policy.UnknownServeError(name)
-}
-
-// leastLoaded is the lock-free analogue of cluster.LeastLoaded: serve from
-// the replica holder with the most free outgoing bandwidth, reject when that
-// holder lacks room. A failed CAS (a racing admission landed first) re-picks
-// the best holder instead of falling back to a worse one, mirroring the
-// sequential policy's single-candidate semantics as closely as a concurrent
-// admission can.
-type leastLoaded struct {
-	c *Cluster
-}
-
-func (p *leastLoaded) Name() string { return "least-loaded" }
-
-func (p *leastLoaded) Admit(v int) (Grant, bool) {
-	rate := p.c.Rate(v)
-	for {
-		best, bestFree := -1, int64(0)
-		for _, s := range p.c.Holders(v) {
-			if p.c.Draining(s) {
-				continue
-			}
-			if free := p.c.Free(s); free > bestFree {
-				best, bestFree = s, free
-			}
-		}
-		if best == -1 || bestFree < rate {
-			return Grant{}, false
-		}
-		if p.c.TryReserve(best, rate) {
-			return Grant{Video: v, Server: best, Source: best, Rate: rate}, true
-		}
-		// Lost the race for this holder; re-evaluate under the new loads.
+	e, err := policy.Lookup(name)
+	if err != nil {
+		return nil, policy.UnknownServeError(name)
 	}
+	p := &rankPolicy{c: c, name: e.Name, rank: e.Rank, draw: &lockedDraw{rng: cluster.RandomStream(0)}}
+	if e.Rank.Rotates() {
+		p.cursor = make([]atomic.Int64, c.Videos())
+	}
+	return p, nil
 }
 
-func (p *leastLoaded) Release(g Grant) { p.c.Release(g.Server, g.Rate) }
-
-func (p *leastLoaded) Failover(v, exclude int) (Grant, bool) {
-	return failoverMostFree(p.c, v, exclude)
-}
-
-// rotating implements the paper's static round-robin dispatch (§3.2) and its
-// first-available refinement with a per-video atomic cursor: every request
-// advances the cursor exactly once, accepted or not, preserving the fixed
-// rotation under concurrency.
-type rotating struct {
+// rankPolicy runs a registered rank against the shared Cluster. The rank
+// picks a server from the current loads, and TryReserve books it with a
+// CAS; a reservation that loses the race to a concurrent admission ranks
+// again under the new loads. Failover is the least-loaded rank with the
+// drained server excluded, whatever the admission policy.
+type rankPolicy struct {
 	c      *Cluster
-	cursor []atomic.Int64 // per-video rotation position
-	probe  bool           // true: try the remaining holders before rejecting
+	name   string
+	rank   cluster.Ranker
+	cursor []atomic.Int64 // per-video rotation position, rotating ranks only
+	draw   cluster.Draw
 }
 
-func newRotating(c *Cluster, probe bool) *rotating {
-	return &rotating{c: c, cursor: make([]atomic.Int64, c.Videos()), probe: probe}
-}
+func (p *rankPolicy) Name() string { return p.name }
 
-func (p *rotating) Name() string {
-	if p.probe {
-		return "first-available"
+func (p *rankPolicy) Admit(v int) (Grant, bool) {
+	k := 0
+	if p.cursor != nil {
+		// Every request advances the cursor exactly once, accepted or not,
+		// preserving the fixed rotation under concurrency.
+		k = int(p.cursor[v].Add(1) - 1)
 	}
-	return "static-rr"
+	for {
+		if g, ok, again := p.reserve(v, p.rank.Rank(p.c, v, k, p.draw)); !again {
+			return g, ok
+		}
+	}
 }
 
-func (p *rotating) Admit(v int) (Grant, bool) {
-	holders := p.c.Holders(v)
-	if len(holders) == 0 {
-		return Grant{}, false
+func (p *rankPolicy) Release(g Grant) { p.c.Release(g.Server, g.Rate) }
+
+func (p *rankPolicy) Failover(v, exclude int) (Grant, bool) {
+	for {
+		if g, ok, again := p.reserve(v, cluster.MostFree(p.c, v, exclude)); !again {
+			return g, ok
+		}
+	}
+}
+
+// reserve books one stream of v on the rank's pick s. again reports a lost
+// race: s could serve v when ranked, but a concurrent admission took the
+// room first, so the caller ranks again.
+func (p *rankPolicy) reserve(v, s int) (g Grant, ok, again bool) {
+	if s < 0 || !p.c.CanServe(s, v) {
+		return Grant{}, false, false
 	}
 	rate := p.c.Rate(v)
-	k := int((p.cursor[v].Add(1) - 1) % int64(len(holders)))
-	tries := 1
-	if p.probe {
-		tries = len(holders)
+	if !p.c.TryReserve(s, rate) {
+		return Grant{}, false, true
 	}
-	for i := 0; i < tries; i++ {
-		s := holders[(k+i)%len(holders)]
-		if p.c.TryReserve(s, rate) {
-			return Grant{Video: v, Server: s, Source: s, Rate: rate}, true
-		}
-	}
-	return Grant{}, false
+	return Grant{Video: v, Server: s, Source: s, Rate: rate}, true, false
 }
 
-func (p *rotating) Release(g Grant) { p.c.Release(g.Server, g.Rate) }
-
-func (p *rotating) Failover(v, exclude int) (Grant, bool) {
-	return failoverMostFree(p.c, v, exclude)
+// lockedDraw serializes a randomized rank's draws from one stream.
+type lockedDraw struct {
+	mu  sync.Mutex
+	rng *stats.RNG
 }
 
-// failoverMostFree re-admits one stream of v onto the surviving holder with
-// the most free outgoing bandwidth, skipping exclude and draining servers —
-// the serve-layer counterpart of resilience.TryFailover (fixed-rate model,
-// so the best copy is simply the least-loaded live holder). Candidates are
-// tried in decreasing free-bandwidth order so a lost CAS race falls through
-// to the next-best holder.
-func failoverMostFree(c *Cluster, v, exclude int) (Grant, bool) {
-	rate := c.Rate(v)
-	type cand struct {
-		s    int
-		free int64
-	}
-	cands := make([]cand, 0, len(c.Holders(v)))
-	for _, s := range c.Holders(v) {
-		if s == exclude || c.Draining(s) {
-			continue
-		}
-		if free := c.Free(s); free >= rate {
-			cands = append(cands, cand{s, free})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].free != cands[j].free {
-			return cands[i].free > cands[j].free
-		}
-		return cands[i].s < cands[j].s
-	})
-	for _, cd := range cands {
-		if c.TryReserve(cd.s, rate) {
-			return Grant{Video: v, Server: cd.s, Source: cd.s, Rate: rate}, true
-		}
-	}
-	return Grant{}, false
+func (d *lockedDraw) Intn(n int) int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.rng.Intn(n)
 }

@@ -1,0 +1,215 @@
+package serve_test
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"vodcluster/internal/cluster"
+	"vodcluster/internal/core"
+	"vodcluster/internal/policy"
+	"vodcluster/internal/resilience"
+	"vodcluster/internal/serve"
+)
+
+// parityCase is one generated cluster: a layout, per-video rates and
+// per-server links in whole Mb/s (so the daemon's integer accounting and
+// the simulator's float accounting agree exactly), a pre-loaded set of
+// streams, the servers down before the first request, and a request
+// script.
+type parityCase struct {
+	p      *core.Problem
+	layout *core.Layout
+	load   [][2]int                   // (video, holder) streams admitted directly
+	down   map[int]serve.BackendState // ineligible daemon state per down server
+	live   []serve.BackendState       // daemon state of every other server
+	ops    []parityOp
+}
+
+type parityOp struct {
+	kind int // 0 admit, 1 release the i-th oldest live stream, 2 fail over
+	v, i int
+}
+
+func genParityCase(seed int64) (*parityCase, error) {
+	rng := rand.New(rand.NewSource(seed))
+	n, m := 2+rng.Intn(5), 1+rng.Intn(8)
+	cat := make(core.Catalog, m)
+	for v := range cat {
+		cat[v] = core.Video{ID: v, Popularity: 1 / float64(m), BitRate: float64(1+rng.Intn(4)) * core.Mbps, Duration: 90 * core.Minute}
+	}
+	bw := make([]float64, n)
+	for s := range bw {
+		bw[s] = float64(4+rng.Intn(12)) * core.Mbps
+	}
+	p := &core.Problem{
+		Catalog:          cat,
+		NumServers:       n,
+		StoragePerServer: float64(m) * cat[0].SizeBytes() * 4,
+		ServerBandwidth:  bw,
+		ArrivalRate:      1.0 / core.Minute,
+		PeakPeriod:       90 * core.Minute,
+	}
+	l := core.NewLayout(m)
+	for v := 0; v < m; v++ {
+		for _, s := range rng.Perm(n)[:1+rng.Intn(n)] {
+			if err := l.Place(v, s); err != nil {
+				return nil, err
+			}
+		}
+		l.Replicas[v] = len(l.Servers[v])
+	}
+	c := &parityCase{p: p, layout: l, down: map[int]serve.BackendState{}, live: make([]serve.BackendState, n)}
+	for i := rng.Intn(4 * n); i > 0; i-- {
+		v := rng.Intn(m)
+		c.load = append(c.load, [2]int{v, l.Servers[v][rng.Intn(len(l.Servers[v]))]})
+	}
+	for s := 0; s < n; s++ {
+		switch r := rng.Intn(8); {
+		case r == 0:
+			c.down[s] = serve.BackendDown
+		case r == 1:
+			c.down[s] = serve.BackendDraining
+		default:
+			c.live[s] = []serve.BackendState{serve.BackendUp, serve.BackendSuspect, serve.BackendRecovering}[r%3]
+		}
+	}
+	for i := 8 + rng.Intn(40); i > 0; i-- {
+		op := parityOp{v: rng.Intn(m), i: rng.Intn(8)}
+		switch r := rng.Intn(10); {
+		case r < 2:
+			op.kind = 1
+		case r == 2:
+			op.kind = 2
+		}
+		c.ops = append(c.ops, op)
+	}
+	return c, nil
+}
+
+// checkRankParity replays one generated case, for every registered policy,
+// through the daemon (sequential Admit and Failover on a serve.Cluster) and
+// through the simulator (Schedule and resilience.TryFailover at the fixed
+// rate on the mirrored cluster.State), and fails on the first request the
+// two place differently.
+func checkRankParity(t *testing.T, seed int64) {
+	t.Helper()
+	pc, err := genParityCase(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range policy.Names() {
+		if err := replayParity(pc, name); err != nil {
+			t.Fatalf("seed %d, policy %s: %v", seed, name, err)
+		}
+	}
+}
+
+func replayParity(pc *parityCase, name string) error {
+	st, err := cluster.New(pc.p, pc.layout)
+	if err != nil {
+		return err
+	}
+	c, err := serve.NewCluster(pc.p, pc.layout)
+	if err != nil {
+		return err
+	}
+	newSched, err := policy.SchedulerFactory(name, false)
+	if err != nil {
+		return err
+	}
+	sched := newSched()
+	pol, err := serve.NewPolicy(name, c)
+	if err != nil {
+		return err
+	}
+	for _, vs := range pc.load {
+		_, simOK := st.AdmitDirect(vs[0], vs[1])
+		if liveOK := c.TryReserve(vs[1], c.Rate(vs[0])); simOK != liveOK {
+			return fmt.Errorf("pre-load of video %d on %d: sim ok=%v, daemon ok=%v", vs[0], vs[1], simOK, liveOK)
+		}
+	}
+	for s, bs := range pc.live {
+		c.SetState(s, bs)
+	}
+	for s, bs := range pc.down {
+		st.FailServer(s)
+		c.SetState(s, bs)
+	}
+	type pair struct {
+		id cluster.StreamID
+		g  serve.Grant
+	}
+	var live []pair
+	for step, op := range pc.ops {
+		switch op.kind {
+		case 0, 2:
+			var simID cluster.StreamID
+			var simOK bool
+			var g serve.Grant
+			var liveOK bool
+			what := "admit"
+			if op.kind == 0 {
+				simID, simOK = st.Admit(op.v, sched)
+				g, liveOK = pol.Admit(op.v)
+			} else {
+				what = "failover"
+				holders := c.Holders(op.v)
+				exclude := holders[op.i%len(holders)]
+				st.FailServer(exclude)
+				simID, simOK = resilience.TryFailover(st, op.v, 1)
+				g, liveOK = pol.Failover(op.v, exclude)
+				c.SetState(exclude, serve.BackendDraining)
+				kept := live[:0]
+				for _, pr := range live {
+					if pr.g.Server != exclude {
+						kept = append(kept, pr)
+					}
+				}
+				live = kept
+			}
+			simServer := -1
+			if simOK {
+				s, _ := st.Lookup(simID)
+				simServer = s.Server
+			}
+			liveServer := -1
+			if liveOK {
+				liveServer = g.Server
+			}
+			if simServer != liveServer {
+				return fmt.Errorf("step %d, %s of video %d: sim picked server %d, daemon %d (-1 = reject)", step, what, op.v, simServer, liveServer)
+			}
+			if simOK {
+				live = append(live, pair{simID, g})
+			}
+		case 1:
+			if len(live) == 0 {
+				continue
+			}
+			i := op.i % len(live)
+			if err := st.Release(live[i].id); err != nil {
+				return err
+			}
+			pol.Release(live[i].g)
+			live = append(live[:i], live[i+1:]...)
+		}
+	}
+	return nil
+}
+
+// TestRankParity is the property: on generated layouts, loads and
+// down/draining sets, the daemon and the simulator pick the same server
+// for every registered policy, on admission and on failover.
+func TestRankParity(t *testing.T) {
+	for seed := int64(1); seed <= 500; seed++ {
+		checkRankParity(t, seed)
+	}
+}
+
+func FuzzRankParity(f *testing.F) {
+	for _, seed := range []int64{1, 2, 3, 42} {
+		f.Add(seed)
+	}
+	f.Fuzz(checkRankParity)
+}

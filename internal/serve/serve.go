@@ -3,9 +3,10 @@
 // problem/layout pair (from the replicate/place pipeline or a persisted
 // plan), tracks per-backend outgoing bandwidth with lock-free atomic
 // accounting (Cluster), and admits, rejects, or redirects session requests
-// through an admission Policy — either the lock-free concurrent policies or
-// the locked sim-parity adapters over the exact cluster.Scheduler/redirect
-// implementations the simulator uses.
+// through an admission Policy — a registered policy's rank (the same
+// cluster.Ranker the simulator's scheduler calls) booked by compare-and-swap,
+// or a locked sim-parity adapter over the exact cluster.Scheduler/redirect
+// chain the simulator runs.
 //
 // Admission runs on the calling goroutine: the policy decides and reserves
 // by compare-and-swap, and the session is registered, with its

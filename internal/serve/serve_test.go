@@ -160,7 +160,7 @@ func TestPolicyAdmitUntilSaturated(t *testing.T) {
 	}
 }
 
-// TestStaticRRMatchesSimPolicy: the lock-free static round-robin makes the
+// TestStaticRRMatchesSimPolicy: the daemon's static round-robin makes the
 // same sequential accept/reject and placement decisions as the locked
 // adapter over the simulator's actual scheduler.
 func TestStaticRRMatchesSimPolicy(t *testing.T) {
@@ -177,10 +177,10 @@ func TestStaticRRMatchesSimPolicy(t *testing.T) {
 		fg, fok := fast.Admit(v)
 		sg, sok := slow.Admit(v)
 		if fok != sok {
-			t.Fatalf("request %d (video %d): lock-free ok=%v, sim ok=%v", i, v, fok, sok)
+			t.Fatalf("request %d (video %d): daemon ok=%v, sim ok=%v", i, v, fok, sok)
 		}
 		if fok && fg.Server != sg.Server {
-			t.Fatalf("request %d (video %d): lock-free server %d, sim server %d", i, v, fg.Server, sg.Server)
+			t.Fatalf("request %d (video %d): daemon server %d, sim server %d", i, v, fg.Server, sg.Server)
 		}
 	}
 }

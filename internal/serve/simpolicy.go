@@ -16,7 +16,7 @@ import (
 // when the problem defines internal bandwidth — behind a mutex. Decisions
 // are bit-identical to sim.Run given the same request order, which is what
 // the cross-validation mode leans on; the price is one lock on the admission
-// path, so the lock-free policies remain the scaling default. The shared
+// path, so the ranked CAS policies remain the scaling default. The shared
 // Cluster gauges are kept in step so /metrics reads the same either way.
 type SimPolicy struct {
 	c *Cluster

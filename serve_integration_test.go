@@ -7,9 +7,9 @@ import (
 	"testing"
 
 	"vodcluster"
-	"vodcluster/internal/cluster"
 	"vodcluster/internal/config"
 	"vodcluster/internal/core"
+	"vodcluster/internal/policy"
 	"vodcluster/internal/serve"
 	"vodcluster/internal/sim"
 	"vodcluster/internal/workload"
@@ -82,10 +82,14 @@ func TestLiveMatchesSimOnSaturatedTrace(t *testing.T) {
 		t.Fatalf("trace has %d requests, want ≈200", n)
 	}
 
+	leastLoaded, err := policy.SchedulerFactory("least-loaded", false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	simRes, err := sim.Run(sim.Config{
 		Problem:      p,
 		Layout:       layout,
-		NewScheduler: func() cluster.Scheduler { return cluster.LeastLoaded{} },
+		NewScheduler: leastLoaded,
 		Trace:        tr,
 		Duration:     tr.Meta.Duration,
 	})
@@ -104,6 +108,7 @@ func TestLiveMatchesSimOnSaturatedTrace(t *testing.T) {
 	if delta := math.Abs(livePct - simPct); delta > 2 {
 		t.Fatalf("live rejection %.2f%% vs simulated %.2f%%: |Δ| = %.2f points exceeds 2", livePct, simPct, delta)
 	}
+	t.Logf("live %.2f%% vs sim %.2f%%", livePct, simPct)
 }
 
 // TestLiveMatchesSimAtPaperOperatingPoint is the acceptance gate on the

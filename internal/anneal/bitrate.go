@@ -111,7 +111,13 @@ func (bp *BitRateProblem) Validate() error {
 	if len(bp.RateSet) == 0 {
 		return fmt.Errorf("anneal: empty rate set")
 	}
+	if len(bp.RateSet) > math.MaxInt16+1 {
+		return fmt.Errorf("anneal: %d rates; a rate index addresses at most %d", len(bp.RateSet), math.MaxInt16+1)
+	}
 	for i, r := range bp.RateSet {
+		if math.IsNaN(r) || math.IsInf(r, 0) {
+			return fmt.Errorf("anneal: rate %d is not finite (%g)", i, r)
+		}
 		if r <= 0 {
 			return fmt.Errorf("anneal: rate %d is non-positive (%g)", i, r)
 		}
@@ -397,18 +403,19 @@ func (bp *BitRateProblem) Propose(l *BitRateLayout, rng *stats.RNG) (any, float6
 	mv.preCost = c.cost
 
 	s := rng.Intn(bp.P.N())
-	onS, offS := c.on[s], c.off[s]
+	ls := &c.lists[s]
+	onS, offN := ls.on, ls.offLen
 	grow := rng.Bernoulli(0.5)
 	switch {
-	case (grow || len(onS) == 0) && len(offS) > 0:
-		v := int(offS[rng.Intn(len(offS))])
+	case (grow || len(onS) == 0) && offN > 0:
+		v := int(ls.offAt(rng.Intn(offN)))
 		c.setCell(l, v, s, 0, true)
 	case len(onS) > 0:
 		v := int(onS[rng.Intn(len(onS))])
 		if int(l.RateIdx[v][s]) < len(bp.RateSet)-1 {
 			c.setCell(l, v, s, l.RateIdx[v][s]+1, true)
-		} else if len(offS) > 0 { // already at max: add instead
-			v = int(offS[rng.Intn(len(offS))])
+		} else if offN > 0 { // already at max: add instead
+			v = int(ls.offAt(rng.Intn(offN)))
 			c.setCell(l, v, s, 0, true)
 		} else {
 			return mv, 0 // no move on this server

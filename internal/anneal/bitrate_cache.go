@@ -1,6 +1,9 @@
 package anneal
 
 import (
+	"math/bits"
+	"slices"
+
 	"vodcluster/internal/core"
 	"vodcluster/internal/stats"
 )
@@ -60,16 +63,12 @@ type brCache struct {
 	totalCopies int
 	orphans     int
 
-	// Membership lists per server: on[s] holds the videos with a copy on s,
-	// off[s] the rest; pos[s][v] is v's index in whichever list it is in.
-	// They make "pick a uniform random (non-)resident video" O(1) instead
-	// of the O(M) classification scan Neighbor pays per proposal.
-	// pos and off are carved out of two flat N·M arrays (a server's off
-	// list can hold the whole catalog), so rebuild never grows them; on
-	// lists are short and grow by append.
-	on  [][]int32
-	off [][]int32
-	pos [][]int32
+	// Membership lists, one per server: the videos with a copy on s, the
+	// rest, and each video's index in whichever list it is in. They make
+	// "pick a uniform random (non-)resident video" O(1) instead of the O(M)
+	// classification scan Neighbor pays per proposal. Only the holders are
+	// stored up front; see holderLists.
+	lists []holderLists
 
 	// Best-so-far tracking: the video rows committed moves changed since
 	// the last Sync, each listed once (isDirty dedups), so dirty never
@@ -96,20 +95,12 @@ func newBRCache(bp *BitRateProblem, l *BitRateLayout) *brCache {
 		isViol:  make([]bool, n),
 		copies:  make([]int32, m),
 		rateSum: make([]float64, m),
-		on:      make([][]int32, n),
-		off:     make([][]int32, n),
-		pos:     make([][]int32, n),
+		lists:   make([]holderLists, n),
 		dirty:   make([]int32, 0, m),
 		isDirty: make([]bool, m),
 	}
 	for v := 0; v < m; v++ {
 		c.popPeak[v] = bp.P.PeakWeight(v)
-	}
-	posFlat := make([]int32, n*m)
-	offFlat := make([]int32, n*m)
-	for s := 0; s < n; s++ {
-		c.pos[s] = posFlat[s*m : (s+1)*m : (s+1)*m]
-		c.off[s] = offFlat[s*m : s*m : (s+1)*m]
 	}
 	c.rebuild(l)
 	return c
@@ -117,16 +108,15 @@ func newBRCache(bp *BitRateProblem, l *BitRateLayout) *brCache {
 
 // rebuild recomputes every accumulator from the layout, resetting drift. It
 // reads each RateIdx row once, collecting the row's holders, and touches the
-// per-server state only at those; then it lays out each server's off list
-// and positions in one sequential sweep over the catalog, filling the runs
-// between the entries of its (ascending) on list.
+// per-server state only at those; each server's on list comes out
+// ascending, which is all its implicit off list and positions need.
 func (c *brCache) rebuild(l *BitRateLayout) {
 	bp := c.bp
 	m, n := bp.P.M(), bp.P.N()
 	for s := 0; s < n; s++ {
 		c.storage[s] = 0
 		c.demand[s] = 0
-		c.on[s] = c.on[s][:0]
+		c.lists[s].on = c.lists[s].on[:0]
 	}
 	c.qualitySum = 0
 	c.totalCopies = 0
@@ -139,8 +129,7 @@ func (c *brCache) rebuild(l *BitRateLayout) {
 			if ri >= 0 {
 				holders = append(holders, s)
 				rateSum += bp.RateSet[ri]
-				c.pos[s][v] = int32(len(c.on[s]))
-				c.on[s] = append(c.on[s], int32(v))
+				c.lists[s].on = append(c.lists[s].on, int32(v))
 			}
 		}
 		copies := int32(len(holders))
@@ -159,21 +148,8 @@ func (c *brCache) rebuild(l *BitRateLayout) {
 			c.demand[s] += w * bp.RateSet[ri]
 		}
 	}
-	for s := 0; s < n; s++ {
-		on, pos, off := c.on[s], c.pos[s], c.off[s][:0]
-		next := int32(0)
-		for k := 0; k <= len(on); k++ {
-			end := int32(m) // past the last holder, the run reaches the catalog's end
-			if k < len(on) {
-				end = on[k]
-			}
-			for ; next < end; next++ {
-				pos[next] = int32(len(off))
-				off = append(off, next)
-			}
-			next = end + 1
-		}
-		c.off[s] = off
+	for s := range c.lists {
+		c.lists[s].reset(m)
 	}
 	c.violCount = 0
 	for s := 0; s < n; s++ {
@@ -263,10 +239,10 @@ func (c *brCache) setCell(l *BitRateLayout, v, s int, newRI int16, record bool) 
 			c.refreshViol(i)
 		}
 		if old < 0 {
-			c.listMove(c.off, c.on, s, v)
+			c.lists[s].add(int32(v))
 			c.totalCopies++
 		} else {
-			c.listMove(c.on, c.off, s, v)
+			c.lists[s].drop(int32(v))
 			c.totalCopies--
 		}
 	}
@@ -304,19 +280,6 @@ func (c *brCache) refreshViol(s int) {
 	} else {
 		c.violCount--
 	}
-}
-
-// listMove transfers v from from[s] to to[s] with a swap-remove, keeping
-// pos consistent. O(1).
-func (c *brCache) listMove(from, to [][]int32, s, v int) {
-	fl := from[s]
-	i := c.pos[s][v]
-	last := fl[len(fl)-1]
-	fl[i] = last
-	c.pos[s][last] = i
-	from[s] = fl[:len(fl)-1]
-	c.pos[s][v] = int32(len(to[s]))
-	to[s] = append(to[s], int32(v))
 }
 
 // eval assembles an Eval from the cached accumulators. O(N): the per-server
@@ -363,7 +326,7 @@ func (c *brCache) repair(l *BitRateLayout, rng *stats.RNG) {
 		}
 		c.lowerable = c.lowerable[:0]
 		c.evictable = c.evictable[:0]
-		for _, v := range c.on[violated] {
+		for _, v := range c.lists[violated].on {
 			ri := l.RateIdx[v][violated]
 			if ri > 0 {
 				c.lowerable = append(c.lowerable, v)
@@ -382,5 +345,248 @@ func (c *brCache) repair(l *BitRateLayout, rng *stats.RNG) {
 		} else {
 			c.setCell(l, int(c.evictable[k-len(c.lowerable)]), violated, -1, true)
 		}
+	}
+}
+
+// holderLists is one server's membership lists: on, the videos with a copy
+// on the server; the off list, the rest; and pos, each video's index in
+// whichever list it is in. Moves keep them with a swap-remove and an
+// append, so the order of every list, and with it the video a uniform index
+// names, is the order the moves wrote.
+//
+// Only on is stored up front. Right after a rebuild, base is a copy of the
+// (ascending) on list, the off list is its ascending complement and every
+// position follows from base by one binary search, so nothing of size M is
+// written. written then holds just the off-list slots and positions that
+// moves have written since, keyed by slot i for off[i] and by m+v for
+// pos[v]. Once it holds more than m>>denseShift entries, the table takes a
+// quarter to half of the bytes dense arrays would, and each read still pays
+// a probe and a binary search; the server then switches to plain off/pos
+// arrays of length m, kept across rebuilds for the next switch.
+type holderLists struct {
+	on     []int32
+	offLen int // length of the off list
+
+	// Implicit state.
+	m       int32
+	base    []int32
+	written slotTable
+
+	// Dense state.
+	dense    bool
+	off, pos []int32
+}
+
+// denseShift sets the switch to dense arrays: once a server's moves have
+// written more than m>>denseShift slots and positions.
+const denseShift = 3
+
+// reset returns the lists to the implicit state for an on list just rebuilt
+// in ascending order over a catalog of m videos.
+func (h *holderLists) reset(m int) {
+	h.m = int32(m)
+	h.base = append(h.base[:0], h.on...)
+	h.offLen = m - len(h.on)
+	h.written.reset()
+	h.dense = false
+}
+
+// offAt returns the video at index i of the off list.
+func (h *holderLists) offAt(i int) int32 {
+	if h.dense {
+		return h.off[i]
+	}
+	return h.implicitOffAt(i)
+}
+
+// implicitOffAt is offAt before the switch to dense arrays, kept apart so
+// the dense read inlines. Unless a move wrote slot i, it names video i+k,
+// where k counts the holders before it: the j with base[j]−j ≤ i, since
+// exactly base[j]−j non-holders precede base[j].
+func (h *holderLists) implicitOffAt(i int) int32 {
+	if v, ok := h.written.get(int32(i)); ok {
+		return v
+	}
+	lo, hi := 0, len(h.base)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if int(h.base[mid])-mid <= i {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return int32(i + lo)
+}
+
+// posOf returns v's index in the list it is in.
+func (h *holderLists) posOf(v int32) int32 {
+	if h.dense {
+		return h.pos[v]
+	}
+	return h.implicitPosOf(v)
+}
+
+// implicitPosOf is posOf before the switch to dense arrays, kept apart so
+// the dense read inlines. Unless a move wrote v's position, a holder sits at
+// its index in base and a non-holder at v minus the holders below it.
+func (h *holderLists) implicitPosOf(v int32) int32 {
+	if p, ok := h.written.get(h.m + v); ok {
+		return p
+	}
+	j, holder := slices.BinarySearch(h.base, v)
+	if holder {
+		return int32(j)
+	}
+	return v - int32(j)
+}
+
+// add moves v from the off list to on: swap-remove, then append. O(1) when
+// dense, O(log holders) implicit.
+func (h *holderLists) add(v int32) {
+	i := h.posOf(v)
+	last := h.offAt(h.offLen - 1)
+	to := int32(len(h.on))
+	if h.dense {
+		h.off[i] = last
+		h.pos[last] = i
+		h.pos[v] = to
+	} else {
+		h.written.put(i, last)
+		h.written.put(h.m+last, i)
+		h.written.put(h.m+v, to)
+		h.maybeDensify()
+	}
+	h.offLen--
+	h.on = append(h.on, v)
+}
+
+// drop moves v from on to the off list: swap-remove, then append. O(1) when
+// dense, O(log holders) implicit.
+func (h *holderLists) drop(v int32) {
+	i := h.posOf(v)
+	last := h.on[len(h.on)-1]
+	h.on[i] = last
+	h.on = h.on[:len(h.on)-1]
+	to := int32(h.offLen)
+	if h.dense {
+		h.pos[last] = i
+		h.pos[v] = to
+		h.off[to] = v
+	} else {
+		h.written.put(h.m+last, i)
+		h.written.put(h.m+v, to)
+		h.written.put(to, v)
+		h.maybeDensify()
+	}
+	h.offLen++
+}
+
+// maybeDensify switches implicit lists to dense arrays once written has
+// outgrown its share of the catalog: it lays out the implicit lists as the
+// runs between the entries of base, then overlays what moves wrote.
+func (h *holderLists) maybeDensify() {
+	m := int(h.m)
+	if h.written.n <= m>>denseShift {
+		return
+	}
+	if h.pos == nil {
+		h.pos = make([]int32, m)
+		h.off = make([]int32, m)
+	}
+	off, next := int32(0), int32(0)
+	for k := 0; k <= len(h.base); k++ {
+		end := h.m // past the last holder, the run reaches the catalog's end
+		if k < len(h.base) {
+			end = h.base[k]
+			h.pos[end] = int32(k)
+		}
+		for ; next < end; next++ {
+			h.pos[next] = off
+			h.off[off] = next
+			off++
+		}
+		next = end + 1
+	}
+	for _, e := range h.written.slots {
+		if e == 0 {
+			continue
+		}
+		if k, val := int32(e>>32)-1, int32(uint32(e)); k < h.m {
+			h.off[k] = val
+		} else {
+			h.pos[k-h.m] = val
+		}
+	}
+	h.dense = true
+}
+
+// slotTable maps non-negative int32 keys to int32 values by open addressing
+// with linear probing. A slot packs key+1 above the value, so 0 is empty.
+// Keys are only ever inserted or overwritten, never deleted.
+type slotTable struct {
+	slots []uint64
+	n     int
+	shift uint8 // 32 − log2(len(slots)), for Fibonacci hashing
+}
+
+func (t *slotTable) home(k int32) uint32 { return (uint32(k) * 0x9E3779B9) >> t.shift }
+
+func (t *slotTable) get(k int32) (int32, bool) {
+	if t.n == 0 {
+		return 0, false
+	}
+	mask := uint32(len(t.slots) - 1)
+	want := uint64(uint32(k)+1) << 32
+	for i := t.home(k); ; i = (i + 1) & mask {
+		e := t.slots[i]
+		if e == 0 {
+			return 0, false
+		}
+		if e&^0xFFFFFFFF == want {
+			return int32(uint32(e)), true
+		}
+	}
+}
+
+func (t *slotTable) put(k, v int32) {
+	if 2*(t.n+1) > len(t.slots) {
+		t.grow()
+	}
+	mask := uint32(len(t.slots) - 1)
+	want := uint64(uint32(k)+1) << 32
+	for i := t.home(k); ; i = (i + 1) & mask {
+		e := t.slots[i]
+		if e == 0 {
+			t.n++
+		} else if e&^0xFFFFFFFF != want {
+			continue
+		}
+		t.slots[i] = want | uint64(uint32(v))
+		return
+	}
+}
+
+// grow doubles the table (16 slots at first) and reinserts every entry.
+func (t *slotTable) grow() {
+	old := t.slots
+	size := 2 * len(old)
+	if size < 16 {
+		size = 16
+	}
+	t.slots = make([]uint64, size)
+	t.shift = uint8(32 - bits.TrailingZeros(uint(size)))
+	t.n = 0
+	for _, e := range old {
+		if e != 0 {
+			t.put(int32(e>>32)-1, int32(uint32(e)))
+		}
+	}
+}
+
+func (t *slotTable) reset() {
+	if t.n > 0 {
+		clear(t.slots)
+		t.n = 0
 	}
 }

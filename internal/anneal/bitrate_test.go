@@ -1,6 +1,7 @@
 package anneal
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -37,22 +38,50 @@ func TestBitRateProblemValidate(t *testing.T) {
 	if err := bp.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := *bp
-	bad.RateSet = nil
-	if err := bad.Validate(); err == nil {
-		t.Fatal("empty rate set accepted")
+	widest := make([]float64, math.MaxInt16+1)
+	for i := range widest {
+		widest[i] = float64(i+1) * core.Kbps
 	}
-	bad.RateSet = []float64{4 * core.Mbps, 2 * core.Mbps}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("descending rate set accepted")
-	}
-	bad.RateSet = []float64{0}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("zero rate accepted")
+	for _, c := range []struct {
+		name  string
+		rates []float64
+		ok    bool
+	}{
+		{"paper set", []float64{2 * core.Mbps, 4 * core.Mbps, 6 * core.Mbps, 8 * core.Mbps}, true},
+		{"every int16 index", widest, true},
+		{"empty", nil, false},
+		{"descending", []float64{4 * core.Mbps, 2 * core.Mbps}, false},
+		{"repeated", []float64{2 * core.Mbps, 2 * core.Mbps}, false},
+		{"zero", []float64{0}, false},
+		{"negative", []float64{-2 * core.Mbps}, false},
+		{"NaN alone", []float64{math.NaN()}, false},
+		{"NaN after a rate", []float64{2 * core.Mbps, math.NaN()}, false},
+		{"NaN before a rate", []float64{math.NaN(), 2 * core.Mbps}, false},
+		{"+Inf after a rate", []float64{2 * core.Mbps, math.Inf(1)}, false},
+		{"-Inf", []float64{math.Inf(-1), 2 * core.Mbps}, false},
+		{"past the int16 index", append(widest, float64(len(widest)+1)*core.Kbps), false},
+	} {
+		bad := *bp
+		bad.RateSet = c.rates
+		if err := bad.Validate(); (err == nil) != c.ok {
+			t.Errorf("%s: Validate = %v, want ok %v", c.name, err, c.ok)
+		}
 	}
 	var nilP BitRateProblem
 	if err := nilP.Validate(); err == nil {
 		t.Fatal("nil problem accepted")
+	}
+}
+
+// TestOptimizeRejectsNonFiniteRates checks that a non-finite rate stops
+// Optimize before it anneals, not with a NaN objective afterwards.
+func TestOptimizeRejectsNonFiniteRates(t *testing.T) {
+	for _, rates := range [][]float64{{2 * core.Mbps, math.NaN()}, {2 * core.Mbps, math.Inf(1)}, {math.NaN()}} {
+		bp := bitrateProblem(t, 12, 3, 30)
+		bp.RateSet = rates
+		if _, _, err := bp.Optimize(Options{InitialTemp: 1, Cooling: 0.9, PlateauSteps: 10, MinTemp: 0.5, Seed: 1}, 1); err == nil {
+			t.Errorf("rates %v: Optimize returned no error", rates)
+		}
 	}
 }
 

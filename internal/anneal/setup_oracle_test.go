@@ -3,7 +3,6 @@ package anneal
 import (
 	"fmt"
 	"reflect"
-	"slices"
 	"testing"
 
 	"vodcluster/internal/core"
@@ -62,16 +61,17 @@ func referenceEvaluate(bp *BitRateProblem, l *BitRateLayout) Eval {
 }
 
 // referenceRebuild is brCache.rebuild as it was: video-major, appending each
-// (video, server) cell to that server's on or off list as it goes, so the N
-// position and off tables are written as N interleaved strided streams.
-func referenceRebuild(c *brCache, l *BitRateLayout) {
+// (video, server) cell to that server's on or off list in d as it goes, so
+// the N position and off tables are written as N interleaved strided
+// streams. It sets c's accumulators and leaves c's lists alone.
+func referenceRebuild(c *brCache, d *denseLists, l *BitRateLayout) {
 	bp := c.bp
 	m, n := bp.P.M(), bp.P.N()
 	for s := 0; s < n; s++ {
 		c.storage[s] = 0
 		c.demand[s] = 0
-		c.on[s] = c.on[s][:0]
-		c.off[s] = c.off[s][:0]
+		d.on[s] = d.on[s][:0]
+		d.off[s] = d.off[s][:0]
 	}
 	c.qualitySum = 0
 	c.totalCopies = 0
@@ -83,11 +83,11 @@ func referenceRebuild(c *brCache, l *BitRateLayout) {
 			if ri := l.RateIdx[v][s]; ri >= 0 {
 				copies++
 				rateSum += bp.RateSet[ri]
-				c.pos[s][v] = int32(len(c.on[s]))
-				c.on[s] = append(c.on[s], int32(v))
+				d.pos[s][v] = int32(len(d.on[s]))
+				d.on[s] = append(d.on[s], int32(v))
 			} else {
-				c.pos[s][v] = int32(len(c.off[s]))
-				c.off[s] = append(c.off[s], int32(v))
+				d.pos[s][v] = int32(len(d.off[s]))
+				d.off[s] = append(d.off[s], int32(v))
 			}
 		}
 		c.copies[v] = copies
@@ -119,8 +119,10 @@ func referenceRebuild(c *brCache, l *BitRateLayout) {
 
 // requireSetupMatchesReference fails unless Evaluate equals referenceEvaluate
 // bit for bit on l, and rebuilding a cache for l (one that has already walked
-// to another layout, when stale is non-nil, so every table entry must be
-// rewritten) leaves exactly the state referenceRebuild does.
+// to another layout, when stale is non-nil, so every list must be rebuilt)
+// leaves exactly the state referenceRebuild does: the same accumulators, and
+// on every server the same on list, off list and positions, read index by
+// index and video by video through the holder lists.
 func requireSetupMatchesReference(t *testing.T, ctx string, bp *BitRateProblem, l *BitRateLayout, stale *brCache) {
 	t.Helper()
 	if got, want := bp.Evaluate(l), referenceEvaluate(bp, l); got != want {
@@ -133,7 +135,8 @@ func requireSetupMatchesReference(t *testing.T, ctx string, bp *BitRateProblem, 
 		got.rebuild(l)
 	}
 	want := newBRCache(bp, l)
-	referenceRebuild(want, l)
+	lists := newDenseLists(bp.P.M(), bp.P.N())
+	referenceRebuild(want, lists, l)
 	for _, f := range []struct {
 		name      string
 		got, want any
@@ -147,29 +150,15 @@ func requireSetupMatchesReference(t *testing.T, ctx string, bp *BitRateProblem, 
 		{"qualitySum", got.qualitySum, want.qualitySum},
 		{"totalCopies", got.totalCopies, want.totalCopies},
 		{"orphans", got.orphans, want.orphans},
-		{"on", sameLists(got.on, want.on), true},
-		{"off", sameLists(got.off, want.off), true},
-		{"pos", sameLists(got.pos, want.pos), true},
 		{"cost", got.cost, want.cost},
 	} {
 		if !reflect.DeepEqual(f.got, f.want) {
 			t.Fatalf("%s: rebuilt %s differs from the reference", ctx, f.name)
 		}
 	}
-}
-
-// sameLists reports whether a and b hold the same per-server lists, element
-// for element; an empty list equals a nil one.
-func sameLists(a, b [][]int32) bool {
-	if len(a) != len(b) {
-		return false
+	for s := range got.lists {
+		requireListsMatch(t, ctx, got, lists, s)
 	}
-	for s := range a {
-		if !slices.Equal(a[s], b[s]) {
-			return false
-		}
-	}
-	return true
 }
 
 // randomLayout fills an m×n layout at the given density with random rates;

@@ -152,6 +152,7 @@ fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzRankParity -fuzztime=$(FUZZTIME) ./internal/serve/
 	$(GO) test -run=Fuzz -fuzz=FuzzEngineOrder -fuzztime=$(FUZZTIME) ./internal/sim/
 	$(GO) test -run=Fuzz -fuzz=FuzzHolderLists -fuzztime=$(FUZZTIME) ./internal/anneal/
+	$(GO) test -run=Fuzz -fuzz=FuzzSparseLayout -fuzztime=$(FUZZTIME) ./internal/anneal/
 
 clean:
 	rm -f cover.out

@@ -76,11 +76,7 @@ func main() {
 		minRate, maxRate := -1.0, 0.0
 		for v := tier.from; v <= tier.to; v++ {
 			videos++
-			for s := 0; s < problem.N(); s++ {
-				ri := best.RateIdx[v][s]
-				if ri < 0 {
-					continue
-				}
+			best.EachCopy(v, func(_ int, ri int16) {
 				copies++
 				r := bp.RateSet[ri] / core.Mbps
 				rateSum += r
@@ -90,7 +86,7 @@ func main() {
 				if r > maxRate {
 					maxRate = r
 				}
-			}
+			})
 		}
 		t.AddRowf(tier.name, videos, float64(copies)/float64(videos), rateSum/float64(copies),
 			fmt.Sprintf("%.0f..%.0f", minRate, maxRate))

@@ -57,7 +57,7 @@ func referenceMinimizeDelta[S, M any](p DeltaProblem[S, M], initial S, opts Opti
 // cell, BestCost, Steps, Accepted and every CostTrace sample bit for bit.
 func requireSameResult(t *testing.T, ctx string, got, want Result[*BitRateLayout]) {
 	t.Helper()
-	if !reflect.DeepEqual(got.Best.RateIdx, want.Best.RateIdx) {
+	if !reflect.DeepEqual(snapshotRateIdx(got.Best), snapshotRateIdx(want.Best)) {
 		t.Fatalf("%s: Best differs from the reference's", ctx)
 	}
 	if got.BestCost != want.BestCost || got.Steps != want.Steps || got.Accepted != want.Accepted {
@@ -175,7 +175,7 @@ func TestSyncCopiesDirtyRows(t *testing.T) {
 				if len(c.dirty) != 0 {
 					t.Fatalf("shape %d step %d: Sync left %d dirty rows", shape, step, len(c.dirty))
 				}
-				if !sameRateIdx(best.RateIdx, cur) {
+				if !sameRateIdx(snapshotRateIdx(best), cur) {
 					t.Fatalf("shape %d step %d: best differs from cur after Sync", shape, step)
 				}
 			}
@@ -205,7 +205,9 @@ func TestBestDoesNotAliasWorkingState(t *testing.T) {
 	snap := snapshotRateIdx(first.Best)
 	copied := NewBitRateLayout(bp.P.M(), bp.P.N())
 	for v := range snap {
-		copy(copied.RateIdx[v], snap[v])
+		for s, ri := range snap[v] {
+			copied.SetRate(v, s, ri)
+		}
 	}
 
 	again := Options{InitialTemp: 0.05, Cooling: 0.9, PlateauSteps: 100, MinTemp: 1e-3, MaxSteps: 3_000, Seed: 6}
@@ -221,7 +223,7 @@ func TestBestDoesNotAliasWorkingState(t *testing.T) {
 	if !sameRateIdx(snap, first.Best) {
 		t.Fatal("re-annealing from Best changed it")
 	}
-	if &fromBest.Best.RateIdx[0][0] == &first.Best.RateIdx[0][0] {
+	if &fromBest.Best.rows[0][0] == &first.Best.rows[0][0] {
 		t.Fatal("the second run's Best shares storage with its initial state")
 	}
 

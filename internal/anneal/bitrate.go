@@ -13,71 +13,177 @@ import (
 // encoding rate. Unlike the fixed-rate Layout, different copies of one video
 // may be encoded at different rates — the flexibility the paper's conclusion
 // highlights for serving heterogeneous clients.
+//
+// A layout stores each video's copies, not an M×N grid, so building,
+// cloning and scanning one costs O(M + copies). Read it through Rate,
+// Copies and EachCopy and write it through SetRate.
 type BitRateLayout struct {
-	// RateIdx[v][s] is the index into the problem's RateSet of the copy of
-	// video v on server s, or -1 when s holds no copy of v.
-	RateIdx [][]int16
+	n int // servers
+
+	// rows[v] lists video v's copies in ascending server order. Rows are
+	// windows into shared backing arrays, each capped at its own capacity,
+	// so a row that grows moves to fresh space and never writes into its
+	// neighbour.
+	rows [][]brCopy
+	// spare is the unused tail of the chunk the last moved row was cut
+	// from; the rows that grow next are cut from it too. chunk is that
+	// chunk's length.
+	spare []brCopy
+	chunk int
 
 	// cache is the delta-evaluation state the DeltaProblem fast path
 	// maintains alongside the layout; it is built lazily on the first
-	// Propose and dropped by clone, so every annealing chain owns exactly
-	// one. Mutating RateIdx directly invalidates it — external code must
-	// treat layouts handed to the delta engine as opaque.
+	// Propose and dropped by clone and SetRate, so every annealing chain
+	// owns exactly one and outside writes cannot leave it stale.
 	cache *brCache
 }
 
-// newLayout returns a zeroed m×n layout whose rows are windows into one
-// backing array, so a layout is three allocations instead of M+2. Rows are
-// capped at their length, so an append to one cannot reach into the next.
-func newLayout(m, n int) *BitRateLayout {
-	l := &BitRateLayout{RateIdx: make([][]int16, m)}
-	flat := make([]int16, m*n)
-	for v := range l.RateIdx {
-		l.RateIdx[v] = flat[v*n : (v+1)*n : (v+1)*n]
-	}
-	return l
+// brCopy is one copy of a video: its server and the index of its rate in
+// the problem's RateSet.
+type brCopy struct {
+	s  uint16
+	ri int16
 }
 
-// NewBitRateLayout returns an empty layout for m videos and n servers.
+// NewBitRateLayout returns an empty layout for m videos and n servers. It
+// panics when n exceeds maxServers, which BitRateProblem.Validate reports
+// as an error.
 func NewBitRateLayout(m, n int) *BitRateLayout {
-	l := newLayout(m, n)
-	for _, row := range l.RateIdx {
-		for s := range row {
-			row[s] = -1
-		}
+	if n > maxServers {
+		panic(fmt.Sprintf("anneal: %d servers; a copy addresses at most %d", n, maxServers))
 	}
-	return l
+	return &BitRateLayout{n: n, rows: make([][]brCopy, m)}
+}
+
+// maxServers is the most servers a brCopy's server field addresses.
+const maxServers = math.MaxUint16 + 1
+
+// M returns the number of videos the layout covers.
+func (l *BitRateLayout) M() int { return len(l.rows) }
+
+// N returns the number of servers the layout covers.
+func (l *BitRateLayout) N() int { return l.n }
+
+// Rate returns the index into the problem's RateSet of the copy of video v
+// on server s, or -1 when s holds no copy of v.
+func (l *BitRateLayout) Rate(v, s int) int16 {
+	if k, held := l.find(v, s); held {
+		return l.rows[v][k].ri
+	}
+	return -1
+}
+
+// SetRate sets the rate index of the copy of video v on server s; -1
+// removes the copy. It drops the layout's delta-evaluation cache.
+func (l *BitRateLayout) SetRate(v, s int, ri int16) {
+	if s < 0 || s >= l.n {
+		panic(fmt.Sprintf("anneal: server %d out of range [0, %d)", s, l.n))
+	}
+	l.cache = nil
+	l.set(v, s, ri)
 }
 
 // Copies returns how many servers hold video v.
-func (l *BitRateLayout) Copies(v int) int {
-	c := 0
-	for _, ri := range l.RateIdx[v] {
-		if ri >= 0 {
-			c++
-		}
-	}
-	return c
-}
+func (l *BitRateLayout) Copies(v int) int { return len(l.rows[v]) }
 
 // TotalCopies returns the number of (video, server) placements.
 func (l *BitRateLayout) TotalCopies() int {
 	total := 0
-	for v := range l.RateIdx {
-		total += l.Copies(v)
+	for _, row := range l.rows {
+		total += len(row)
 	}
 	return total
 }
 
-// clone deep-copies the layout, without its cache.
-func (l *BitRateLayout) clone() *BitRateLayout {
-	m, n := len(l.RateIdx), 0
-	if m > 0 {
-		n = len(l.RateIdx[0])
+// EachCopy calls f with the server and rate index of every copy of video v,
+// in ascending server order.
+func (l *BitRateLayout) EachCopy(v int, f func(s int, ri int16)) {
+	for _, c := range l.rows[v] {
+		f(int(c.s), c.ri)
 	}
-	c := newLayout(m, n)
-	for v, row := range l.RateIdx {
-		copy(c.RateIdx[v], row)
+}
+
+// find returns the index of server s in v's row and whether s holds v;
+// when it does not, the index is where s's copy would go.
+func (l *BitRateLayout) find(v, s int) (int, bool) {
+	row := l.rows[v]
+	for k, c := range row {
+		if int(c.s) >= s {
+			return k, int(c.s) == s
+		}
+	}
+	return len(row), false
+}
+
+// set is SetRate without dropping the cache, for the cache's own writes.
+func (l *BitRateLayout) set(v, s int, ri int16) {
+	k, held := l.find(v, s)
+	switch {
+	case held && ri >= 0:
+		l.rows[v][k].ri = ri
+	case held:
+		l.remove(v, k)
+	case ri >= 0:
+		l.insert(v, k, brCopy{s: uint16(s), ri: ri})
+	}
+}
+
+// insert puts c at index k of v's row.
+func (l *BitRateLayout) insert(v, k int, c brCopy) {
+	l.reserve(v, len(l.rows[v])+1)
+	row := l.rows[v][:len(l.rows[v])+1]
+	for i := len(row) - 1; i > k; i-- {
+		row[i] = row[i-1]
+	}
+	row[k] = c
+	l.rows[v] = row
+}
+
+// remove deletes index k of v's row.
+func (l *BitRateLayout) remove(v, k int) {
+	row := l.rows[v]
+	for i := k + 1; i < len(row); i++ {
+		row[i-1] = row[i]
+	}
+	l.rows[v] = row[:len(row)-1]
+}
+
+// reserve gives v's row room for want copies. A row that is full moves to
+// the spare chunk, with room for twice its length. Each new chunk is at
+// least twice the last, so a layout's rows grow in a few allocations
+// however many of them grow.
+func (l *BitRateLayout) reserve(v, want int) {
+	row := l.rows[v]
+	if cap(row) >= want {
+		return
+	}
+	size := max(min(2*len(row), l.n), want)
+	if len(l.spare) < size {
+		l.chunk = max(size, 2*l.chunk, len(l.rows)/16, 8)
+		l.spare = make([]brCopy, l.chunk)
+	}
+	moved := l.spare[:len(row):size]
+	l.spare = l.spare[size:]
+	copy(moved, row)
+	l.rows[v] = moved
+}
+
+// setRow makes v's row a copy of src.
+func (l *BitRateLayout) setRow(v int, src []brCopy) {
+	l.reserve(v, len(src))
+	l.rows[v] = append(l.rows[v][:0], src...)
+}
+
+// clone deep-copies the layout, without its cache, into one backing array
+// sized to the copies.
+func (l *BitRateLayout) clone() *BitRateLayout {
+	flat := make([]brCopy, l.TotalCopies())
+	c := &BitRateLayout{n: l.n, rows: make([][]brCopy, len(l.rows))}
+	off := 0
+	for v, row := range l.rows {
+		end := off + copy(flat[off:], row)
+		c.rows[v] = flat[off:end:end]
+		off = end
 	}
 	return c
 }
@@ -107,6 +213,9 @@ func (bp *BitRateProblem) Validate() error {
 	}
 	if err := bp.P.Validate(); err != nil {
 		return err
+	}
+	if n := bp.P.N(); n > maxServers {
+		return fmt.Errorf("anneal: %d servers; a copy addresses at most %d", n, maxServers)
 	}
 	if len(bp.RateSet) == 0 {
 		return fmt.Errorf("anneal: empty rate set")
@@ -149,6 +258,7 @@ func (bp *BitRateProblem) InitialSolution() (*BitRateLayout, error) {
 	}
 	m, n := bp.P.M(), bp.P.N()
 	l := NewBitRateLayout(m, n)
+	flat := make([]brCopy, m)
 	used := make([]float64, n)
 	for v := 0; v < m; v++ {
 		s := v % n
@@ -156,7 +266,8 @@ func (bp *BitRateProblem) InitialSolution() (*BitRateLayout, error) {
 		if used[s]+size > bp.P.StorageOf(s) {
 			return nil, fmt.Errorf("anneal: initial solution does not fit: server %d full at video %d", s, v)
 		}
-		l.RateIdx[v][s] = 0
+		flat[v] = brCopy{s: uint16(s)}
+		l.rows[v] = flat[v : v+1 : v+1]
 		used[s] += size
 	}
 	return l, nil
@@ -185,8 +296,8 @@ func (e Eval) Feasible() bool {
 	return e.StorageViolation == 0 && e.BandwidthViolation == 0 && e.Orphans == 0
 }
 
-// Evaluate scores a state. It reads each RateIdx row once, collecting the
-// row's holders, and touches the per-server sums only at those.
+// Evaluate scores a state. It walks each video's copies twice, once for
+// its rate sum and once for the per-server sums.
 func (bp *BitRateProblem) Evaluate(l *BitRateLayout) Eval {
 	var e Eval
 	p := bp.P
@@ -194,18 +305,14 @@ func (bp *BitRateProblem) Evaluate(l *BitRateLayout) Eval {
 	peak := p.PeakRequests()
 	storage := make([]float64, n)
 	demand := make([]float64, n)
-	holders := make([]int, 0, n)
 	totalCopies := 0
 	for v := 0; v < m; v++ {
-		holders = holders[:0]
+		row := l.rows[v]
 		rateSum := 0.0
-		for s, ri := range l.RateIdx[v] {
-			if ri >= 0 {
-				holders = append(holders, s)
-				rateSum += bp.RateSet[ri]
-			}
+		for _, c := range row {
+			rateSum += bp.RateSet[c.ri]
 		}
-		copies := len(holders)
+		copies := len(row)
 		if copies == 0 {
 			e.Orphans++
 			continue
@@ -213,10 +320,9 @@ func (bp *BitRateProblem) Evaluate(l *BitRateLayout) Eval {
 		totalCopies += copies
 		e.MeanRateMbps += rateSum / float64(copies) / core.Mbps
 		w := p.Catalog[v].Popularity * peak / float64(copies)
-		for _, s := range holders {
-			ri := l.RateIdx[v][s]
-			storage[s] += bp.copySizeBytes(v, ri)
-			demand[s] += w * bp.RateSet[ri]
+		for _, c := range row {
+			storage[c.s] += bp.copySizeBytes(v, c.ri)
+			demand[c.s] += w * bp.RateSet[c.ri]
 		}
 	}
 	e.MeanRateMbps /= float64(m)
@@ -229,10 +335,21 @@ func (bp *BitRateProblem) Evaluate(l *BitRateLayout) Eval {
 			e.BandwidthViolation += over
 		}
 	}
-	e.Imbalance = core.ImbalanceMax(demand)
-	obj := bp.objective()
-	e.Objective = e.MeanRateMbps + obj.Alpha*e.Degree - obj.Beta*e.Imbalance
+	bp.score(&e, demand)
 	return e
+}
+
+// score sets e's imbalance from the per-server demand, by Eq. 2 or, when
+// the objective asks for it, Eq. 3's coefficient of variation, and then
+// its Eq. 1 objective. Evaluate and the delta cache share it.
+func (bp *BitRateProblem) score(e *Eval, demand []float64) {
+	obj := bp.objective()
+	if obj.UseStdImbalance {
+		e.Imbalance = core.ImbalanceCV(demand)
+	} else {
+		e.Imbalance = core.ImbalanceMax(demand)
+	}
+	e.Objective = e.MeanRateMbps + obj.Alpha*e.Degree - obj.Beta*e.Imbalance
 }
 
 // Cost implements Problem: the negated objective plus severe penalties for
@@ -275,7 +392,7 @@ func (bp *BitRateProblem) Neighbor(l *BitRateLayout, rng *stats.RNG) *BitRateLay
 	onServer := make([]int, 0, m)
 	offServer := make([]int, 0, m)
 	for v := 0; v < m; v++ {
-		if l.RateIdx[v][s] >= 0 {
+		if l.Rate(v, s) >= 0 {
 			onServer = append(onServer, v)
 		} else {
 			offServer = append(offServer, v)
@@ -290,8 +407,8 @@ func (bp *BitRateProblem) Neighbor(l *BitRateLayout, rng *stats.RNG) *BitRateLay
 		mutV = offServer[rng.Intn(len(offServer))]
 	case len(onServer) > 0:
 		v := onServer[rng.Intn(len(onServer))]
-		if int(l.RateIdx[v][s]) < len(bp.RateSet)-1 {
-			mutV, mutRI = v, l.RateIdx[v][s]+1
+		if ri := l.Rate(v, s); int(ri) < len(bp.RateSet)-1 {
+			mutV, mutRI = v, ri+1
 		} else if len(offServer) > 0 { // already at max: add instead
 			mutV = offServer[rng.Intn(len(offServer))]
 		}
@@ -301,7 +418,7 @@ func (bp *BitRateProblem) Neighbor(l *BitRateLayout, rng *stats.RNG) *BitRateLay
 	}
 
 	nl := l.clone()
-	nl.RateIdx[mutV][s] = mutRI
+	nl.set(mutV, s, mutRI)
 	bp.repair(nl, rng)
 	return nl
 }
@@ -316,7 +433,7 @@ func (bp *BitRateProblem) serverLoad(l *BitRateLayout, s int) (storage, demand f
 	p := bp.P
 	peak := p.PeakRequests()
 	for v := 0; v < p.M(); v++ {
-		ri := l.RateIdx[v][s]
+		ri := l.Rate(v, s)
 		if ri < 0 {
 			continue
 		}
@@ -361,7 +478,7 @@ func (bp *BitRateProblem) repair(l *BitRateLayout, rng *stats.RNG) {
 		lowerable = lowerable[:0]
 		evictable = evictable[:0]
 		for v := 0; v < m; v++ {
-			ri := l.RateIdx[v][violated]
+			ri := l.Rate(v, violated)
 			if ri < 0 {
 				continue
 			}
@@ -377,9 +494,10 @@ func (bp *BitRateProblem) repair(l *BitRateLayout, rng *stats.RNG) {
 		}
 		k := rng.Intn(total)
 		if k < len(lowerable) {
-			l.RateIdx[lowerable[k]][violated]--
+			v := lowerable[k]
+			l.set(v, violated, l.Rate(v, violated)-1)
 		} else {
-			l.RateIdx[evictable[k-len(lowerable)]][violated] = -1
+			l.set(evictable[k-len(lowerable)], violated, -1)
 		}
 	}
 }
@@ -392,9 +510,10 @@ var (
 
 // Propose implements DeltaProblem: the same move structure as Neighbor, but
 // executed in place against the layout's cached evaluation state, so the
-// cost delta comes out in O(changed cells) instead of an M×N rescan. The
-// returned move is a reused scratch buffer owned by the layout's cache —
-// valid only until the next Propose, per the DeltaProblem contract.
+// cost delta comes out in O(changed cells) instead of a rescan of the
+// layout. The returned move is a reused scratch buffer owned by the
+// layout's cache — valid only until the next Propose, per the DeltaProblem
+// contract.
 func (bp *BitRateProblem) Propose(l *BitRateLayout, rng *stats.RNG) (any, float64) {
 	c := bp.ensureCache(l)
 	c.maybeRebuild(l)
@@ -411,12 +530,11 @@ func (bp *BitRateProblem) Propose(l *BitRateLayout, rng *stats.RNG) (any, float6
 		v := int(ls.offAt(rng.Intn(offN)))
 		c.setCell(l, v, s, 0, true)
 	case len(onS) > 0:
-		v := int(onS[rng.Intn(len(onS))])
-		if int(l.RateIdx[v][s]) < len(bp.RateSet)-1 {
-			c.setCell(l, v, s, l.RateIdx[v][s]+1, true)
+		k := rng.Intn(len(onS))
+		if ri := ls.onRI[k]; int(ri) < len(bp.RateSet)-1 {
+			c.setCell(l, int(onS[k]), s, ri+1, true)
 		} else if offN > 0 { // already at max: add instead
-			v = int(ls.offAt(rng.Intn(offN)))
-			c.setCell(l, v, s, 0, true)
+			c.setCell(l, int(ls.offAt(rng.Intn(offN))), s, 0, true)
 		} else {
 			return mv, 0 // no move on this server
 		}
@@ -453,7 +571,7 @@ func (bp *BitRateProblem) Sync(best, cur *BitRateLayout) {
 		return
 	}
 	for _, v := range c.dirty {
-		copy(best.RateIdx[v], cur.RateIdx[v])
+		best.setRow(int(v), cur.rows[v])
 		c.isDirty[v] = false
 	}
 	c.dirty = c.dirty[:0]
@@ -516,29 +634,26 @@ func (bp *BitRateProblem) Runtime(l *BitRateLayout) (*core.Layout, [][]float64, 
 		return nil, nil, err
 	}
 	m, n := bp.P.M(), bp.P.N()
-	if len(l.RateIdx) != m {
-		return nil, nil, fmt.Errorf("anneal: layout covers %d videos; problem has %d", len(l.RateIdx), m)
+	if l.M() != m {
+		return nil, nil, fmt.Errorf("anneal: layout covers %d videos; problem has %d", l.M(), m)
+	}
+	if l.N() != n {
+		return nil, nil, fmt.Errorf("anneal: layout covers %d servers; problem has %d", l.N(), n)
 	}
 	layout := core.NewLayout(m)
 	rates := make([][]float64, m)
 	for v := 0; v < m; v++ {
-		if len(l.RateIdx[v]) != n {
-			return nil, nil, fmt.Errorf("anneal: video %d covers %d servers; want %d", v, len(l.RateIdx[v]), n)
-		}
 		rates[v] = make([]float64, n)
-		for s := 0; s < n; s++ {
-			ri := l.RateIdx[v][s]
-			if ri < 0 {
-				continue
-			}
-			if int(ri) >= len(bp.RateSet) {
-				return nil, nil, fmt.Errorf("anneal: video %d on server %d has rate index %d of %d", v, s, ri, len(bp.RateSet))
+		for _, c := range l.rows[v] {
+			s := int(c.s)
+			if int(c.ri) >= len(bp.RateSet) {
+				return nil, nil, fmt.Errorf("anneal: video %d on server %d has rate index %d of %d", v, s, c.ri, len(bp.RateSet))
 			}
 			if err := layout.Place(v, s); err != nil {
 				return nil, nil, err
 			}
 			layout.Replicas[v]++
-			rates[v][s] = bp.RateSet[ri]
+			rates[v][s] = bp.RateSet[c.ri]
 		}
 		if layout.Replicas[v] == 0 {
 			return nil, nil, fmt.Errorf("anneal: video %d has no copy", v)

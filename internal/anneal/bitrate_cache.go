@@ -10,7 +10,8 @@ import (
 
 // rebuildEvery bounds floating-point drift in the cached accumulators: after
 // this many committed moves the cache is recomputed from the layout. The
-// rebuild is O(M·N) but amortizes to well under one cell visit per proposal.
+// rebuild is O(M + N + copies) and amortizes to well under one copy visit
+// per proposal.
 const rebuildEvery = 1 << 16
 
 // brCell records one cell's pre-change rate index so a move can be undone.
@@ -63,11 +64,11 @@ type brCache struct {
 	totalCopies int
 	orphans     int
 
-	// Membership lists, one per server: the videos with a copy on s, the
-	// rest, and each video's index in whichever list it is in. They make
-	// "pick a uniform random (non-)resident video" O(1) instead of the O(M)
-	// classification scan Neighbor pays per proposal. Only the holders are
-	// stored up front; see holderLists.
+	// Membership lists, one per server: the videos with a copy on s with
+	// their rate indices, the rest, and each video's index in whichever list
+	// it is in. They make "pick a uniform random (non-)resident video" O(1)
+	// instead of the O(M) classification scan Neighbor pays per proposal.
+	// Only the holders are stored up front; see holderLists.
 	lists []holderLists
 
 	// Best-so-far tracking: the video rows committed moves changed since
@@ -102,14 +103,27 @@ func newBRCache(bp *BitRateProblem, l *BitRateLayout) *brCache {
 	for v := 0; v < m; v++ {
 		c.popPeak[v] = bp.P.PeakWeight(v)
 	}
+	// Size each server's on list for its holders and a quarter more, so
+	// rebuild and the first moves append without regrowing them.
+	held := make([]int, n)
+	for _, row := range l.rows {
+		for _, cp := range row {
+			held[cp.s]++
+		}
+	}
+	for s, k := range held {
+		k += k/4 + 8
+		c.lists[s].on = make([]int32, 0, k)
+		c.lists[s].onRI = make([]int16, 0, k)
+	}
 	c.rebuild(l)
 	return c
 }
 
 // rebuild recomputes every accumulator from the layout, resetting drift. It
-// reads each RateIdx row once, collecting the row's holders, and touches the
-// per-server state only at those; each server's on list comes out
-// ascending, which is all its implicit off list and positions need.
+// walks each video's copies in ascending video order, so each server's on
+// list comes out ascending, which is all its implicit off list and
+// positions need.
 func (c *brCache) rebuild(l *BitRateLayout) {
 	bp := c.bp
 	m, n := bp.P.M(), bp.P.N()
@@ -117,22 +131,21 @@ func (c *brCache) rebuild(l *BitRateLayout) {
 		c.storage[s] = 0
 		c.demand[s] = 0
 		c.lists[s].on = c.lists[s].on[:0]
+		c.lists[s].onRI = c.lists[s].onRI[:0]
 	}
 	c.qualitySum = 0
 	c.totalCopies = 0
 	c.orphans = 0
-	holders := make([]int, 0, n)
 	for v := 0; v < m; v++ {
-		holders = holders[:0]
+		row := l.rows[v]
 		rateSum := 0.0
-		for s, ri := range l.RateIdx[v] {
-			if ri >= 0 {
-				holders = append(holders, s)
-				rateSum += bp.RateSet[ri]
-				c.lists[s].on = append(c.lists[s].on, int32(v))
-			}
+		for _, cp := range row {
+			rateSum += bp.RateSet[cp.ri]
+			h := &c.lists[cp.s]
+			h.on = append(h.on, int32(v))
+			h.onRI = append(h.onRI, cp.ri)
 		}
-		copies := int32(len(holders))
+		copies := int32(len(row))
 		c.copies[v] = copies
 		c.rateSum[v] = rateSum
 		if copies == 0 {
@@ -142,10 +155,9 @@ func (c *brCache) rebuild(l *BitRateLayout) {
 		c.totalCopies += int(copies)
 		c.qualitySum += rateSum / float64(copies)
 		w := c.popPeak[v] / float64(copies)
-		for _, s := range holders {
-			ri := l.RateIdx[v][s]
-			c.storage[s] += bp.copySizeBytes(v, ri)
-			c.demand[s] += w * bp.RateSet[ri]
+		for _, cp := range row {
+			c.storage[cp.s] += bp.copySizeBytes(v, cp.ri)
+			c.demand[cp.s] += w * bp.RateSet[cp.ri]
 		}
 	}
 	for s := range c.lists {
@@ -173,11 +185,15 @@ func (c *brCache) maybeRebuild(l *BitRateLayout) {
 
 // setCell changes one (video, server) cell to the given rate index (-1 =
 // no copy), updating every accumulator. With record set the pre-change
-// value is appended to the move log so Revert can undo it. Cost: O(1) for
-// rate-only changes; O(copies of v) when the copy count changes, for the
-// cross-server demand ripple.
+// value is appended to the move log so Revert can undo it. Cost: one scan
+// of v's copies to find s, plus O(1) for rate-only changes, or the
+// cross-server demand ripple over v's copies when the copy count changes.
 func (c *brCache) setCell(l *BitRateLayout, v, s int, newRI int16, record bool) {
-	old := l.RateIdx[v][s]
+	k, held := l.find(v, s)
+	old := int16(-1)
+	if held {
+		old = l.rows[v][k].ri
+	}
 	if old == newRI {
 		return
 	}
@@ -185,7 +201,6 @@ func (c *brCache) setCell(l *BitRateLayout, v, s int, newRI int16, record bool) 
 		c.mv.cells = append(c.mv.cells, brCell{v: int32(v), s: int32(s), old: old})
 	}
 	bp := c.bp
-	n := bp.P.N()
 
 	var oldSize, oldRate, newSize, newRate float64
 	if old >= 0 {
@@ -211,13 +226,17 @@ func (c *brCache) setCell(l *BitRateLayout, v, s int, newRI int16, record bool) 
 	rOld := c.rateSum[v]
 	rNew := rOld - oldRate + newRate
 
+	h := &c.lists[s]
 	if cNew == cOld {
 		// Rate change on an existing copy: only server s's demand moves.
 		w := c.popPeak[v] / float64(cOld)
 		c.demand[s] += w * (newRate - oldRate)
 		c.refreshViol(s)
+		l.rows[v][k].ri = newRI
+		h.onRI[h.posOf(int32(v))] = newRI
 	} else {
-		// Copy count changed: w_v shifts on every server holding v.
+		// Copy count changed: w_v shifts on every server holding v. Each
+		// server's demand takes one update, so the order is immaterial.
 		wOld, wNew := 0.0, 0.0
 		if cOld > 0 {
 			wOld = c.popPeak[v] / float64(cOld)
@@ -225,28 +244,24 @@ func (c *brCache) setCell(l *BitRateLayout, v, s int, newRI int16, record bool) 
 		if cNew > 0 {
 			wNew = c.popPeak[v] / float64(cNew)
 		}
-		for i := 0; i < n; i++ {
-			ri := l.RateIdx[v][i]
-			if i == s {
-				c.demand[i] += wNew*newRate - wOld*oldRate
+		for _, cp := range l.rows[v] {
+			if i := int(cp.s); i != s {
+				c.demand[i] += bp.RateSet[cp.ri] * (wNew - wOld)
 				c.refreshViol(i)
-				continue
 			}
-			if ri < 0 {
-				continue
-			}
-			c.demand[i] += bp.RateSet[ri] * (wNew - wOld)
-			c.refreshViol(i)
 		}
+		c.demand[s] += wNew*newRate - wOld*oldRate
+		c.refreshViol(s)
 		if old < 0 {
-			c.lists[s].add(int32(v))
+			h.add(int32(v), newRI)
+			l.insert(v, k, brCopy{s: uint16(s), ri: newRI})
 			c.totalCopies++
 		} else {
-			c.lists[s].drop(int32(v))
+			h.drop(int32(v))
+			l.remove(v, k)
 			c.totalCopies--
 		}
 	}
-	l.RateIdx[v][s] = newRI
 	c.copies[v] = int32(cNew)
 	c.rateSum[v] = rNew
 
@@ -301,9 +316,7 @@ func (c *brCache) eval() Eval {
 			e.BandwidthViolation += over
 		}
 	}
-	e.Imbalance = core.ImbalanceMax(c.demand)
-	obj := bp.objective()
-	e.Objective = e.MeanRateMbps + obj.Alpha*e.Degree - obj.Beta*e.Imbalance
+	bp.score(&e, c.demand)
 	return e
 }
 
@@ -324,14 +337,16 @@ func (c *brCache) repair(l *BitRateLayout, rng *stats.RNG) {
 				break
 			}
 		}
+		// The candidates are indices into the on list, so a lowered
+		// copy's rate comes from onRI.
+		h := &c.lists[violated]
 		c.lowerable = c.lowerable[:0]
 		c.evictable = c.evictable[:0]
-		for _, v := range c.lists[violated].on {
-			ri := l.RateIdx[v][violated]
-			if ri > 0 {
-				c.lowerable = append(c.lowerable, v)
+		for i, v := range h.on {
+			if h.onRI[i] > 0 {
+				c.lowerable = append(c.lowerable, int32(i))
 			} else if c.copies[v] > 1 {
-				c.evictable = append(c.evictable, v)
+				c.evictable = append(c.evictable, int32(i))
 			}
 		}
 		total := len(c.lowerable) + len(c.evictable)
@@ -340,19 +355,19 @@ func (c *brCache) repair(l *BitRateLayout, rng *stats.RNG) {
 		}
 		k := rng.Intn(total)
 		if k < len(c.lowerable) {
-			v := int(c.lowerable[k])
-			c.setCell(l, v, violated, l.RateIdx[v][violated]-1, true)
+			i := c.lowerable[k]
+			c.setCell(l, int(h.on[i]), violated, h.onRI[i]-1, true)
 		} else {
-			c.setCell(l, int(c.evictable[k-len(c.lowerable)]), violated, -1, true)
+			c.setCell(l, int(h.on[c.evictable[k-len(c.lowerable)]]), violated, -1, true)
 		}
 	}
 }
 
 // holderLists is one server's membership lists: on, the videos with a copy
-// on the server; the off list, the rest; and pos, each video's index in
-// whichever list it is in. Moves keep them with a swap-remove and an
-// append, so the order of every list, and with it the video a uniform index
-// names, is the order the moves wrote.
+// on the server, and onRI, each one's rate index there; the off list, the
+// rest; and pos, each video's index in whichever list it is in. Moves keep
+// them with a swap-remove and an append, so the order of every list, and
+// with it the video a uniform index names, is the order the moves wrote.
 //
 // Only on is stored up front. Right after a rebuild, base is a copy of the
 // (ascending) on list, the off list is its ascending complement and every
@@ -365,7 +380,8 @@ func (c *brCache) repair(l *BitRateLayout, rng *stats.RNG) {
 // arrays of length m, kept across rebuilds for the next switch.
 type holderLists struct {
 	on     []int32
-	offLen int // length of the off list
+	onRI   []int16 // parallel to on
+	offLen int     // length of the off list
 
 	// Implicit state.
 	m       int32
@@ -441,9 +457,9 @@ func (h *holderLists) implicitPosOf(v int32) int32 {
 	return v - int32(j)
 }
 
-// add moves v from the off list to on: swap-remove, then append. O(1) when
-// dense, O(log holders) implicit.
-func (h *holderLists) add(v int32) {
+// add moves v, with a copy at rate index ri, from the off list to on:
+// swap-remove, then append. O(1) when dense, O(log holders) implicit.
+func (h *holderLists) add(v int32, ri int16) {
 	i := h.posOf(v)
 	last := h.offAt(h.offLen - 1)
 	to := int32(len(h.on))
@@ -459,15 +475,19 @@ func (h *holderLists) add(v int32) {
 	}
 	h.offLen--
 	h.on = append(h.on, v)
+	h.onRI = append(h.onRI, ri)
 }
 
 // drop moves v from on to the off list: swap-remove, then append. O(1) when
 // dense, O(log holders) implicit.
 func (h *holderLists) drop(v int32) {
 	i := h.posOf(v)
-	last := h.on[len(h.on)-1]
+	end := len(h.on) - 1
+	last := h.on[end]
 	h.on[i] = last
-	h.on = h.on[:len(h.on)-1]
+	h.onRI[i] = h.onRI[end]
+	h.on = h.on[:end]
+	h.onRI = h.onRI[:end]
 	to := int32(h.offLen)
 	if h.dense {
 		h.pos[last] = i

@@ -52,19 +52,14 @@ func checkEvalAgainstScratch(t *testing.T, bp *BitRateProblem, l *BitRateLayout,
 	}
 }
 
-// snapshotRateIdx copies the raw layout matrix for bit-exact comparison.
-func snapshotRateIdx(l *BitRateLayout) [][]int16 {
-	s := make([][]int16, len(l.RateIdx))
-	for v := range l.RateIdx {
-		s[v] = append([]int16(nil), l.RateIdx[v]...)
-	}
-	return s
-}
+// snapshotRateIdx copies the layout into an M×N matrix of rate indices for
+// bit-exact comparison.
+func snapshotRateIdx(l *BitRateLayout) [][]int16 { return denseOf(l).RateIdx }
 
 func sameRateIdx(a [][]int16, l *BitRateLayout) bool {
 	for v := range a {
 		for s := range a[v] {
-			if a[v][s] != l.RateIdx[v][s] {
+			if a[v][s] != l.Rate(v, s) {
 				return false
 			}
 		}
@@ -97,9 +92,13 @@ func deltaShapes(t testing.TB) []*BitRateProblem {
 // randomized moves per instance shape and asserts after every single step
 // that the cached evaluation components match the from-scratch Evaluate
 // within 1e-9 relative, and that Revert restores the layout bit-exactly.
+// The last shape is the mid one under Eq. 3's imbalance.
 func TestDeltaMatchesScratchEvaluate(t *testing.T) {
 	const wantAccepted = 5000
-	for shape, bp := range deltaShapes(t) {
+	shapes := deltaShapes(t)
+	std := *shapes[1]
+	std.Obj = core.Objective{Alpha: 1, Beta: 1, UseStdImbalance: true}
+	for shape, bp := range append(shapes, &std) {
 		l, err := bp.InitialSolution()
 		if err != nil {
 			t.Fatal(err)
@@ -159,7 +158,7 @@ func TestDeltaDemandRipple(t *testing.T) {
 	// server must see its demand drop (w halves) without being touched.
 	home := -1
 	for s := 0; s < bp.P.N(); s++ {
-		if l.RateIdx[0][s] >= 0 {
+		if l.Rate(0, s) >= 0 {
 			home = s
 			break
 		}
@@ -186,7 +185,7 @@ func perturb(bp *BitRateProblem, l *BitRateLayout, c *brCache, rng *stats.RNG) b
 	m, n := bp.P.M(), bp.P.N()
 	for try := 0; try < 4*m*n; try++ {
 		v, s := rng.Intn(m), rng.Intn(n)
-		ri := l.RateIdx[v][s]
+		ri := l.Rate(v, s)
 		switch {
 		case ri < 0:
 			c.setCell(l, v, s, 0, true)
@@ -343,8 +342,8 @@ func fullyPackedProblem(t *testing.T) (*BitRateProblem, *BitRateLayout) {
 		RateSet: []float64{2 * core.Mbps, 4 * core.Mbps, 6 * core.Mbps, 8 * core.Mbps},
 	}
 	l := NewBitRateLayout(2, 1)
-	l.RateIdx[0][0] = 3
-	l.RateIdx[1][0] = 3
+	l.SetRate(0, 0, 3)
+	l.SetRate(1, 0, 3)
 	if e := bp.Evaluate(l); !e.Feasible() {
 		t.Fatalf("packed regression state infeasible: %+v", e)
 	}
@@ -406,9 +405,12 @@ func TestDeltaPathFindsFeasibleOptimum(t *testing.T) {
 	}
 }
 
-// cacheSink keeps the set-up benchmark's cache builds from being optimised
-// away.
-var cacheSink *brCache
+// cacheSink and evalSink keep the set-up and plan benchmarks' results from
+// being optimised away.
+var (
+	cacheSink *brCache
+	evalSink  Eval
+)
 
 // BenchmarkAnnealBitRate compares raw proposal throughput of the scratch
 // clone-and-rescan path against the delta fast path at three catalog sizes.
@@ -418,7 +420,10 @@ var cacheSink *brCache
 // plan_scale shape, delta path only (a scratch proposal there rescans 1.28 M
 // cells): its allocations per proposal are what best-so-far tracking by Sync
 // keeps near zero. There path=setup builds the delta cache alone, the set-up
-// every plan pays once, and reports its bytes per build.
+// every plan pays once, and reports its bytes per build; path=plan is the
+// annealer half of one plan_scale repetition (InitialSolution, a 1 000-proposal
+// Minimize on the benchmark's schedule, Evaluate) with its time and bytes
+// per plan.
 func BenchmarkAnnealBitRate(b *testing.B) {
 	for _, c := range []struct {
 		m, n  int
@@ -427,7 +432,7 @@ func BenchmarkAnnealBitRate(b *testing.B) {
 		{100, 8, []string{"scratch", "delta"}},
 		{500, 8, []string{"scratch", "delta"}},
 		{2000, 8, []string{"scratch", "delta"}},
-		{20000, 64, []string{"setup", "delta"}},
+		{20000, 64, []string{"setup", "delta", "plan"}},
 	} {
 		m, n := c.m, c.n
 		storageGB := 4 * 1.35 * float64(m) / float64(n)
@@ -441,6 +446,27 @@ func BenchmarkAnnealBitRate(b *testing.B) {
 			size += fmt.Sprintf(",N=%d", n)
 		}
 		for _, path := range c.paths {
+			if path == "plan" {
+				b.Run("path=plan/"+size, func(b *testing.B) {
+					opts := DefaultOptions()
+					opts.Seed = 1
+					opts.MaxSteps = 1_000
+					opts.PlateauSteps = (opts.MaxSteps + 179) / 180 // cool through 180 temperatures
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						init, err := bp.InitialSolution()
+						if err != nil {
+							b.Fatal(err)
+						}
+						res, err := Minimize[*BitRateLayout](bp, init, opts)
+						if err != nil {
+							b.Fatal(err)
+						}
+						evalSink = bp.Evaluate(res.Best)
+					}
+				})
+				continue
+			}
 			if path == "setup" {
 				b.Run("path=setup/"+size, func(b *testing.B) {
 					b.ReportAllocs()

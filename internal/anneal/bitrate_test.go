@@ -67,6 +67,15 @@ func TestBitRateProblemValidate(t *testing.T) {
 			t.Errorf("%s: Validate = %v, want ok %v", c.name, err, c.ok)
 		}
 	}
+	for _, n := range []int{maxServers, maxServers + 1} {
+		p := *bp.P
+		p.NumServers = n
+		wide := *bp
+		wide.P = &p
+		if err := wide.Validate(); (err == nil) != (n <= maxServers) {
+			t.Errorf("%d servers: Validate = %v, want ok %v", n, err, n <= maxServers)
+		}
+	}
 	var nilP BitRateProblem
 	if err := nilP.Validate(); err == nil {
 		t.Fatal("nil problem accepted")
@@ -119,7 +128,7 @@ func TestEvaluateOrphans(t *testing.T) {
 	bp := bitrateProblem(t, 6, 3, 30)
 	l := NewBitRateLayout(6, 3)
 	// Only video 0 placed.
-	l.RateIdx[0][0] = 0
+	l.SetRate(0, 0, 0)
 	e := bp.Evaluate(l)
 	if e.Orphans != 5 {
 		t.Fatalf("orphans = %d", e.Orphans)
@@ -132,13 +141,46 @@ func TestEvaluateOrphans(t *testing.T) {
 	}
 }
 
+// TestEvaluateHonoursStdImbalance pins Objective.UseStdImbalance: with it
+// set, Evaluate and the delta cache price the imbalance by Eq. 3's
+// coefficient of variation of the per-server demand, not by Eq. 2.
+func TestEvaluateHonoursStdImbalance(t *testing.T) {
+	bp := bitrateProblem(t, 15, 4, 20)
+	bp.Obj = core.Objective{Alpha: 1, Beta: 1, UseStdImbalance: true}
+	l, err := bp.InitialSolution()
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.SetRate(0, 1, 2) // a second, faster copy of the hottest title
+	demand := make([]float64, bp.P.N())
+	peak := bp.P.PeakRequests()
+	for v := 0; v < l.M(); v++ {
+		w := bp.P.Catalog[v].Popularity * peak / float64(l.Copies(v))
+		l.EachCopy(v, func(s int, ri int16) { demand[s] += w * bp.RateSet[ri] })
+	}
+	want := core.ImbalanceCV(demand)
+	if relClose(want, core.ImbalanceMax(demand), 1e-3) {
+		t.Fatalf("Eq. 2 and Eq. 3 agree (%g) on the test layout; it cannot tell them apart", want)
+	}
+	e := bp.Evaluate(l)
+	if !relClose(e.Imbalance, want, 1e-12) {
+		t.Fatalf("Evaluate imbalance %.17g, want the coefficient of variation %.17g", e.Imbalance, want)
+	}
+	if obj := e.MeanRateMbps + e.Degree - e.Imbalance; e.Objective != obj {
+		t.Fatalf("objective %.17g, want %.17g", e.Objective, obj)
+	}
+	if got := bp.ensureCache(l).eval().Imbalance; !relClose(got, want, 1e-12) {
+		t.Fatalf("cached imbalance %.17g, want %.17g", got, want)
+	}
+}
+
 func TestEvaluateViolationAccounting(t *testing.T) {
 	bp := bitrateProblem(t, 4, 2, 3) // 3 GB per server
 	l := NewBitRateLayout(4, 2)
 	// Stuff server 0 with all four videos at the top rate:
 	// 8 Mb/s × 90 min = 5.4 GB each, 21.6 GB total on a 3 GB server.
 	for v := 0; v < 4; v++ {
-		l.RateIdx[v][0] = 3
+		l.SetRate(v, 0, 3)
 	}
 	e := bp.Evaluate(l)
 	if e.StorageViolation <= 0 {
@@ -184,9 +226,9 @@ func TestNeighborDoesNotMutateArgument(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		bp.Neighbor(cur, rng)
 	}
-	for v := range cur.RateIdx {
-		for s := range cur.RateIdx[v] {
-			if cur.RateIdx[v][s] != snapshot.RateIdx[v][s] {
+	for v := 0; v < cur.M(); v++ {
+		for s := 0; s < cur.N(); s++ {
+			if cur.Rate(v, s) != snapshot.Rate(v, s) {
 				t.Fatal("Neighbor mutated its argument")
 			}
 		}
@@ -234,10 +276,10 @@ func TestOptimizeParallelChains(t *testing.T) {
 
 func TestBitRateLayoutClone(t *testing.T) {
 	l := NewBitRateLayout(3, 2)
-	l.RateIdx[1][1] = 2
+	l.SetRate(1, 1, 2)
 	c := l.clone()
-	c.RateIdx[1][1] = 0
-	if l.RateIdx[1][1] != 2 {
+	c.SetRate(1, 1, 0)
+	if l.Rate(1, 1) != 2 {
 		t.Fatal("clone shares storage")
 	}
 	if l.Copies(1) != 1 || l.Copies(0) != 0 {
@@ -247,12 +289,14 @@ func TestBitRateLayoutClone(t *testing.T) {
 		t.Fatal("TotalCopies miscounts")
 	}
 	// The shared backing array is an allocation detail: a layout built by
-	// hand, or with a row replaced, clones cell for cell all the same.
-	h := &BitRateLayout{RateIdx: [][]int16{{-1, 1}, {0, -1}}}
-	l.RateIdx[2] = []int16{3, -1}
+	// hand, or with a row grown out of it, clones cell for cell all the same.
+	h := NewBitRateLayout(2, 2)
+	h.SetRate(0, 1, 1)
+	h.SetRate(1, 0, 0)
+	l.SetRate(2, 0, 3)
 	for _, src := range []*BitRateLayout{h, l} {
-		if c := src.clone(); !reflect.DeepEqual(c.RateIdx, src.RateIdx) {
-			t.Fatalf("clone of %v gave %v", src.RateIdx, c.RateIdx)
+		if c := src.clone(); !reflect.DeepEqual(snapshotRateIdx(c), snapshotRateIdx(src)) {
+			t.Fatalf("clone of %v gave %v", snapshotRateIdx(src), snapshotRateIdx(c))
 		}
 	}
 }
@@ -318,7 +362,7 @@ func TestRuntimeConversion(t *testing.T) {
 func TestRuntimeRejectsOrphans(t *testing.T) {
 	bp := bitrateProblem(t, 4, 2, 30)
 	l := NewBitRateLayout(4, 2)
-	l.RateIdx[0][0] = 0 // videos 1..3 have no copy
+	l.SetRate(0, 0, 0) // videos 1..3 have no copy
 	if _, _, err := bp.Runtime(l); err == nil {
 		t.Fatal("orphaned videos accepted")
 	}

@@ -33,17 +33,15 @@ func newDenseLists(m, n int) *denseLists {
 // then lays out its off list and positions in one sweep over the catalog,
 // filling the runs between the on list's entries.
 func (d *denseLists) fill(l *BitRateLayout) {
-	m := len(l.RateIdx)
+	m := l.M()
 	for s := range d.on {
 		d.on[s] = d.on[s][:0]
 	}
-	for v, row := range l.RateIdx {
-		for s, ri := range row {
-			if ri >= 0 {
-				d.pos[s][v] = int32(len(d.on[s]))
-				d.on[s] = append(d.on[s], int32(v))
-			}
-		}
+	for v := 0; v < m; v++ {
+		l.EachCopy(v, func(s int, _ int16) {
+			d.pos[s][v] = int32(len(d.on[s]))
+			d.on[s] = append(d.on[s], int32(v))
+		})
 	}
 	for s := range d.on {
 		on, pos, off := d.on[s], d.pos[s], d.off[s][:0]
@@ -88,12 +86,21 @@ func (d *denseLists) move(s, v int, add bool) {
 
 // requireListsMatch fails unless server s's holder lists in c equal d's:
 // the on list, the off list's length, the video at every index and the
-// position of every video.
-func requireListsMatch(t testing.TB, ctx string, c *brCache, d *denseLists, s int) {
+// position of every video; and unless each on-list video's rate index in
+// onRI is its copy's in l.
+func requireListsMatch(t testing.TB, ctx string, c *brCache, d *denseLists, l *BitRateLayout, s int) {
 	t.Helper()
 	h := &c.lists[s]
 	if !slices.Equal(h.on, d.on[s]) {
 		t.Fatalf("%s: server %d on list %v, dense %v", ctx, s, h.on, d.on[s])
+	}
+	if len(h.onRI) != len(h.on) {
+		t.Fatalf("%s: server %d onRI holds %d rate indices for %d videos", ctx, s, len(h.onRI), len(h.on))
+	}
+	for k, v := range h.on {
+		if ri := l.Rate(int(v), s); h.onRI[k] != ri {
+			t.Fatalf("%s: server %d onRI[%d] = %d, video %d's copy has %d", ctx, s, k, h.onRI[k], v, ri)
+		}
 	}
 	if h.offLen != len(d.off[s]) {
 		t.Fatalf("%s: server %d off list holds %d videos, dense %d", ctx, s, h.offLen, len(d.off[s]))
@@ -172,15 +179,15 @@ func (h *lockstep) step(t testing.TB, ctx string, rng *stats.RNG, accept float64
 	h.after = h.after[:0]
 	for k := len(cells) - 1; k >= 0; k-- {
 		cell := cells[k]
-		now := h.l.RateIdx[cell.v][cell.s]
+		now := h.l.Rate(int(cell.v), int(cell.s))
 		h.after = append(h.after, now)
-		h.l.RateIdx[cell.v][cell.s] = cell.old
+		h.l.set(int(cell.v), int(cell.s), cell.old)
 		if (cell.old < 0) != (now < 0) {
 			h.steps = append(h.steps, listStep{s: int(cell.s), v: int(cell.v), add: cell.old < 0})
 		}
 	}
 	for k, cell := range cells {
-		h.l.RateIdx[cell.v][cell.s] = h.after[len(cells)-1-k]
+		h.l.set(int(cell.v), int(cell.s), h.after[len(cells)-1-k])
 	}
 	slices.Reverse(h.steps)
 	for _, st := range h.steps {
@@ -215,8 +222,12 @@ func (h *lockstep) checkTouched(t testing.TB, ctx string, cells []brCell) {
 		if p != d.pos[s][v] {
 			t.Fatalf("%s: server %d pos[%d] = %d, dense %d", ctx, s, v, p, d.pos[s][v])
 		}
-		if h.l.RateIdx[v][s] < 0 && hl.offAt(int(p)) != v {
+		ri := h.l.Rate(int(v), s)
+		if ri < 0 && hl.offAt(int(p)) != v {
 			t.Fatalf("%s: server %d off[%d] = %d, want %d", ctx, s, p, hl.offAt(int(p)), v)
+		}
+		if ri >= 0 && hl.onRI[p] != ri {
+			t.Fatalf("%s: server %d onRI[%d] = %d, want %d", ctx, s, p, hl.onRI[p], ri)
 		}
 	}
 	for _, cell := range cells {
@@ -252,7 +263,7 @@ func (h *lockstep) checkFull(t testing.TB, ctx string) {
 		} else if hl.written.n > 0 {
 			h.implicit++
 		}
-		requireListsMatch(t, ctx, h.c, h.d, s)
+		requireListsMatch(t, ctx, h.c, h.d, h.l, s)
 		h.touched[s] = false
 	}
 }

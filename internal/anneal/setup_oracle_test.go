@@ -10,7 +10,7 @@ import (
 )
 
 // referenceEvaluate is Evaluate as it was before it collected each row's
-// holders: two full scans of every RateIdx row.
+// holders: two full scans of every row of the layout's cells.
 func referenceEvaluate(bp *BitRateProblem, l *BitRateLayout) Eval {
 	var e Eval
 	p := bp.P
@@ -23,9 +23,9 @@ func referenceEvaluate(bp *BitRateProblem, l *BitRateLayout) Eval {
 		copies := 0
 		rateSum := 0.0
 		for s := 0; s < n; s++ {
-			if l.RateIdx[v][s] >= 0 {
+			if l.Rate(v, s) >= 0 {
 				copies++
-				rateSum += bp.RateSet[l.RateIdx[v][s]]
+				rateSum += bp.RateSet[l.Rate(v, s)]
 			}
 		}
 		if copies == 0 {
@@ -36,7 +36,7 @@ func referenceEvaluate(bp *BitRateProblem, l *BitRateLayout) Eval {
 		e.MeanRateMbps += rateSum / float64(copies) / core.Mbps
 		w := p.Catalog[v].Popularity * peak / float64(copies)
 		for s := 0; s < n; s++ {
-			ri := l.RateIdx[v][s]
+			ri := l.Rate(v, s)
 			if ri < 0 {
 				continue
 			}
@@ -80,7 +80,7 @@ func referenceRebuild(c *brCache, d *denseLists, l *BitRateLayout) {
 		copies := int32(0)
 		rateSum := 0.0
 		for s := 0; s < n; s++ {
-			if ri := l.RateIdx[v][s]; ri >= 0 {
+			if ri := l.Rate(v, s); ri >= 0 {
 				copies++
 				rateSum += bp.RateSet[ri]
 				d.pos[s][v] = int32(len(d.on[s]))
@@ -100,7 +100,7 @@ func referenceRebuild(c *brCache, d *denseLists, l *BitRateLayout) {
 		c.qualitySum += rateSum / float64(copies)
 		w := c.popPeak[v] / float64(copies)
 		for s := 0; s < n; s++ {
-			if ri := l.RateIdx[v][s]; ri >= 0 {
+			if ri := l.Rate(v, s); ri >= 0 {
 				c.storage[s] += bp.copySizeBytes(v, ri)
 				c.demand[s] += w * bp.RateSet[ri]
 			}
@@ -157,7 +157,7 @@ func requireSetupMatchesReference(t *testing.T, ctx string, bp *BitRateProblem, 
 		}
 	}
 	for s := range got.lists {
-		requireListsMatch(t, ctx, got, lists, s)
+		requireListsMatch(t, ctx, got, lists, l, s)
 	}
 }
 
@@ -165,13 +165,13 @@ func requireSetupMatchesReference(t *testing.T, ctx string, bp *BitRateProblem, 
 // every fifth row is left empty so orphans occur.
 func randomLayout(rng *stats.RNG, m, n, rates int, density float64) *BitRateLayout {
 	l := NewBitRateLayout(m, n)
-	for v, row := range l.RateIdx {
+	for v := 0; v < m; v++ {
 		if v%5 == 4 {
 			continue
 		}
-		for s := range row {
+		for s := 0; s < n; s++ {
 			if rng.Bernoulli(density) {
-				row[s] = int16(rng.Intn(rates))
+				l.SetRate(v, s, int16(rng.Intn(rates)))
 			}
 		}
 	}

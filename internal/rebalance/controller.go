@@ -357,7 +357,7 @@ func (c *Controller) reanneal() (*Plan, bool) {
 	for rank, r := range ranked {
 		live[r.Video] = append([]int(nil), cl.Holders(r.Video)...)
 		for _, s := range live[r.Video] {
-			seed.RateIdx[rank][s] = 0
+			seed.SetRate(rank, s, 0)
 		}
 	}
 	seedCost := bp.Cost(seed)

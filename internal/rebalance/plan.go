@@ -52,13 +52,13 @@ func diffPlan(live [][]int, best *anneal.BitRateLayout, ranked []demand.Ranked, 
 		for _, s := range live[v] {
 			inLive[s] = true
 		}
-		for s, ri := range best.RateIdx[rank] {
-			if ri >= 0 && !inLive[s] {
+		best.EachCopy(rank, func(s int, _ int16) {
+			if !inLive[s] {
 				adds = append(adds, Move{Video: v, Server: s, Heat: counts[v]})
 			}
-		}
+		})
 		for _, s := range live[v] {
-			if best.RateIdx[rank][s] < 0 {
+			if best.Rate(rank, s) < 0 {
 				evicts = append(evicts, Move{Video: v, Server: s, Heat: counts[v]})
 			}
 		}

@@ -20,9 +20,11 @@ func TestDiffPlanOrderingAndTruncation(t *testing.T) {
 		2: {0},    // target wants {0,1,2} -> adds on 1 and 2
 	}
 	best := anneal.NewBitRateLayout(3, 3)
-	best.RateIdx[0][0], best.RateIdx[0][1], best.RateIdx[0][2] = 0, 0, 0 // rank 0 = video 2
-	best.RateIdx[1][0] = 0                                               // rank 1 = video 0
-	best.RateIdx[2][1] = 0                                               // rank 2 = video 1
+	best.SetRate(0, 0, 0) // rank 0 = video 2
+	best.SetRate(0, 1, 0)
+	best.SetRate(0, 2, 0)
+	best.SetRate(1, 0, 0) // rank 1 = video 0
+	best.SetRate(2, 1, 0) // rank 2 = video 1
 
 	plan := diffPlan(live, best, ranked, counts, 8)
 	if len(plan.Adds) != 2 || len(plan.Evicts) != 1 {
@@ -57,9 +59,10 @@ func TestDiffPlanOrderingAndTruncation(t *testing.T) {
 		2: {0, 2}, // target {0,1}: one add (server 1) and one evict (server 2)
 	}
 	best2 := anneal.NewBitRateLayout(3, 3)
-	best2.RateIdx[0][0], best2.RateIdx[0][1] = 0, 0 // video 2 -> {0,1}
-	best2.RateIdx[1][0] = 0
-	best2.RateIdx[2][1] = 0
+	best2.SetRate(0, 0, 0) // video 2 -> {0,1}
+	best2.SetRate(0, 1, 0)
+	best2.SetRate(1, 0, 0)
+	best2.SetRate(2, 1, 0)
 	full := diffPlan(live2, best2, ranked, counts, 8)
 	if len(full.Adds) != 1 || len(full.Evicts) != 1 {
 		t.Fatalf("full plan = %+v", full)
@@ -71,9 +74,11 @@ func TestDiffPlanOrderingAndTruncation(t *testing.T) {
 		2: {0, 2},
 	}, func() *anneal.BitRateLayout {
 		b := anneal.NewBitRateLayout(3, 3)
-		b.RateIdx[0][0], b.RateIdx[0][1] = 0, 0
-		b.RateIdx[1][0], b.RateIdx[1][1] = 0, 0 // video 0 also gains server 1
-		b.RateIdx[2][1] = 0
+		b.SetRate(0, 0, 0)
+		b.SetRate(0, 1, 0)
+		b.SetRate(1, 0, 0)
+		b.SetRate(1, 1, 0) // video 0 also gains server 1
+		b.SetRate(2, 1, 0)
 		return b
 	}(), ranked, counts, 1)
 	// Cap 1 keeps only video 2's add; video 2's evict must be dropped with

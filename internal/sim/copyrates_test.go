@@ -88,7 +88,7 @@ func mustLayout(t *testing.T, bp *anneal.BitRateProblem, layout *core.Layout, ra
 			if idx == -1 {
 				t.Fatalf("rate %g not in the set", r)
 			}
-			l.RateIdx[v][s] = int16(idx)
+			l.SetRate(v, s, int16(idx))
 		}
 	}
 	return l

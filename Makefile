@@ -84,10 +84,11 @@ bench-compare:
 # recovers a backend mid-trace, scrape /metrics for non-zero admissions,
 # and cross-validate the rejection rate (overall and post-failure) against
 # sim.Run with the same scripted failures. The second run repeats the check
-# with the exact sim:least-loaded adapter over four registry partitions.
+# over four registry partitions on the paper layout with E9's 2 Gb/s
+# backbone, so admissions also redirect (a nonzero "redirected" row).
 serve-smoke:
 	$(GO) run ./cmd/vodload -selftest -rate 8000 -burst 1 -validate -faults testdata/faults_smoke.json
-	$(GO) run ./cmd/vodload -selftest -rate 8000 -burst 1 -validate -faults testdata/faults_smoke.json -shards 4 -policy sim:least-loaded
+	$(GO) run ./cmd/vodload -selftest -rate 8000 -burst 1 -validate -faults testdata/faults_smoke.json -shards 4 -policy least-loaded -scenario testdata/backbone_smoke.json
 
 # The failure-drill integration test under the race detector: a scripted
 # mid-trace crash with health checking, admission retry, and automatic
@@ -95,10 +96,17 @@ serve-smoke:
 # live-vs-sim post-failure parity. Then the per-PR stress budget (≈ 1 min):
 # fifty race-detector passes over the engine's failover, drain, eviction and
 # exactly-once drills at one registry partition and at several, whose bugs so
-# far showed up once in tens of runs.
+# far showed up once in tens of runs. The guard before it fails the target
+# when a name in the list matches no test, so a rename cannot silently drop
+# a drill from the race budget.
+CHAOS_RACE_TESTS := TestSharded|TestIngressChaosExactlyOnce|TestConcurrentFailDrainStorm|TestConcurrentOpenCloseStress|TestRedirect|TestDrainBackendRedirect
 chaos-smoke:
 	$(GO) test -race -run 'TestChaos' -v .
-	$(GO) test -race -count=50 -run 'TestSharded|TestIngressChaosExactlyOnce|TestConcurrentFailDrainStorm|TestConcurrentOpenCloseStress|TestSimPolicyRedirect|TestDrainBackendSimPolicy' ./internal/serve
+	@listed=$$($(GO) test -list '$(CHAOS_RACE_TESTS)' ./internal/serve) || exit 1; \
+	for n in $$(echo '$(CHAOS_RACE_TESTS)' | tr '|' ' '); do \
+		echo "$$listed" | grep -q -- "$$n" || { echo "chaos-smoke: $$n matches no test in ./internal/serve" >&2; exit 1; }; \
+	done
+	$(GO) test -race -count=50 -run '$(CHAOS_RACE_TESTS)' ./internal/serve
 
 # The counterfactual-harness self-check: a tiny two-policy lockstep over one
 # shared trace. -smoke asserts the reference compared against itself yields

@@ -131,7 +131,7 @@ func TestChaosFailureDrill(t *testing.T) {
 	// resilience mechanisms the live daemon runs: always-on failover and the
 	// repairer at the live config's rate.
 	pol := resilience.Policy{Failover: true, Repair: true, RepairRate: copyRate}
-	leastLoaded, err := policy.SchedulerFactory("least-loaded", false)
+	leastLoaded, err := policy.SchedulerFactory("least-loaded", p.BackboneBandwidth > 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,6 @@ import (
 	"strings"
 
 	"vodcluster"
-	"vodcluster/internal/cluster"
 	"vodcluster/internal/config"
 	"vodcluster/internal/core"
 	"vodcluster/internal/faults"
@@ -376,7 +375,10 @@ func scrapeAccepted(client *serve.Client) (int64, error) {
 // covers only the decisions dispatched after the first crash — the window
 // where failure handling, not steady-state admission, sets the rate.
 func crossValidate(p *core.Problem, layout *core.Layout, policy string, tr *workload.Trace, rep *serve.Report, fsched *faults.Schedule, seed int64, tolPts float64) error {
-	newSched, err := simSchedulerFor(policy, p.BackboneBandwidth > 0)
+	if policy == "" {
+		policy = serve.DefaultPolicy
+	}
+	newSched, err := vodcluster.SchedulerFactory(policy, p.BackboneBandwidth > 0)
 	if err != nil {
 		return err
 	}
@@ -444,20 +446,6 @@ func crossValidate(p *core.Problem, layout *core.Layout, policy string, tr *work
 	}
 	fmt.Printf("post-failure cross-validation OK: %.2f points of margin under the %.2f-point tolerance\n", tolPts-delta, tolPts)
 	return nil
-}
-
-// simSchedulerFor maps a serve policy name onto the simulator scheduler
-// that makes the same decisions: a registered name maps to the scheduler
-// that runs the same rank; sim: names follow the pipeline convention
-// (redirect wrapping exactly when the problem defines backbone bandwidth).
-func simSchedulerFor(policy string, backbone bool) (func() cluster.Scheduler, error) {
-	if base, ok := strings.CutPrefix(policy, "sim:"); ok {
-		return vodcluster.SchedulerFactory(base, backbone)
-	}
-	if policy == "" {
-		policy = serve.DefaultPolicy
-	}
-	return vodcluster.SchedulerFactory(policy, false)
 }
 
 // loadLayout mirrors vodserved's layout resolution so both tools agree on

@@ -5,7 +5,7 @@
 // session requests over HTTP through the configured scheduling policy.
 //
 //	vodserved -addr :8370                          # paper-default layout
-//	vodserved -scenario scenario.json -policy sim:static-rr
+//	vodserved -scenario scenario.json -policy static-rr
 //	vodserved -plan plan.json -compress 60         # 1 video-minute per second
 //
 // Endpoints: POST /session?video=V, DELETE /session/{id},
@@ -78,7 +78,7 @@ func run() error {
 	addr := flag.String("addr", "127.0.0.1:8370", "listen address")
 	scenarioPath := flag.String("scenario", "", "JSON scenario file; empty uses the paper defaults")
 	planPath := flag.String("plan", "", "replay a plan written by vodplace -out instead of recomputing the layout")
-	policyName := flag.String("policy", "least-loaded", fmt.Sprintf("admission policy: one of %v", serve.PolicyNames()))
+	policyName := flag.String("policy", "least-loaded", fmt.Sprintf("admission policy: one of %v", policy.Names()))
 	listPolicies := flag.Bool("list-policies", false, "print the admission-policy registry and exit")
 	compress := flag.Float64("compress", 1, "time-compression factor: a D-second video holds bandwidth for D/compress wall seconds")
 	shards := flag.Int("shards", 1, "session registry partitions (DESIGN.md §15), each with its own lock and expiry goroutine; every policy admits at any count, clamped to the backend count")
@@ -105,7 +105,7 @@ func run() error {
 	flag.Parse()
 
 	if *listPolicies {
-		fmt.Print("Admission policies (shared registry, internal/policy):\n\n", policy.ServeList())
+		fmt.Print("Admission policies (shared registry, internal/policy):\n\n", policy.List())
 		return nil
 	}
 

@@ -1,59 +1,23 @@
-package redirect
+package cluster
 
 import (
 	"testing"
 
-	"vodcluster/internal/cluster"
 	"vodcluster/internal/core"
 )
 
-// setup: 3 videos on 2 servers with 10 Mb/s links (2 streams each at
-// 4 Mb/s), optional backbone.
-func setup(t testing.TB, backbone float64) *cluster.State {
-	t.Helper()
-	c := core.Catalog{
-		{ID: 0, Popularity: 0.5, BitRate: 4 * core.Mbps, Duration: 90 * core.Minute},
-		{ID: 1, Popularity: 0.3, BitRate: 4 * core.Mbps, Duration: 90 * core.Minute},
-		{ID: 2, Popularity: 0.2, BitRate: 4 * core.Mbps, Duration: 90 * core.Minute},
-	}
-	p := &core.Problem{
-		Catalog:            c,
-		NumServers:         2,
-		StoragePerServer:   2 * c[0].SizeBytes(),
-		BandwidthPerServer: 10 * core.Mbps,
-		ArrivalRate:        1.0 / core.Minute,
-		PeakPeriod:         90 * core.Minute,
-		BackboneBandwidth:  backbone,
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	l := core.NewLayout(3)
-	l.Replicas = []int{2, 1, 1}
-	for _, pl := range []struct{ v, s int }{{0, 0}, {0, 1}, {1, 0}, {2, 1}} {
-		if err := l.Place(pl.v, pl.s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st, err := cluster.New(p, l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st
-}
-
-func fillServer(t testing.TB, st *cluster.State, video, n int) {
+func fillServer(t testing.TB, st *State, video, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if _, ok := st.Admit(video, cluster.FirstAvailable{}); !ok {
+		if _, ok := st.Admit(video, FirstAvailable{}); !ok {
 			t.Fatalf("setup admission %d of video %d failed", i, video)
 		}
 	}
 }
 
 func TestPassThroughWhenBaseAccepts(t *testing.T) {
-	st := setup(t, 8*core.Mbps)
-	sched := New(cluster.StaticRoundRobin{})
+	st := newState(t, 8*core.Mbps)
+	sched := Redirecting{StaticRoundRobin{}}
 	id, ok := st.Admit(1, sched)
 	if !ok {
 		t.Fatal("admission failed")
@@ -62,17 +26,14 @@ func TestPassThroughWhenBaseAccepts(t *testing.T) {
 	if s.Redirected {
 		t.Fatal("base acceptance should not redirect")
 	}
-	if sched.Redirected() != 0 {
-		t.Fatal("counter moved on direct admission")
-	}
 	if got, want := sched.Name(), "static-rr+redirect"; got != want {
 		t.Fatalf("name = %q", got)
 	}
 }
 
 func TestPrefersFreeHolderBeforeBackbone(t *testing.T) {
-	st := setup(t, 8*core.Mbps)
-	sched := New(cluster.StaticRoundRobin{})
+	st := newState(t, 8*core.Mbps)
+	sched := Redirecting{StaticRoundRobin{}}
 	// Fill server 0; v0's static-RR cursor points at server 0 first.
 	fillServer(t, st, 1, 2)
 	id, ok := st.Admit(0, sched)
@@ -89,8 +50,8 @@ func TestPrefersFreeHolderBeforeBackbone(t *testing.T) {
 }
 
 func TestRedirectsViaBackboneWhenHoldersFull(t *testing.T) {
-	st := setup(t, 8*core.Mbps)
-	sched := New(cluster.StaticRoundRobin{})
+	st := newState(t, 8*core.Mbps)
+	sched := Redirecting{StaticRoundRobin{}}
 	// v1 is held only by server 0; fill server 0 completely.
 	fillServer(t, st, 1, 2)
 	// Server 1 has spare outgoing bandwidth: the request for v1 must be
@@ -103,14 +64,11 @@ func TestRedirectsViaBackboneWhenHoldersFull(t *testing.T) {
 	if !s.Redirected || s.Server != 1 || s.Source != 0 {
 		t.Fatalf("stream %+v, want redirect 0→1", s)
 	}
-	if sched.Redirected() != 1 {
-		t.Fatalf("redirect counter = %d", sched.Redirected())
-	}
 }
 
 func TestRejectsWithoutBackbone(t *testing.T) {
-	st := setup(t, 0)
-	sched := New(cluster.StaticRoundRobin{})
+	st := newState(t, 0)
+	sched := Redirecting{StaticRoundRobin{}}
 	fillServer(t, st, 1, 2)
 	if _, ok := st.Admit(1, sched); ok {
 		t.Fatal("redirected without backbone bandwidth")
@@ -118,8 +76,8 @@ func TestRejectsWithoutBackbone(t *testing.T) {
 }
 
 func TestRejectsWhenBackboneExhausted(t *testing.T) {
-	st := setup(t, 4*core.Mbps) // room for exactly one redirected stream
-	sched := New(cluster.StaticRoundRobin{})
+	st := newState(t, 4*core.Mbps) // room for exactly one redirected stream
+	sched := Redirecting{StaticRoundRobin{}}
 	fillServer(t, st, 1, 2)
 	if _, ok := st.Admit(1, sched); !ok {
 		t.Fatal("first redirection failed")
@@ -130,12 +88,58 @@ func TestRejectsWhenBackboneExhausted(t *testing.T) {
 }
 
 func TestRejectsWhenNoProxyHasRoom(t *testing.T) {
-	st := setup(t, 100*core.Mbps)
-	sched := New(cluster.StaticRoundRobin{})
+	st := newState(t, 100*core.Mbps)
+	sched := Redirecting{StaticRoundRobin{}}
 	// Fill both servers completely: 2 streams each.
 	fillServer(t, st, 1, 2)
 	fillServer(t, st, 2, 2)
 	if _, ok := st.Admit(1, sched); ok {
 		t.Fatal("redirected with no outgoing capacity anywhere")
+	}
+}
+
+// TestRedirectSkipsDownServers: a failed server's emptied link never makes
+// it the proxy, and a failed holder never sources the stream.
+func TestRedirectSkipsDownServers(t *testing.T) {
+	newState3 := func() *State {
+		p := testProblem(t, 100*core.Mbps)
+		p.NumServers = 3
+		l := core.NewLayout(3)
+		l.Replicas = []int{1, 2, 1}
+		for _, pl := range []struct{ v, s int }{{0, 0}, {1, 0}, {1, 1}, {2, 2}} {
+			if err := l.Place(pl.v, pl.s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, err := New(p, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	sched := Redirecting{LeastLoaded{}}
+
+	// v0 only on s0, s0 full, s2 down: s1 is the only live proxy.
+	st := newState3()
+	fillServer(t, st, 0, 2)
+	st.FailServer(2)
+	id, ok := st.Admit(0, sched)
+	if !ok {
+		t.Fatal("proxy scan picked the down server")
+	}
+	if s, _ := st.Lookup(id); s.Server != 1 || s.Source != 0 || !s.Redirected {
+		t.Fatalf("stream %+v, want redirect 0→1", s)
+	}
+
+	// v1 on {s0, s1}, s0 down, s1 full, s2 idle: s1 sources, s2 proxies.
+	st = newState3()
+	st.FailServer(0)
+	fillServer(t, st, 1, 2)
+	id, ok = st.Admit(1, sched)
+	if !ok {
+		t.Fatal("redirect sourced from the down holder")
+	}
+	if s, _ := st.Lookup(id); s.Server != 2 || s.Source != 1 || !s.Redirected {
+		t.Fatalf("stream %+v, want redirect 1→2", s)
 	}
 }

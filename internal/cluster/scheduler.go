@@ -21,7 +21,7 @@ type Scheduler interface {
 // randomness earlier decisions consumed. That is what keeps counterfactual
 // lockstep comparisons paired even across randomized policies.
 //
-// Decorators that wrap a base Scheduler (redirect, degradation) expose the
+// Decorators that wrap a base Scheduler (Redirecting, degradation) expose the
 // wrapped policy via Unwrap() so the simulator can find the seeded
 // scheduler through the chain.
 type SeededScheduler interface {
@@ -42,6 +42,10 @@ type View interface {
 	// stream of v (the simulator also counts stream limits and per-copy
 	// rates here, which free bandwidth alone cannot express).
 	CanServe(s, v int) bool
+	// Servers returns the number of servers.
+	Servers() int
+	// BackboneFree returns the unused internal backbone bandwidth, bits/s.
+	BackboneFree() float64
 }
 
 // Draw is a randomized rank's source: Intn returns a uniform integer in
@@ -79,6 +83,68 @@ func MostFree(w View, v, exclude int) int {
 		}
 	}
 	return best
+}
+
+// Redirect is backbone request redirection (paper §6, ref. [29]), the
+// fallback for a request for v at rate that the policy's own pick cannot
+// take. It returns the first holder that can serve v directly (server ==
+// source), else a proxy fed over the backbone: the eligible server with
+// the most free outgoing bandwidth of at least rate (ties to the later
+// index), sourced from v's first eligible holder. server is -1 when the
+// backbone lacks rate, v has no eligible holder, or no proxy has room.
+func Redirect(w View, v int, rate float64) (server, source int) {
+	if w.BackboneFree() < rate {
+		return -1, -1
+	}
+	source = -1
+	for _, s := range w.Holders(v) {
+		if w.CanServe(s, v) {
+			return s, s
+		}
+		if source < 0 && w.Eligible(s) {
+			source = s
+		}
+	}
+	if source < 0 {
+		return -1, -1
+	}
+	server, bestFree := -1, rate
+	for s := range w.Servers() {
+		if !w.Eligible(s) {
+			continue
+		}
+		if free := w.FreeBandwidth(s); free >= bestFree {
+			server, bestFree = s, free
+		}
+	}
+	if server < 0 {
+		return -1, -1
+	}
+	return server, source
+}
+
+// Redirecting is the simulator's side of Redirect: it decorates a base
+// scheduler, and a request the base rejects goes to Redirect at the
+// video's encoding rate.
+type Redirecting struct{ Base Scheduler }
+
+// Name implements Scheduler.
+func (r Redirecting) Name() string { return r.Base.Name() + "+redirect" }
+
+// Unwrap exposes the base policy, so the simulator can find a
+// SeededScheduler through the decorator.
+func (r Redirecting) Unwrap() Scheduler { return r.Base }
+
+// Schedule implements Scheduler.
+func (r Redirecting) Schedule(st *State, v int) Decision {
+	if d := r.Base.Schedule(st, v); d.Accept {
+		return d
+	}
+	s, src := Redirect(st, v, st.p.Catalog[v].BitRate)
+	if s < 0 {
+		return Reject
+	}
+	return Decision{Accept: true, Server: s, Source: src}
 }
 
 // turn returns video v's rotation cursor and advances it: the simulator's

@@ -241,6 +241,9 @@ func (st *State) ActiveStreams(s int) int { return st.activeByServ[s] }
 // TotalActive returns the number of active streams cluster-wide.
 func (st *State) TotalActive() int { return st.streams.Len() }
 
+// Servers returns the number of servers (View).
+func (st *State) Servers() int { return st.p.N() }
+
 // BackboneFree returns the unused internal backbone bandwidth in bits/s.
 func (st *State) BackboneFree() float64 { return st.p.BackboneBandwidth - st.backboneUsed }
 

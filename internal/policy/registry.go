@@ -9,9 +9,9 @@
 // Each entry carries one rank (cluster.Ranker), written once in
 // internal/cluster over a read-only cluster view. The simulator's scheduler
 // is that rank plus State.CanServe; the daemon's policy is the same rank
-// plus an atomic reservation. The daemon also accepts a "sim:" name per
-// entry: the exact simulator scheduler behind a mutex, which is the
-// backbone-redirection path.
+// plus an atomic reservation. Backbone redirection (cluster.Redirect) is
+// one more rule over the same view, which both sides fall back on when the
+// problem has a backbone.
 package policy
 
 import (
@@ -19,7 +19,6 @@ import (
 	"strings"
 
 	"vodcluster/internal/cluster"
-	"vodcluster/internal/redirect"
 )
 
 // Entry describes one named scheduling policy.
@@ -78,9 +77,6 @@ func Names() []string {
 // dispatch model.
 const Default = "static-rr"
 
-// simPrefix marks the serve layer's locked sim-parity adapters.
-const simPrefix = "sim:"
-
 // Lookup resolves a policy name; the empty name resolves to Default. An
 // unknown name yields an error listing every registered name.
 func Lookup(name string) (Entry, error) {
@@ -107,49 +103,19 @@ func SchedulerFactory(name string, withRedirect bool) (func() cluster.Scheduler,
 	if !withRedirect {
 		return e.NewScheduler, nil
 	}
-	return func() cluster.Scheduler { return redirect.New(e.NewScheduler()) }, nil
-}
-
-// ServeNames lists the names serve.NewPolicy accepts: every registered
-// policy, then one "sim:" locked sim-parity adapter per entry.
-func ServeNames() []string {
-	names := Names()
-	for _, e := range registry {
-		names = append(names, simPrefix+e.Name)
-	}
-	return names
-}
-
-// UnknownServeError is the error serve.NewPolicy returns for a name outside
-// ServeNames, listing the accepted names from the registry.
-func UnknownServeError(name string) error {
-	return fmt.Errorf("policy: unknown serve policy %q (available: %s)", name, strings.Join(ServeNames(), ", "))
+	return func() cluster.Scheduler { return &cluster.Redirecting{Base: e.NewScheduler()} }, nil
 }
 
 // List renders the registry with one-line descriptions — the body of the
-// simulator tools' -list-policies flag.
-func List() string { return table(Names()) }
-
-// ServeList renders the daemon's name table with one-line descriptions:
-// every registered policy, then its "sim:" adapter.
-func ServeList() string { return table(ServeNames()) }
-
-// table renders names, each with its entry's description; a "sim:" name is
-// marked as the locked adapter over its base entry.
-func table(names []string) string {
+// -list-policies flag of the simulator tools and the daemon.
+func List() string {
 	w := 0
-	for _, n := range names {
-		w = max(w, len(n))
+	for _, e := range registry {
+		w = max(w, len(e.Name))
 	}
 	var b strings.Builder
-	for _, n := range names {
-		base, sim := strings.CutPrefix(n, simPrefix)
-		e, _ := Lookup(base)
-		desc := e.Description
-		if sim {
-			desc = "the simulator's scheduler behind a mutex, with backbone redirection when the problem has a backbone"
-		}
-		fmt.Fprintf(&b, "  %-*s  %s\n", w, n, desc)
+	for _, e := range registry {
+		fmt.Fprintf(&b, "  %-*s  %s\n", w, e.Name, e.Description)
 	}
 	return b.String()
 }

@@ -78,46 +78,11 @@ func TestSchedulerFactory(t *testing.T) {
 	}
 }
 
-func TestServeNames(t *testing.T) {
-	names := ServeNames()
-	if len(names) != 2*len(Names()) {
-		t.Fatalf("serve names %v: want every policy and its sim: adapter", names)
-	}
-	seen := make(map[string]bool, len(names))
-	for _, n := range names {
-		if seen[n] {
-			t.Errorf("duplicate serve name %q", n)
-		}
-		seen[n] = true
-	}
-	for _, n := range Names() {
-		if !seen[n] || !seen["sim:"+n] {
-			t.Errorf("serve names %v miss %q or its sim: adapter", names, n)
-		}
-	}
-	err := UnknownServeError("bogus")
-	if err == nil || !strings.Contains(err.Error(), "sim:least-loaded") {
-		t.Errorf("UnknownServeError does not list the adapters: %v", err)
-	}
-}
-
 func TestListFormatting(t *testing.T) {
 	l := List()
 	for _, n := range Names() {
 		if !strings.Contains(l, n) {
 			t.Errorf("List() missing %q", n)
 		}
-	}
-	if strings.Contains(l, "sim:") {
-		t.Errorf("List() shows the daemon's sim: adapters:\n%s", l)
-	}
-	sl := ServeList()
-	for _, n := range ServeNames() {
-		if !strings.Contains(sl, n+" ") {
-			t.Errorf("ServeList() missing %q:\n%s", n, sl)
-		}
-	}
-	if !strings.Contains(sl, "mutex") {
-		t.Errorf("ServeList() does not describe the sim: adapters:\n%s", sl)
 	}
 }

@@ -248,6 +248,10 @@ func (c *Cluster) CanServe(s, v int) bool { return c.Eligible(s) && c.Free(s) >=
 // BackboneUsed returns the backbone bandwidth in use, bits/s.
 func (c *Cluster) BackboneUsed() int64 { return c.backboneUsed.Load() }
 
+// BackboneFree implements cluster.View: the unused backbone bandwidth as a
+// float64.
+func (c *Cluster) BackboneFree() float64 { return float64(c.backboneCap - c.backboneUsed.Load()) }
+
 // TryReserve atomically charges rate bits/s to server s's outgoing link. It
 // fails when the server is ineligible (draining or down) or lacks headroom.
 // The CAS loop makes the capacity check and the charge one atomic step: two
@@ -292,15 +296,7 @@ func (c *Cluster) TryReserveBandwidth(s int, rate int64) bool {
 // ReleaseBandwidth frees a TryReserveBandwidth charge.
 func (c *Cluster) ReleaseBandwidth(s int, rate int64) { c.used[s].Add(-rate) }
 
-// ForceCharge charges rate to server s without a capacity check — used by
-// policies whose own accounting (a locked cluster.State) already admitted
-// the stream, so the concurrent gauges stay in step.
-func (c *Cluster) ForceCharge(s int, rate int64) {
-	c.used[s].Add(rate)
-	c.active[s].Add(1)
-}
-
-// Release frees a reservation made by TryReserve or ForceCharge.
+// Release frees a reservation made by TryReserve.
 func (c *Cluster) Release(s int, rate int64) {
 	c.used[s].Add(-rate)
 	c.active[s].Add(-1)
@@ -318,10 +314,6 @@ func (c *Cluster) TryReserveBackbone(rate int64) bool {
 		}
 	}
 }
-
-// ForceChargeBackbone charges the backbone without a capacity check (locked
-// policies own the check).
-func (c *Cluster) ForceChargeBackbone(rate int64) { c.backboneUsed.Add(rate) }
 
 // ReleaseBackbone frees a backbone reservation.
 func (c *Cluster) ReleaseBackbone(rate int64) { c.backboneUsed.Add(-rate) }

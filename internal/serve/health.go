@@ -64,8 +64,8 @@ func (c HealthConfig) withDefaults() HealthConfig {
 //
 // Operator-driven Draining backends are skipped entirely — drain is not a
 // health condition. One goroutine probes every backend each Interval;
-// transitions go through the Server so evictions, policy mirrors, and the
-// repairer fire exactly as they do for manual FailBackend/RecoverBackend.
+// transitions go through the Server so evictions and the repairer fire
+// exactly as they do for manual FailBackend/RecoverBackend.
 type HealthChecker struct {
 	s      *Server
 	prober Prober
@@ -184,9 +184,8 @@ func (h *HealthChecker) observeSuccess(b int) {
 				Server: b, Detail: "up"})
 		}
 	case BackendDown:
-		// The backend answers again: put it on probation. RecoverBackend
-		// routes through the Server so policy mirrors stay in step; the
-		// clean probe that triggered this counts toward the threshold.
+		// The backend answers again: put it on probation. The clean probe
+		// that triggered this counts toward the threshold.
 		h.oks[b] = 1
 		_ = h.s.RecoverBackend(b)
 	}

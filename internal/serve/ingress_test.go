@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"vodcluster/internal/core"
 	"vodcluster/internal/policy"
 )
 
@@ -427,8 +428,9 @@ func TestAdmissionPathAllocs(t *testing.T) {
 }
 
 // TestPolicyDecisionAllocs extends the guard to the decision itself for
-// every registered policy: Admit and Failover (rank, CAS reservation) and
-// Release allocate nothing.
+// every registered policy: Admit and Failover (rank, CAS reservation), the
+// redirected Admit (rank, Redirect, two CAS reservations) and Release
+// allocate nothing.
 func TestPolicyDecisionAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated by the race detector")
@@ -452,6 +454,24 @@ func TestPolicyDecisionAllocs(t *testing.T) {
 			if allocs != 0 {
 				t.Errorf("%s %s + Release allocates %.1f objects/op, want 0", name, op, allocs)
 			}
+		}
+		// Redirect path: v1's only holder s0 is full, so Admit books s1
+		// and the backbone.
+		c := newTestCluster(t, 8*core.Mbps)
+		for c.TryReserve(0, c.Rate(1)) {
+		}
+		if pol, err = NewPolicy(name, c); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(500, func() {
+			g, ok := pol.Admit(1)
+			if !ok || !g.Redirected {
+				t.Fatalf("%s Admit on a full holder: ok=%v, grant %+v, want a redirect", name, ok, g)
+			}
+			pol.Release(g)
+		})
+		if allocs != 0 {
+			t.Errorf("%s redirected Admit + Release allocates %.1f objects/op, want 0", name, allocs)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -19,8 +18,6 @@ type Grant struct {
 	Source     int
 	Rate       int64 // bits/s charged to Server's outgoing link
 	Redirected bool  // the stream crosses the backbone from Source to Server
-
-	simID int64 // stream handle of the locked sim-parity policy, else 0
 }
 
 // Policy decides and books admissions against the shared Cluster. Admit
@@ -42,31 +39,26 @@ type Policy interface {
 // DefaultPolicy is the admission policy an empty Config.Policy selects.
 const DefaultPolicy = "least-loaded"
 
-// PolicyNames lists the accepted -policy values from the shared registry:
-// every registered policy, then the locked sim-parity adapters (see
-// NewSimPolicy).
-func PolicyNames() []string { return policy.ServeNames() }
-
-// NewPolicy resolves a policy name against a cluster. A registered name
-// runs that policy's rank (cluster.Ranker) against the cluster with an
-// atomic reservation; a "sim:" name wraps the exact simulator scheduler
-// (plus redirect when the problem defines backbone bandwidth) behind a
-// mutex. The empty name selects DefaultPolicy. Unknown names report the
-// registry's full name table.
+// NewPolicy resolves a registered policy name against a cluster: that
+// policy's rank (cluster.Ranker) booked with an atomic reservation, plus
+// backbone redirection exactly when the problem defines backbone bandwidth,
+// as in the simulator pipeline. The empty name selects DefaultPolicy.
+// Unknown names report the registry's full name table.
 func NewPolicy(name string, c *Cluster) (Policy, error) {
-	if base, ok := strings.CutPrefix(name, "sim:"); ok {
-		return NewSimPolicy(base, c)
-	}
 	if name == "" {
 		name = DefaultPolicy
 	}
 	e, err := policy.Lookup(name)
 	if err != nil {
-		return nil, policy.UnknownServeError(name)
+		return nil, err
 	}
 	p := &rankPolicy{c: c, name: e.Name, rank: e.Rank, draw: &lockedDraw{rng: cluster.RandomStream(0)}}
 	if e.Rank.Rotates() {
 		p.cursor = make([]atomic.Int64, c.Videos())
+	}
+	if c.Problem().BackboneBandwidth > 0 {
+		p.redirect = true
+		p.name += "+redirect"
 	}
 	return p, nil
 }
@@ -74,14 +66,17 @@ func NewPolicy(name string, c *Cluster) (Policy, error) {
 // rankPolicy runs a registered rank against the shared Cluster. The rank
 // picks a server from the current loads, and TryReserve books it with a
 // CAS; a reservation that loses the race to a concurrent admission ranks
-// again under the new loads. Failover is the least-loaded rank with the
-// drained server excluded, whatever the admission policy.
+// again under the new loads. A pick that cannot take the stream falls back
+// on cluster.Redirect when the problem has a backbone. Failover is the
+// least-loaded rank with the drained server excluded, whatever the
+// admission policy.
 type rankPolicy struct {
-	c      *Cluster
-	name   string
-	rank   cluster.Ranker
-	cursor []atomic.Int64 // per-video rotation position, rotating ranks only
-	draw   cluster.Draw
+	c        *Cluster
+	name     string
+	rank     cluster.Ranker
+	cursor   []atomic.Int64 // per-video rotation position, rotating ranks only
+	draw     cluster.Draw
+	redirect bool // the problem has a backbone
 }
 
 func (p *rankPolicy) Name() string { return p.name }
@@ -94,13 +89,22 @@ func (p *rankPolicy) Admit(v int) (Grant, bool) {
 		k = int(p.cursor[v].Add(1) - 1)
 	}
 	for {
-		if g, ok, again := p.reserve(v, p.rank.Rank(p.c, v, k, p.draw)); !again {
+		g, ok, again := p.reserve(v, p.rank.Rank(p.c, v, k, p.draw))
+		if !ok && !again && p.redirect {
+			g, ok, again = p.redirectOne(v)
+		}
+		if !again {
 			return g, ok
 		}
 	}
 }
 
-func (p *rankPolicy) Release(g Grant) { p.c.Release(g.Server, g.Rate) }
+func (p *rankPolicy) Release(g Grant) {
+	p.c.Release(g.Server, g.Rate)
+	if g.Redirected {
+		p.c.ReleaseBackbone(g.Rate)
+	}
+}
 
 func (p *rankPolicy) Failover(v, exclude int) (Grant, bool) {
 	for {
@@ -122,6 +126,26 @@ func (p *rankPolicy) reserve(v, s int) (g Grant, ok, again bool) {
 		return Grant{}, false, true
 	}
 	return Grant{Video: v, Server: s, Source: s, Rate: rate}, true, false
+}
+
+// redirectOne books cluster.Redirect's pick for v: the server's link, then
+// the backbone when the stream crosses it. again reports a lost race, as in
+// reserve; a backbone race gives the server's reservation back first.
+func (p *rankPolicy) redirectOne(v int) (g Grant, ok, again bool) {
+	rate := p.c.Rate(v)
+	s, src := cluster.Redirect(p.c, v, float64(rate))
+	if s < 0 {
+		return Grant{}, false, false
+	}
+	if !p.c.TryReserve(s, rate) {
+		return Grant{}, false, true
+	}
+	g = Grant{Video: v, Server: s, Source: src, Rate: rate, Redirected: s != src}
+	if g.Redirected && !p.c.TryReserveBackbone(rate) {
+		p.c.Release(s, rate)
+		return Grant{}, false, true
+	}
+	return g, true, false
 }
 
 // lockedDraw serializes a randomized rank's draws from one stream.

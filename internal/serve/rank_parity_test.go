@@ -12,11 +12,11 @@ import (
 	"vodcluster/internal/serve"
 )
 
-// parityCase is one generated cluster: a layout, per-video rates and
-// per-server links in whole Mb/s (so the daemon's integer accounting and
-// the simulator's float accounting agree exactly), a pre-loaded set of
-// streams, the servers down before the first request, and a request
-// script.
+// parityCase is one generated cluster: a layout, per-video rates,
+// per-server links and (in about half the cases) a backbone in whole Mb/s
+// (so the daemon's integer accounting and the simulator's float accounting
+// agree exactly), a pre-loaded set of streams, the servers down before the
+// first request, and a request script.
 type parityCase struct {
 	p      *core.Problem
 	layout *core.Layout
@@ -84,14 +84,18 @@ func genParityCase(seed int64) (*parityCase, error) {
 		}
 		c.ops = append(c.ops, op)
 	}
+	if rng.Intn(2) == 0 {
+		p.BackboneBandwidth = float64(1+rng.Intn(12)) * core.Mbps
+	}
 	return c, nil
 }
 
 // checkRankParity replays one generated case, for every registered policy,
 // through the daemon (sequential Admit and Failover on a serve.Cluster) and
-// through the simulator (Schedule and resilience.TryFailover at the fixed
-// rate on the mirrored cluster.State), and fails on the first request the
-// two place differently.
+// through the simulator (Schedule, redirecting when the case has a
+// backbone, and resilience.TryFailover at the fixed rate on the mirrored
+// cluster.State), and fails on the first request the two place differently:
+// another server, another source, or one redirected and the other not.
 func checkRankParity(t *testing.T, seed int64) {
 	t.Helper()
 	pc, err := genParityCase(seed)
@@ -114,7 +118,7 @@ func replayParity(pc *parityCase, name string) error {
 	if err != nil {
 		return err
 	}
-	newSched, err := policy.SchedulerFactory(name, false)
+	newSched, err := policy.SchedulerFactory(name, pc.p.BackboneBandwidth > 0)
 	if err != nil {
 		return err
 	}
@@ -156,29 +160,33 @@ func replayParity(pc *parityCase, name string) error {
 				what = "failover"
 				holders := c.Holders(op.v)
 				exclude := holders[op.i%len(holders)]
+				// FailServer tears the streams exclude carries or sources;
+				// the daemon's engine releases the same grants.
 				st.FailServer(exclude)
-				simID, simOK = resilience.TryFailover(st, op.v, 1)
-				g, liveOK = pol.Failover(op.v, exclude)
-				c.SetState(exclude, serve.BackendDraining)
 				kept := live[:0]
 				for _, pr := range live {
-					if pr.g.Server != exclude {
+					if pr.g.Server != exclude && pr.g.Source != exclude {
 						kept = append(kept, pr)
+					} else {
+						pol.Release(pr.g)
 					}
 				}
 				live = kept
+				simID, simOK = resilience.TryFailover(st, op.v, 1)
+				g, liveOK = pol.Failover(op.v, exclude)
+				c.SetState(exclude, serve.BackendDraining)
 			}
-			simServer := -1
+			sim := cluster.Stream{Server: -1, Source: -1}
 			if simOK {
-				s, _ := st.Lookup(simID)
-				simServer = s.Server
+				sim, _ = st.Lookup(simID)
 			}
-			liveServer := -1
+			daemon := serve.Grant{Server: -1, Source: -1}
 			if liveOK {
-				liveServer = g.Server
+				daemon = g
 			}
-			if simServer != liveServer {
-				return fmt.Errorf("step %d, %s of video %d: sim picked server %d, daemon %d (-1 = reject)", step, what, op.v, simServer, liveServer)
+			if sim.Server != daemon.Server || sim.Source != daemon.Source || sim.Redirected != daemon.Redirected {
+				return fmt.Errorf("step %d, %s of video %d: sim picked server %d from %d (redirected %v), daemon %d from %d (redirected %v) (-1 = reject)",
+					step, what, op.v, sim.Server, sim.Source, sim.Redirected, daemon.Server, daemon.Source, daemon.Redirected)
 			}
 			if simOK {
 				live = append(live, pair{simID, g})
@@ -198,9 +206,10 @@ func replayParity(pc *parityCase, name string) error {
 	return nil
 }
 
-// TestRankParity is the property: on generated layouts, loads and
-// down/draining sets, the daemon and the simulator pick the same server
-// for every registered policy, on admission and on failover.
+// TestRankParity is the property: on generated layouts, loads, backbones
+// and down/draining sets, the daemon and the simulator pick the same server
+// and source for every registered policy, on admission (redirected or not)
+// and on failover.
 func TestRankParity(t *testing.T) {
 	for seed := int64(1); seed <= 500; seed++ {
 		checkRankParity(t, seed)

@@ -72,9 +72,7 @@ func (s *Server) observeDemand(v int) {
 
 // LandReplica publishes a migrated replica of video v on backend b: the
 // rebalancer's counterpart of the repairer's settle path. The holder list is
-// republished atomically, the copy is mirrored into a sim-parity policy when
-// one is active (divergence keeps the live directory authoritative, matching
-// the repairer), and vod_migrations_total counts it.
+// republished atomically and vod_migrations_total counts it.
 func (s *Server) LandReplica(v, b int) error {
 	if v < 0 || v >= s.c.Videos() {
 		return ErrNoReplica
@@ -88,12 +86,6 @@ func (s *Server) LandReplica(v, b int) error {
 	if !s.c.AddHolder(v, b) {
 		return fmt.Errorf("serve: backend %d already holds video %d", b, v)
 	}
-	if m, ok := s.pol.(interface{ AddReplica(v, s int) error }); ok {
-		if err := m.AddReplica(v, b); err != nil {
-			s.tracer.Record(obs.Event{TS: s.tracer.NowNS(), Kind: obs.KindRepair,
-				Video: v, Server: b, Detail: "migration mirror error: " + err.Error()})
-		}
-	}
 	s.met.Migrated()
 	s.tracer.Record(obs.Event{TS: s.tracer.NowNS(), Kind: obs.KindRepair,
 		Video: v, Server: b, Detail: "replica migrated in"})
@@ -106,9 +98,7 @@ func (s *Server) LandReplica(v, b int) error {
 // shrinks, under each registry partition's lock: an admission or failover
 // that committed meanwhile is seen and rolls the eviction back, and one that
 // commits later re-checks the holder under that lock, finds it gone, and
-// decides again — so no live session ever streams from an evicted copy. On
-// success the eviction is mirrored into a sim-parity policy when one is
-// active.
+// decides again — so no live session ever streams from an evicted copy.
 func (s *Server) EvictReplica(v, b int) error {
 	if v < 0 || v >= s.c.Videos() {
 		return ErrNoReplica
@@ -142,14 +132,6 @@ func (s *Server) EvictReplica(v, b int) error {
 	if s.PinnedSessions(v, b) > 0 {
 		s.c.AddHolder(v, b)
 		return ErrReplicaPinned
-	}
-	if m, ok := s.pol.(interface{ RemoveReplica(v, s int) error }); ok {
-		if err := m.RemoveReplica(v, b); err != nil {
-			// The locked mirror disagrees (e.g. a sim-side stream still pins
-			// the copy); restore the live directory so the two stay in step.
-			s.c.AddHolder(v, b)
-			return err
-		}
 	}
 	s.met.Evicted()
 	s.tracer.Record(obs.Event{TS: s.tracer.NowNS(), Kind: obs.KindRepair,

@@ -5,8 +5,8 @@
 // accounting (Cluster), and admits, rejects, or redirects session requests
 // through an admission Policy — a registered policy's rank (the same
 // cluster.Ranker the simulator's scheduler calls) booked by compare-and-swap,
-// or a locked sim-parity adapter over the exact cluster.Scheduler/redirect
-// chain the simulator runs.
+// falling back on the simulator's backbone redirection rule
+// (cluster.Redirect) when the problem has a backbone.
 //
 // Admission runs on the calling goroutine: the policy decides and reserves
 // by compare-and-swap, and the session is registered, with its
@@ -363,9 +363,6 @@ func (s *Server) DrainBackend(b int) (failedOver, dropped int, err error) {
 	if err := s.claimState(b, BackendDraining); err != nil {
 		return 0, 0, err
 	}
-	if d, ok := s.pol.(interface{ DrainBackend(int) }); ok {
-		d.DrainBackend(b) // sim-parity policies mirror the drain into their state
-	}
 	failedOver, dropped = s.evictSessions(b, "drained")
 	return failedOver, dropped, nil
 }
@@ -385,9 +382,6 @@ func (s *Server) FailBackend(b int) (failedOver, dropped int, err error) {
 	s.met.BackendFailed()
 	s.tracer.Record(obs.Event{TS: s.tracer.NowNS(), Kind: obs.KindHealth,
 		Server: b, Detail: "down"})
-	if d, ok := s.pol.(interface{ FailBackend(int) }); ok {
-		d.FailBackend(b) // sim-parity policies mirror the crash into their state
-	}
 	failedOver, dropped = s.evictSessions(b, "failed")
 	if r := s.rep.Load(); r != nil {
 		r.Kick() // scan for under-replicated videos now, not at the next tick
@@ -486,9 +480,6 @@ func (s *Server) RestoreBackend(b int) error {
 		return ErrBackendDown
 	}
 	s.c.SetState(b, BackendUp)
-	if d, ok := s.pol.(interface{ RestoreBackend(int) }); ok {
-		d.RestoreBackend(b)
-	}
 	return nil
 }
 
@@ -509,9 +500,6 @@ func (s *Server) RecoverBackend(b int) error {
 	}
 	s.tracer.Record(obs.Event{TS: s.tracer.NowNS(), Kind: obs.KindHealth,
 		Server: b, Detail: target.String()})
-	if d, ok := s.pol.(interface{ RecoverBackend(int) }); ok {
-		d.RecoverBackend(b)
-	}
 	return nil
 }
 

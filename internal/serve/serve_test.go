@@ -10,6 +10,7 @@ import (
 
 	"vodcluster/internal/cluster"
 	"vodcluster/internal/core"
+	"vodcluster/internal/policy"
 )
 
 // testProblem: 3 videos, 2 servers, 10 Mb/s links, 4 Mb/s videos — each
@@ -115,7 +116,7 @@ func TestTryReserveNeverOversubscribes(t *testing.T) {
 // stream capacity for v0 (2 per holder), then rejects, and recovers a slot
 // on release.
 func TestPolicyAdmitUntilSaturated(t *testing.T) {
-	for _, name := range PolicyNames() {
+	for _, name := range policy.Names() {
 		t.Run(name, func(t *testing.T) {
 			c := newTestCluster(t, 0)
 			pol, err := NewPolicy(name, c)
@@ -161,25 +162,25 @@ func TestPolicyAdmitUntilSaturated(t *testing.T) {
 }
 
 // TestStaticRRMatchesSimPolicy: the daemon's static round-robin makes the
-// same sequential accept/reject and placement decisions as the locked
-// adapter over the simulator's actual scheduler.
+// same sequential accept/reject and placement decisions as the simulator's
+// scheduler on a cluster.State.
 func TestStaticRRMatchesSimPolicy(t *testing.T) {
 	fast, err := NewPolicy("static-rr", newTestCluster(t, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := NewPolicy("sim:static-rr", newTestCluster(t, 0))
+	st, err := cluster.New(testProblem(t, 0), testLayout(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	videos := []int{0, 1, 0, 2, 0, 0, 1, 2, 0, 1, 2, 0}
 	for i, v := range videos {
 		fg, fok := fast.Admit(v)
-		sg, sok := slow.Admit(v)
+		id, sok := st.Admit(v, cluster.StaticRoundRobin{})
 		if fok != sok {
 			t.Fatalf("request %d (video %d): daemon ok=%v, sim ok=%v", i, v, fok, sok)
 		}
-		if fok && fg.Server != sg.Server {
+		if sg, _ := st.Lookup(id); fok && fg.Server != sg.Server {
 			t.Fatalf("request %d (video %d): daemon server %d, sim server %d", i, v, fg.Server, sg.Server)
 		}
 	}
@@ -327,13 +328,14 @@ func TestDrainBackendFailover(t *testing.T) {
 	}
 }
 
-// TestDrainBackendSimPolicy: the locked sim-parity policy mirrors drain and
-// failover through the real cluster.State without leaking accounting, at one
-// registry partition and at several.
-func TestDrainBackendSimPolicy(t *testing.T) {
+// TestDrainBackendRedirect: with a backbone, drain fails a session over
+// without leaking accounting, and draining a redirected stream's source
+// tears it and returns its backbone charge, at one registry partition and
+// at several.
+func TestDrainBackendRedirect(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			srv, err := New(testProblem(t, 0), testLayout(t), Config{Policy: "sim:least-loaded", Shards: shards})
+			srv, err := New(testProblem(t, 100*core.Mbps), testLayout(t), Config{Policy: "least-loaded", Shards: shards})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -355,6 +357,27 @@ func TestDrainBackendSimPolicy(t *testing.T) {
 				if got := srv.Cluster().Used(1); got != srv.Cluster().Rate(0) {
 					t.Fatalf("survivor charged %d, want %d", got, srv.Cluster().Rate(0))
 				}
+			}
+			// v1 lives only on s0: fill it, redirect a third session through
+			// s1, then drain s0 again. Every v1 session goes, the redirected
+			// one because its source went.
+			if err := srv.RestoreBackend(0); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				info, outcome, err := srv.Open(1)
+				if err != nil || outcome != OutcomeAccepted || info.Redirected != (i == 2) {
+					t.Fatalf("open %d of v1: outcome %q, redirected=%v, err %v", i, outcome, info.Redirected, err)
+				}
+			}
+			if _, dropped, err := srv.DrainBackend(0); err != nil || dropped != 3 {
+				t.Fatalf("second drain dropped %d, err %v; want 3", dropped, err)
+			}
+			if got := srv.Cluster().BackboneUsed(); got != 0 {
+				t.Fatalf("backbone used = %d after the source drained", got)
+			}
+			if got := srv.Cluster().Used(1); got != int64(failedOver)*srv.Cluster().Rate(0) {
+				t.Fatalf("proxy still charged %d after the source drained", got)
 			}
 		})
 	}
@@ -411,65 +434,83 @@ func TestServerDrainTimeout(t *testing.T) {
 	}
 }
 
-// TestSimPolicyRedirect: with backbone bandwidth, the sim-parity policy
-// serves an exhausted video's requests over the backbone like the
-// simulator's redirect scheduler, and the backbone gauge tracks it, at one
-// registry partition and at several.
-func TestSimPolicyRedirect(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			srv, err := New(testProblem(t, 100*core.Mbps), testLayout(t), Config{Policy: "sim:least-loaded", Shards: shards})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Shutdown()
-			if name := srv.PolicyName(); !strings.Contains(name, "redirect") {
-				t.Fatalf("policy %q lacks redirect with a backbone", name)
-			}
-			// v1 lives only on s0 (2 slots). The third request must cross the
-			// backbone to s1.
-			for i := 0; i < 2; i++ {
-				info, outcome, err := srv.Open(1)
-				if err != nil || outcome != OutcomeAccepted || info.Redirected {
-					t.Fatalf("open %d: outcome %q, redirected=%v, err %v", i, outcome, info.Redirected, err)
+// TestRedirect: with backbone bandwidth, every registered policy serves an
+// exhausted video's requests over the backbone like the simulator's
+// redirect scheduler, and the backbone gauge tracks it, at one registry
+// partition and at several.
+func TestRedirect(t *testing.T) {
+	for _, name := range policy.Names() {
+		for _, shards := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
+				srv, err := New(testProblem(t, 100*core.Mbps), testLayout(t), Config{Policy: name, Shards: shards})
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			info, outcome, err := srv.Open(1)
-			if err != nil || outcome != OutcomeAccepted {
-				t.Fatalf("redirect open: outcome %q, err %v", outcome, err)
-			}
-			if !info.Redirected {
-				t.Fatal("third v1 session was not redirected")
-			}
-			if got := srv.Cluster().BackboneUsed(); got != srv.Cluster().Rate(1) {
-				t.Fatalf("backbone used = %d, want %d", got, srv.Cluster().Rate(1))
-			}
-			if !srv.Close(info.ID) {
-				t.Fatal("close failed")
-			}
-			waitUntil(t, 2*time.Second, "redirected session teardown", func() bool {
-				return srv.Cluster().BackboneUsed() == 0
+				defer srv.Shutdown()
+				if name := srv.PolicyName(); !strings.Contains(name, "redirect") {
+					t.Fatalf("policy %q lacks redirect with a backbone", name)
+				}
+				// v1 lives only on s0 (2 slots). The third request must cross the
+				// backbone to s1.
+				for i := 0; i < 2; i++ {
+					info, outcome, err := srv.Open(1)
+					if err != nil || outcome != OutcomeAccepted || info.Redirected {
+						t.Fatalf("open %d: outcome %q, redirected=%v, err %v", i, outcome, info.Redirected, err)
+					}
+				}
+				info, outcome, err := srv.Open(1)
+				if err != nil || outcome != OutcomeAccepted {
+					t.Fatalf("redirect open: outcome %q, err %v", outcome, err)
+				}
+				if !info.Redirected {
+					t.Fatal("third v1 session was not redirected")
+				}
+				if got := srv.Cluster().BackboneUsed(); got != srv.Cluster().Rate(1) {
+					t.Fatalf("backbone used = %d, want %d", got, srv.Cluster().Rate(1))
+				}
+				if !srv.Close(info.ID) {
+					t.Fatal("close failed")
+				}
+				waitUntil(t, 2*time.Second, "redirected session teardown", func() bool {
+					return srv.Cluster().BackboneUsed() == 0
+				})
 			})
-		})
+		}
 	}
 }
 
 // TestConcurrentOpenCloseStress drives many concurrent admissions, closes,
 // and natural expiries under every policy kind at one registry partition and
-// at several; no admission may oversubscribe a link, every accepted session
-// must end exactly once, and afterwards every gauge must read zero — the
-// accounting audit the race detector runs alongside.
+// at several; no admission may oversubscribe a link or the backbone, every
+// accepted session must end exactly once, and afterwards every gauge must
+// read zero — the accounting audit the race detector runs alongside.
 func TestConcurrentOpenCloseStress(t *testing.T) {
 	p := testProblem(t, 0)
 	p.BandwidthPerServer = 400 * core.Mbps // 100 slots per server
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	for _, policy := range []string{"least-loaded", "static-rr", "sim:first-available", "sim:least-loaded"} {
-		t.Run(policy, func(t *testing.T) {
+	// The backbone cases keep s0's 2-slot link, the only one holding v1, and
+	// widen s1's to 10 slots, so v1 saturates s0 and redirects through s1
+	// over a backbone with room for two streams.
+	bb := testProblem(t, 8*core.Mbps)
+	bb.ServerBandwidth = []float64{10 * core.Mbps, 40 * core.Mbps}
+	if err := bb.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, policy string
+		p            *core.Problem
+	}{
+		{"least-loaded", "least-loaded", p},
+		{"static-rr", "static-rr", p},
+		{"backbone/least-loaded", "least-loaded", bb},
+		{"backbone/first-available", "first-available", bb},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			for _, shards := range []int{1, 4} {
 				t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-					srv, err := New(p, testLayout(t), Config{Policy: policy, Compress: 2e5, Shards: shards})
+					srv, err := New(tc.p, testLayout(t), Config{Policy: tc.policy, Compress: 2e5, Shards: shards})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -493,6 +534,9 @@ func TestConcurrentOpenCloseStress(t *testing.T) {
 								if c.Used(info.Server) > c.Capacity(info.Server) {
 									t.Errorf("server %d oversubscribed", info.Server)
 								}
+								if c.BackboneUsed() > int64(tc.p.BackboneBandwidth) {
+									t.Errorf("backbone oversubscribed: %d", c.BackboneUsed())
+								}
 								if i%2 == 0 {
 									srv.Close(info.ID)
 								}
@@ -509,7 +553,13 @@ func TestConcurrentOpenCloseStress(t *testing.T) {
 							t.Fatalf("server %d active = %d after all sessions ended", s, got)
 						}
 					}
+					if got := c.BackboneUsed(); got != 0 {
+						t.Fatalf("backbone used = %d after all sessions ended", got)
+					}
 					m := srv.Metrics()
+					if tc.p.BackboneBandwidth > 0 && m.redirects.Load() == 0 {
+						t.Fatal("vod_redirected_total = 0 on a saturated backbone cluster")
+					}
 					// Active() drops before the end is counted, so wait for
 					// the counters, the last step of each settlement.
 					waitUntil(t, 5*time.Second, "every end to be counted", func() bool {
@@ -594,7 +644,7 @@ func TestWallDurationCompression(t *testing.T) {
 }
 
 func TestPolicyNamesResolve(t *testing.T) {
-	for _, name := range PolicyNames() {
+	for _, name := range policy.Names() {
 		if _, err := NewPolicy(name, newTestCluster(t, 0)); err != nil {
 			t.Fatalf("advertised policy %q does not resolve: %v", name, err)
 		}

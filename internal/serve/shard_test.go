@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"vodcluster/internal/core"
+	"vodcluster/internal/policy"
 )
 
 // shardProblem: 8 videos on 8 servers, 4 Mb/s streams on 20 Mb/s links —
@@ -109,7 +110,7 @@ func TestShardedAcceptsEveryPolicy(t *testing.T) {
 		if err := p.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		for _, name := range PolicyNames() {
+		for _, name := range policy.Names() {
 			for _, shards := range []int{1, 4} {
 				srv, err := New(p, shardLayout(t), Config{Shards: shards, Policy: name})
 				if err != nil {

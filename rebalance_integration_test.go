@@ -19,7 +19,10 @@ import (
 // copies, the runner-up 2, the tail singletons. The mid-trace rotation then
 // moves the head's demand onto a singleton video, which one link cannot
 // carry: exactly the drift a static layout cannot answer and the rebalancer
-// exists to.
+// exists to. The 12 Mb/s backbone carries three redirected streams, or the
+// rebalancer's two 4 Mb/s migration copies and one: every admission may
+// redirect, but redirection alone cannot carry the shifted head (a 1 Gb/s
+// backbone would, and the static layout would then reject nothing).
 func driftScenario(t *testing.T) (*core.Problem, *core.Layout) {
 	t.Helper()
 	catalog, err := core.NewCatalog(8, 1.2, 4*core.Mbps, 10*core.Minute)
@@ -32,7 +35,7 @@ func driftScenario(t *testing.T) (*core.Problem, *core.Layout) {
 		NumServers:         4,
 		StoragePerServer:   6 * size,
 		BandwidthPerServer: 40 * core.Mbps,
-		BackboneBandwidth:  1000 * core.Mbps,
+		BackboneBandwidth:  12 * core.Mbps,
 		ArrivalRate:        32.0 / (10 * core.Minute), // ~32 offered streams vs 40 slots
 		PeakPeriod:         60 * core.Minute,
 	}
@@ -99,8 +102,8 @@ func replayDrill(t *testing.T, tr *workload.Trace, compress float64, withRebalan
 			Interval:    60, // one control round per virtual minute
 			Decay:       0.5,
 			MinObserved: 4,
-			CopyRate:    100 * core.Mbps,
-			Budget:      200 * core.Mbps,
+			CopyRate:    4 * core.Mbps,
+			Budget:      8 * core.Mbps,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -94,12 +94,12 @@ serve-smoke:
 # mid-trace crash with health checking, admission retry, and automatic
 # re-replication, asserting single settlement, zero leaked bandwidth, and
 # live-vs-sim post-failure parity. Then the per-PR stress budget (≈ 1 min):
-# fifty race-detector passes over the engine's failover, drain, eviction and
-# exactly-once drills at one registry partition and at several, whose bugs so
-# far showed up once in tens of runs. The guard before it fails the target
+# fifty race-detector passes over the engine's failover, drain, eviction,
+# repair and exactly-once drills at one registry partition and at several,
+# whose bugs so far showed up once in tens of runs. The guard before it fails the target
 # when a name in the list matches no test, so a rename cannot silently drop
 # a drill from the race budget.
-CHAOS_RACE_TESTS := TestSharded|TestIngressChaosExactlyOnce|TestConcurrentFailDrainStorm|TestConcurrentOpenCloseStress|TestRedirect|TestDrainBackendRedirect
+CHAOS_RACE_TESTS := TestSharded|TestIngressChaosExactlyOnce|TestConcurrentFailDrainStorm|TestConcurrentOpenCloseStress|TestRedirect|TestDrainBackendRedirect|TestRepairParity|TestRepairer|TestFailoverAdmissionOrder
 chaos-smoke:
 	$(GO) test -race -run 'TestChaos' -v .
 	@listed=$$($(GO) test -list '$(CHAOS_RACE_TESTS)' ./internal/serve) || exit 1; \
@@ -158,6 +158,7 @@ fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzWireParse -fuzztime=$(FUZZTIME) ./internal/serve/
 	$(GO) test -run=Fuzz -fuzz=FuzzIngressConn -fuzztime=$(FUZZTIME) ./internal/serve/
 	$(GO) test -run=Fuzz -fuzz=FuzzRankParity -fuzztime=$(FUZZTIME) ./internal/serve/
+	$(GO) test -run=Fuzz -fuzz=FuzzRepairParity -fuzztime=$(FUZZTIME) ./internal/serve/
 	$(GO) test -run=Fuzz -fuzz=FuzzEngineOrder -fuzztime=$(FUZZTIME) ./internal/sim/
 	$(GO) test -run=Fuzz -fuzz=FuzzHolderLists -fuzztime=$(FUZZTIME) ./internal/anneal/
 	$(GO) test -run=Fuzz -fuzz=FuzzSparseLayout -fuzztime=$(FUZZTIME) ./internal/anneal/

@@ -91,16 +91,15 @@ func TestChaosFailureDrill(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv, err := serve.New(p, layout, serve.Config{Policy: "least-loaded", Compress: compress})
+	// One resilience policy for both sides: always-on failover and the
+	// repairer at the drill's copy rate and budget.
+	pol := resilience.Policy{Failover: true, Repair: true, RepairRate: copyRate, RepairBudget: budget}
+	srv, err := serve.New(p, layout, serve.Config{Policy: "least-loaded", Compress: compress, Resilience: &pol})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv.AttachInjector(faults.NewInjector())
-	repairer, err := serve.NewRepairer(srv, serve.RepairConfig{CopyRate: copyRate, Budget: budget})
-	if err != nil {
-		t.Fatal(err)
-	}
-	repairer.Start()
+	repairer := srv.Repairer()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 	defer srv.Shutdown()
@@ -127,10 +126,8 @@ func TestChaosFailureDrill(t *testing.T) {
 		t.Fatalf("replay settled %d of %d requests — a request settled zero or multiple times", rep.Requests, len(tr.Requests))
 	}
 
-	// The same trace and scripted failures through the simulator, with the
-	// resilience mechanisms the live daemon runs: always-on failover and the
-	// repairer at the live config's rate.
-	pol := resilience.Policy{Failover: true, Repair: true, RepairRate: copyRate}
+	// The same trace and scripted failures through the simulator, under the
+	// daemon's resilience policy.
 	leastLoaded, err := policy.SchedulerFactory("least-loaded", p.BackboneBandwidth > 0)
 	if err != nil {
 		t.Fatal(err)

@@ -137,11 +137,16 @@ func run() error {
 		fmt.Printf("drift: popularity re-ranked at t=%gs (shuffle=%v)\n", drift.At, drift.Shuffle)
 	}
 
+	// A fault drill needs the daemon to heal itself, so repair rides along
+	// exactly when a schedule is loaded; the one policy configures the
+	// selftest daemon and the -validate sim.Run alike.
+	var res *resilience.Policy
+	if sched != nil {
+		res = &resilience.Policy{Failover: true, Repair: true}
+	}
 	base := *addr
 	if *selftest {
-		// A fault drill needs the daemon to heal itself, so the repairer
-		// rides along exactly when a schedule is loaded.
-		srv, stop, baseURL, err := startInProcess(p, layout, *policy, *compress, *shards, *listeners, sched != nil)
+		srv, stop, baseURL, err := startInProcess(p, layout, *policy, *compress, *shards, *listeners, res)
 		if err != nil {
 			return err
 		}
@@ -213,7 +218,7 @@ func run() error {
 	}
 
 	if *validate {
-		return crossValidate(p, layout, *policy, tr, rep, sched, *seed, *tolerance)
+		return crossValidate(p, layout, *policy, tr, rep, sched, res, *seed, *tolerance)
 	}
 	return nil
 }
@@ -313,23 +318,16 @@ func printReport(tr *workload.Trace, rep *serve.Report, sched *faults.Schedule, 
 
 // startInProcess boots a vodserved instance on a loopback port inside this
 // process — the zero-dependency path the smoke target and quick experiments
-// use. withRepair attaches and starts the re-replication repairer (at the
-// simulator-parity defaults) so a scripted crash heals the same way a
-// sim.Run with Resilience.Repair does. listeners > 0 fronts the daemon with
-// the sharded ingress (that many accept loops) instead of the net/http mux.
-func startInProcess(p *core.Problem, layout *core.Layout, policy string, compress float64, shards, listeners int, withRepair bool) (*serve.Server, func(), string, error) {
-	srv, err := serve.New(p, layout, serve.Config{Policy: policy, Compress: compress, Shards: shards})
+// use. res (nil for failover only) is the resilience policy a sim.Run
+// cross-check uses too, so a scripted crash heals the same way on both
+// sides. listeners > 0 fronts the daemon with the sharded ingress (that many
+// accept loops) instead of the net/http mux.
+func startInProcess(p *core.Problem, layout *core.Layout, policy string, compress float64, shards, listeners int, res *resilience.Policy) (*serve.Server, func(), string, error) {
+	srv, err := serve.New(p, layout, serve.Config{Policy: policy, Compress: compress, Shards: shards, Resilience: res})
 	if err != nil {
 		return nil, nil, "", err
 	}
 	srv.AttachInjector(faults.NewInjector())
-	if withRepair {
-		rep, err := serve.NewRepairer(srv, serve.RepairConfig{})
-		if err != nil {
-			return nil, nil, "", err
-		}
-		rep.Start()
-	}
 	if listeners > 0 {
 		ing, err := serve.NewIngress(srv, serve.IngressConfig{Listeners: listeners})
 		if err != nil {
@@ -370,11 +368,11 @@ func scrapeAccepted(client *serve.Client) (int64, error) {
 // crossValidate replays the same trace through sim.Run and compares
 // rejection rates: the serving layer must reproduce the simulator (and so
 // the paper's Fig. 4 curve) within the tolerance. Under a fault schedule the
-// simulator injects the same scripted crashes (Config.FailAt) with failover
-// and repair enabled at the live daemon's defaults, and a second comparison
-// covers only the decisions dispatched after the first crash — the window
-// where failure handling, not steady-state admission, sets the rate.
-func crossValidate(p *core.Problem, layout *core.Layout, policy string, tr *workload.Trace, rep *serve.Report, fsched *faults.Schedule, seed int64, tolPts float64) error {
+// simulator injects the same scripted crashes (Config.FailAt) under the
+// daemon's resilience policy pol, and a second comparison covers only the
+// decisions dispatched after the first crash — the window where failure
+// handling, not steady-state admission, sets the rate.
+func crossValidate(p *core.Problem, layout *core.Layout, policy string, tr *workload.Trace, rep *serve.Report, fsched *faults.Schedule, pol *resilience.Policy, seed int64, tolPts float64) error {
 	if policy == "" {
 		policy = serve.DefaultPolicy
 	}
@@ -392,9 +390,7 @@ func crossValidate(p *core.Problem, layout *core.Layout, policy string, tr *work
 	}
 	if fsched != nil {
 		cfg.FailAt = fsched.FailAt()
-		// Failover is always on in the live engine; repair matches the
-		// selftest daemon's RepairConfig defaults (shared with the sim).
-		cfg.Resilience = &resilience.Policy{Failover: true, Repair: true}
+		cfg.Resilience = pol
 	}
 	res, err := sim.Run(cfg)
 	if err != nil {

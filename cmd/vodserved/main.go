@@ -31,8 +31,10 @@
 // schedule (crash/recover/slow/drain/restore events at virtual times)
 // against the daemon's own backends; -health-interval starts the
 // health-check loop that confirms crashes and promotes recovering backends
-// through probation; -repair starts the automatic re-replication repairer;
-// -retry enables admission retry-with-backoff. POST /backend/{id}/fail,
+// through probation; -repair starts the automatic re-replication repairer
+// (its copies capped by -repair-budget) and -retry enables admission
+// retry-with-backoff, both running the simulator's resilience rules
+// (internal/resilience) at its default tuning. POST /backend/{id}/fail,
 // POST /backend/{id}/recover, and POST /fault inject the same faults over
 // HTTP.
 //
@@ -64,6 +66,7 @@ import (
 	"vodcluster/internal/obs"
 	"vodcluster/internal/policy"
 	"vodcluster/internal/rebalance"
+	"vodcluster/internal/resilience"
 	"vodcluster/internal/serve"
 )
 
@@ -118,8 +121,8 @@ func run() error {
 		tracer = obs.NewTracer(*traceEvents)
 	}
 	cfg := serve.Config{Policy: *policyName, Compress: *compress, Tracer: tracer, Shards: *shards}
-	if *retryOn {
-		cfg.Retry = &serve.RetryConfig{}
+	if *retryOn || *repairOn {
+		cfg.Resilience = &resilience.Policy{Failover: true, Retry: *retryOn, Repair: *repairOn, RepairBudget: *repairBudget}
 	}
 	srv, err := serve.New(p, layout, cfg)
 	if err != nil {
@@ -141,12 +144,7 @@ func run() error {
 		log.Printf("vodserved: health checker probing every %s (fail threshold %d, recover threshold %d)",
 			c.Interval, c.FailThreshold, c.RecoverThreshold)
 	}
-	if *repairOn {
-		rep, err := serve.NewRepairer(srv, serve.RepairConfig{Budget: *repairBudget})
-		if err != nil {
-			return err
-		}
-		rep.Start()
+	if srv.Repairer() != nil {
 		log.Printf("vodserved: re-replication repairer started (budget %g bit/s)", *repairBudget)
 	}
 	if *rebalanceOn {

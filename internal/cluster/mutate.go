@@ -19,6 +19,20 @@ func (st *State) StorageFree(s int) float64 {
 	return st.p.StorageOf(s) - st.storageUsed[s]
 }
 
+// Readable reports whether server s's data can be read — whether it is up:
+// the simulator's failure model has no state in which a server's copies
+// stay readable while it refuses streams.
+func (st *State) Readable(s int) bool { return st.up[s] }
+
+// CopySize returns the bytes of video v's copy on server s: the catalog
+// size, or rate·duration/8 at the copy's own rate under WithCopyRates.
+func (st *State) CopySize(v, s int) float64 {
+	if st.copyRates != nil {
+		return st.RateOf(v, s) * st.p.Catalog[v].Duration / 8
+	}
+	return st.p.Catalog[v].SizeBytes()
+}
+
 // Replicas returns the current number of replicas of video v.
 func (st *State) Replicas(v int) int { return len(st.holders[v]) }
 

@@ -13,7 +13,6 @@ package rebalance
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -490,7 +489,7 @@ func (c *Controller) tryAdd(m *Move, plan *Plan) moveOutcome {
 		}
 	}
 	size := p.Catalog[v].SizeBytes()
-	if c.storageFree(dst) < size-1e-6 {
+	if cl.StorageFree(dst) < size-1e-6 {
 		if plan.hasEvictOn(dst) {
 			return moveDeferred // an eviction will free the room
 		}
@@ -511,13 +510,13 @@ func (c *Controller) tryAdd(m *Move, plan *Plan) moveOutcome {
 	if src == -1 {
 		return moveDeferred // every replica is down; repair may revive one
 	}
-	rate := int64(math.Ceil(c.cfg.CopyRate))
+	rate := c.cfg.CopyRate
 	overBackbone := p.BackboneBandwidth > 0
 	if overBackbone {
-		if !cl.TryReserveBackbone(rate) {
+		if !cl.ReserveBackbone(rate) {
 			return moveDeferred
 		}
-	} else if !cl.TryReserveBandwidth(src, rate) {
+	} else if !cl.ReserveOutgoing(src, rate) {
 		return moveDeferred
 	}
 
@@ -546,7 +545,7 @@ func (c *Controller) tryAdd(m *Move, plan *Plan) moveOutcome {
 		if overBackbone {
 			cl.ReleaseBackbone(rate)
 		} else {
-			cl.ReleaseBandwidth(src, rate)
+			cl.ReleaseOutgoing(src, rate)
 		}
 		c.mu.Lock()
 		delete(c.inflight, v)
@@ -615,23 +614,6 @@ func (c *Controller) tryEvict(m *Move, pendingAdd map[int]bool) moveOutcome {
 			Video: m.Video, Src: m.Server, Detail: err.Error()})
 		return moveDropped
 	}
-}
-
-// storageFree returns backend s's unaccounted content storage against the
-// live replica directory — the same arithmetic the repairer uses, so the two
-// migration paths agree on room.
-func (c *Controller) storageFree(s int) float64 {
-	cl := c.srv.Cluster()
-	p := cl.Problem()
-	used := 0.0
-	for v := 0; v < cl.Videos(); v++ {
-		for _, h := range cl.Holders(v) {
-			if h == s {
-				used += p.Catalog[v].SizeBytes()
-			}
-		}
-	}
-	return p.StorageOf(s) - used
 }
 
 // log appends one journal entry, trimming the oldest half at the cap.

@@ -16,6 +16,10 @@
 //
 // Every mechanism is individually toggleable through Policy; with all of
 // them off the paper-faithful baseline behaviour is bit-for-bit untouched.
+// Retry (Retrier) and repair (Repair) are clock-free rules: the simulator
+// drives them from its event queue and the live daemon (internal/serve)
+// from its timers, with the same Policy, so both sides make the same
+// decisions from the same state.
 package resilience
 
 import (
@@ -42,7 +46,9 @@ type Policy struct {
 	// RetryFactor multiplies the delay on each further attempt (default 2).
 	RetryFactor float64
 	// RetryJitter spreads each delay uniformly over ±Jitter/2 of itself,
-	// in [0, 1] (default 0.5). Zero jitter is valid and fully periodic.
+	// in [0, 1]. Zero means the default 0.5, so a fully periodic schedule
+	// needs a positive value too small to matter (say 1e-9); WithDefaults
+	// cannot tell an unset jitter from a zero one.
 	RetryJitter float64
 	// RetryPatience is how long a client keeps retrying before reneging,
 	// seconds (default 120).
@@ -74,6 +80,10 @@ type Policy struct {
 	RepairRate float64
 	// RepairMaxPerTick caps copies started per scan (default 2).
 	RepairMaxPerTick int
+	// RepairBudget caps the total bits/s of repair copies in flight at
+	// once; a copy that would exceed it is skipped until one lands. Zero
+	// means no cap beyond each copy's own bandwidth reservation.
+	RepairBudget float64
 }
 
 // All returns a policy with every mechanism enabled at default tuning.
@@ -152,6 +162,9 @@ func (p Policy) Validate() error {
 	}
 	if p.RepairMaxPerTick < 1 {
 		return fmt.Errorf("resilience: repair copies per tick must be positive, got %d", p.RepairMaxPerTick)
+	}
+	if p.RepairBudget < 0 {
+		return fmt.Errorf("resilience: repair budget must be non-negative, got %g", p.RepairBudget)
 	}
 	return nil
 }

@@ -78,6 +78,10 @@ func TestPolicyDefaultsAndValidation(t *testing.T) {
 		func() Policy { p := All(); p.RetryJitter = 2; return p }(),
 		func() Policy { p := All(); p.DegradeFloor = 1.5; return p }(),
 		func() Policy { p := All(); p.RepairMinLive = -3; return p }(),
+		func() Policy { p := All(); p.RepairInterval = -5; return p }(),
+		func() Policy { p := All(); p.RepairRate = -1; return p }(),
+		func() Policy { p := All(); p.RepairMaxPerTick = -2; return p }(),
+		func() Policy { p := All(); p.RepairBudget = -1; return p }(),
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

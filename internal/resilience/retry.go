@@ -6,11 +6,12 @@ import (
 	"vodcluster/internal/stats"
 )
 
-// Retrier tracks the bounded retry queue of one simulation run and computes
-// backoff delays; scheduling the retries on the virtual clock stays with
-// the caller. All randomness (the jitter) is drawn from the RNG supplied at
-// construction, so runs remain deterministic per seed. Retrier is not safe
-// for concurrent use; create one per run.
+// Retrier tracks a bounded retry queue and computes backoff delays; waiting
+// them out stays with the caller — the simulator's virtual clock or the
+// daemon's timers, which hold the Retrier under a mutex. All randomness (the
+// jitter) is drawn from the RNG supplied at construction, so the delay
+// sequence is deterministic per seed. Retrier is not safe for concurrent
+// use.
 type Retrier struct {
 	pol     Policy
 	rng     *stats.RNG
@@ -51,7 +52,8 @@ func (r *Retrier) Pending() int { return r.pending }
 func (r *Retrier) PeakPending() int { return r.peak }
 
 // Delay returns the backoff before retry number attempt (0-based) for a
-// request that has already waited `waited` seconds since its arrival:
+// request that has already waited `waited` seconds since its first
+// rejection:
 //
 //	delay = base · factor^attempt · (1 + jitter·(U − ½)),  U ~ Uniform[0,1)
 //
@@ -60,25 +62,13 @@ func (r *Retrier) PeakPending() int { return r.peak }
 func (r *Retrier) Delay(attempt int, waited float64) (float64, bool) {
 	// Draw even when the patience check below will renege, so the RNG
 	// stream position depends only on the number of Delay calls.
-	d := BackoffDelay(r.pol, attempt, r.rng.Float64())
+	u := r.rng.Float64()
+	d := r.pol.RetryBase * math.Pow(r.pol.RetryFactor, float64(attempt))
+	if j := r.pol.RetryJitter; j > 0 {
+		d *= 1 + j*(u-0.5)
+	}
 	if waited+d > r.pol.RetryPatience {
 		return 0, false
 	}
 	return d, true
-}
-
-// BackoffDelay is the pure backoff formula shared by the simulator's Retrier
-// and the live serving daemon's admission retry:
-//
-//	delay = base · factor^attempt · (1 + jitter·(u − ½))
-//
-// u is the caller's uniform [0,1) draw, so each side keeps its own
-// randomness source (the sim's deterministic RNG stream, the daemon's
-// math/rand) while the delay schedule itself stays identical.
-func BackoffDelay(pol Policy, attempt int, u float64) float64 {
-	d := pol.RetryBase * math.Pow(pol.RetryFactor, float64(attempt))
-	if j := pol.RetryJitter; j > 0 {
-		d *= 1 + j*(u-0.5)
-	}
-	return d
 }

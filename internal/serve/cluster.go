@@ -69,10 +69,11 @@ type Cluster struct {
 	holders []atomic.Pointer[[]int] // video -> sorted servers holding it
 	rate    []int64                 // video -> encoding rate, bits/s, rounded up
 
-	capBps []int64        // per-server outgoing capacity, bits/s
-	used   []atomic.Int64 // per-server outgoing bits/s in use
-	active []atomic.Int64 // per-server active streams
-	state  []atomic.Int32 // per-server BackendState
+	capBps []int64         // per-server outgoing capacity, bits/s
+	used   []atomic.Int64  // per-server outgoing bits/s in use
+	active []atomic.Int64  // per-server active streams
+	state  []atomic.Int32  // per-server BackendState
+	stored []atomic.Uint64 // per-server bytes of held replicas, float64 bits
 
 	backboneCap  int64
 	backboneUsed atomic.Int64
@@ -98,6 +99,7 @@ func NewCluster(p *core.Problem, layout *core.Layout) (*Cluster, error) {
 		used:        make([]atomic.Int64, p.N()),
 		active:      make([]atomic.Int64, p.N()),
 		state:       make([]atomic.Int32, p.N()),
+		stored:      make([]atomic.Uint64, p.N()),
 		backboneCap: int64(p.BackboneBandwidth),
 	}
 	for v := range c.holders {
@@ -105,8 +107,9 @@ func NewCluster(p *core.Problem, layout *core.Layout) (*Cluster, error) {
 		c.holders[v].Store(&hs)
 		c.rate[v] = int64(math.Ceil(p.Catalog[v].BitRate))
 	}
-	for s := range c.capBps {
+	for s, used := range layout.ServerStorageUsed(p) {
 		c.capBps[s] = int64(p.BandwidthOf(s))
+		c.stored[s].Store(math.Float64bits(used))
 	}
 	c.layoutVersion.Store(1) // the seeded layout is version 1
 	return c, nil
@@ -137,6 +140,7 @@ func (c *Cluster) AddHolder(v, s int) bool {
 		hs := append(append([]int(nil), *old...), s)
 		sort.Ints(hs)
 		if c.holders[v].CompareAndSwap(old, &hs) {
+			c.addStored(s, c.p.Catalog[v].SizeBytes())
 			c.layoutVersion.Add(1)
 			return true
 		}
@@ -164,11 +168,34 @@ func (c *Cluster) RemoveHolder(v, s int) bool {
 		hs := append([]int(nil), (*old)[:i]...)
 		hs = append(hs, (*old)[i+1:]...)
 		if c.holders[v].CompareAndSwap(old, &hs) {
+			c.addStored(s, -c.p.Catalog[v].SizeBytes())
 			c.layoutVersion.Add(1)
 			return true
 		}
 	}
 }
+
+// addStored adds delta bytes to server s's stored-replica count.
+func (c *Cluster) addStored(s int, delta float64) {
+	for {
+		old := c.stored[s].Load()
+		if c.stored[s].CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+delta)) {
+			return
+		}
+	}
+}
+
+// StorageFree returns server s's content storage not taken by the replicas
+// it holds, seeded ones and those AddHolder landed since, in bytes. Nothing
+// here refuses a landing that would take it below zero: the repair rule
+// checks it before landing, the rebalancer before copying.
+func (c *Cluster) StorageFree(s int) float64 {
+	return c.p.StorageOf(s) - math.Float64frombits(c.stored[s].Load())
+}
+
+// CopySize returns the bytes of video v's copy: its catalog size, on every
+// server.
+func (c *Cluster) CopySize(v, _ int) float64 { return c.p.Catalog[v].SizeBytes() }
 
 // LayoutVersion returns the monotone layout version: 1 for the seeded
 // layout, bumped on every holder-list change (repair copies, rebalance
@@ -186,18 +213,21 @@ func (c *Cluster) TotalReplicatedBytes() float64 {
 	return total
 }
 
-// LiveReplicas counts the replicas of v on backends that are not Down —
-// the quantity the repairer compares against its replication threshold.
-// Draining backends count: their data is still readable.
+// LiveReplicas counts the replicas of v on readable backends — the
+// quantity the repairer compares against its replication threshold.
 func (c *Cluster) LiveReplicas(v int) int {
 	n := 0
 	for _, s := range c.Holders(v) {
-		if c.State(s) != BackendDown {
+		if c.Readable(s) {
 			n++
 		}
 	}
 	return n
 }
+
+// Readable reports whether backend s's replicas can be read: it is not
+// Down. A draining backend refuses streams but can still source a copy.
+func (c *Cluster) Readable(s int) bool { return c.State(s) != BackendDown }
 
 // Rate returns video v's encoding rate in bits/s.
 func (c *Cluster) Rate(v int) int64 { return c.rate[v] }
@@ -273,15 +303,15 @@ func (c *Cluster) TryReserve(s int, rate int64) bool {
 	}
 }
 
-// TryReserveBandwidth charges rate bits/s to server s's outgoing link
-// without counting an active stream — repair copies occupying the link
-// without being viewer sessions. Unlike TryReserve it only requires the
-// server to be reachable (not Down), so a draining source can still feed a
-// re-replication copy.
-func (c *Cluster) TryReserveBandwidth(s int, rate int64) bool {
-	if c.State(s) == BackendDown {
+// ReserveOutgoing charges ⌈bps⌉ bits/s to server s's outgoing link without
+// counting an active stream — a copy occupying the link without being a
+// viewer session. Unlike TryReserve it only requires the server to be
+// Readable, so a draining source can still feed a copy.
+func (c *Cluster) ReserveOutgoing(s int, bps float64) bool {
+	if !c.Readable(s) {
 		return false
 	}
+	rate := int64(math.Ceil(bps))
 	for {
 		u := c.used[s].Load()
 		if u+rate > c.capBps[s] {
@@ -293,8 +323,8 @@ func (c *Cluster) TryReserveBandwidth(s int, rate int64) bool {
 	}
 }
 
-// ReleaseBandwidth frees a TryReserveBandwidth charge.
-func (c *Cluster) ReleaseBandwidth(s int, rate int64) { c.used[s].Add(-rate) }
+// ReleaseOutgoing frees a ReserveOutgoing charge.
+func (c *Cluster) ReleaseOutgoing(s int, bps float64) { c.used[s].Add(-int64(math.Ceil(bps))) }
 
 // Release frees a reservation made by TryReserve.
 func (c *Cluster) Release(s int, rate int64) {
@@ -302,8 +332,15 @@ func (c *Cluster) Release(s int, rate int64) {
 	c.active[s].Add(-1)
 }
 
-// TryReserveBackbone atomically charges rate to the internal backbone.
-func (c *Cluster) TryReserveBackbone(rate int64) bool {
+// ReserveBackbone charges ⌈bps⌉ bits/s to the internal backbone for a copy
+// and reports whether it fit.
+func (c *Cluster) ReserveBackbone(bps float64) bool { return c.reserveBackbone(int64(math.Ceil(bps))) }
+
+// ReleaseBackbone frees a ReserveBackbone charge.
+func (c *Cluster) ReleaseBackbone(bps float64) { c.releaseBackbone(int64(math.Ceil(bps))) }
+
+// reserveBackbone atomically charges rate to the internal backbone.
+func (c *Cluster) reserveBackbone(rate int64) bool {
 	for {
 		u := c.backboneUsed.Load()
 		if u+rate > c.backboneCap {
@@ -315,5 +352,5 @@ func (c *Cluster) TryReserveBackbone(rate int64) bool {
 	}
 }
 
-// ReleaseBackbone frees a backbone reservation.
-func (c *Cluster) ReleaseBackbone(rate int64) { c.backboneUsed.Add(-rate) }
+// releaseBackbone frees a backbone reservation.
+func (c *Cluster) releaseBackbone(rate int64) { c.backboneUsed.Add(-rate) }

@@ -3,13 +3,16 @@ package serve
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"vodcluster/internal/cluster"
 	"vodcluster/internal/core"
 	"vodcluster/internal/faults"
+	"vodcluster/internal/resilience"
 )
 
 // TestBackendTypedErrors walks every refused backend transition and checks
@@ -163,6 +166,87 @@ func TestConcurrentFailDrainStorm(t *testing.T) {
 	if ended := m.completed.Load() + m.canceled.Load() + m.dropped.Load(); ended != m.accepted.Load() {
 		t.Fatalf("ended %d sessions (completed+canceled+dropped), accepted %d — some session settled zero or multiple times",
 			ended, m.accepted.Load())
+	}
+}
+
+// TestFailoverAdmissionOrder is the failover-order drill: a crashed backend
+// carries ten sessions and the one surviving holder has room for three, so
+// seven must be dropped. The three that fail over are the three admitted
+// first, on every run and at 1 and 4 registry partitions: evictSessions
+// settles in session-ID order, as State.FailServer tears streams, not in
+// map order.
+func TestFailoverAdmissionOrder(t *testing.T) {
+	c := core.Catalog{
+		{ID: 0, Popularity: 0.6, BitRate: 4 * core.Mbps, Duration: 90 * core.Minute},
+		{ID: 1, Popularity: 0.3, BitRate: 4 * core.Mbps, Duration: 90 * core.Minute},
+		{ID: 2, Popularity: 0.1, BitRate: 4 * core.Mbps, Duration: 90 * core.Minute},
+	}
+	p := &core.Problem{
+		Catalog:            c,
+		NumServers:         4,
+		StoragePerServer:   2 * c[0].SizeBytes(),
+		BandwidthPerServer: 40 * core.Mbps, // 10 sessions a backend
+		ArrivalRate:        1.0 / core.Minute,
+		PeakPeriod:         90 * core.Minute,
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	// v0 on {0, 1}, v1 on {1}, v2 on {2, 3}.
+	l := core.NewLayout(3)
+	l.Replicas = []int{2, 1, 2}
+	for _, pl := range []struct{ v, s int }{{0, 0}, {0, 1}, {1, 1}, {2, 2}, {2, 3}} {
+		if err := l.Place(pl.v, pl.s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, shards := range []int{1, 4} {
+		var want []int64
+		for run := 0; run < 20; run++ {
+			srv, err := New(p, l, Config{Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			open := func(v int) int64 {
+				info, outcome, err := srv.Open(v)
+				if err != nil || outcome != OutcomeAccepted {
+					t.Fatalf("open v%d: outcome %q, err %v", v, outcome, err)
+				}
+				return info.ID
+			}
+			// s0 takes every v0 session while s1 drains, then s1 takes
+			// seven v1 sessions and keeps room for three.
+			if _, _, err := srv.DrainBackend(1); err != nil {
+				t.Fatal(err)
+			}
+			var onS0 []int64
+			for i := 0; i < 10; i++ {
+				onS0 = append(onS0, open(0))
+			}
+			if err := srv.RestoreBackend(1); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 7; i++ {
+				open(1)
+			}
+			failedOver, dropped, err := srv.FailBackend(0)
+			if err != nil || failedOver != 3 || dropped != 7 {
+				t.Fatalf("shards=%d run %d: failed over %d, dropped %d, err %v; want 3 and 7", shards, run, failedOver, dropped, err)
+			}
+			var moved []int64
+			for _, id := range onS0 {
+				if srv.Close(id) {
+					moved = append(moved, id)
+				}
+			}
+			srv.Shutdown()
+			if want == nil {
+				want = onS0[:3]
+			}
+			if !slices.Equal(moved, want) {
+				t.Fatalf("shards=%d run %d: sessions %v failed over, want the first admitted %v", shards, run, moved, want)
+			}
+		}
 	}
 }
 
@@ -332,16 +416,8 @@ func repairScenario(t *testing.T) (*core.Problem, *core.Layout) {
 // leaves no viable destination is skipped, not wedged.
 func TestRepairerRestoresReplica(t *testing.T) {
 	p, layout := repairScenario(t)
-	srv, err := New(p, layout, Config{Compress: 1e5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Interval is huge in wall terms; only FailBackend's kick triggers scans.
-	rep, err := NewRepairer(srv, RepairConfig{CopyRate: 20 * core.Mbps, Interval: 1e9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep.Start()
+	srv := repairServer(t, p, layout, 1e5, 0)
+	rep := srv.Repairer()
 	defer srv.Shutdown()
 	c := srv.Cluster()
 
@@ -385,15 +461,8 @@ func TestRepairerRestoresReplica(t *testing.T) {
 // voids the landed bytes — the transfer aborts, no replica is published.
 func TestRepairerAbortsWhenDestinationDies(t *testing.T) {
 	p, layout := repairScenario(t)
-	srv, err := New(p, layout, Config{Compress: 1e4}) // copy wall ≈ 108 ms
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := NewRepairer(srv, RepairConfig{CopyRate: 20 * core.Mbps, Interval: 1e9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep.Start()
+	srv := repairServer(t, p, layout, 1e4, 0) // copy wall ≈ 108 ms
+	rep := srv.Repairer()
 	defer srv.Shutdown()
 
 	if _, _, err := srv.FailBackend(0); err != nil {
@@ -412,20 +481,26 @@ func TestRepairerAbortsWhenDestinationDies(t *testing.T) {
 	}
 }
 
+// repairServer boots a daemon whose repairer copies at 20 Mb/s under the
+// given budget (0: none). Its scan interval is huge in wall terms, so only
+// FailBackend's kick triggers scans.
+func repairServer(t *testing.T, p *core.Problem, layout *core.Layout, compress, budget float64) *Server {
+	t.Helper()
+	srv, err := New(p, layout, Config{Compress: compress, Resilience: &resilience.Policy{
+		Failover: true, Repair: true, RepairRate: 20 * core.Mbps, RepairInterval: 1e9, RepairBudget: budget,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
+
 // TestRepairerBudget: a budget below one copy's rate blocks every copy (the
-// degenerate case that proves the budget gate runs before any reservation),
-// and invalid configs are rejected at construction.
+// degenerate case that proves the budget gate runs before any reservation).
 func TestRepairerBudget(t *testing.T) {
 	p, layout := repairScenario(t)
-	srv, err := New(p, layout, Config{Compress: 1e5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := NewRepairer(srv, RepairConfig{CopyRate: 20 * core.Mbps, Budget: 10 * core.Mbps, Interval: 1e9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep.Start()
+	srv := repairServer(t, p, layout, 1e5, 10*core.Mbps)
+	rep := srv.Repairer()
 	defer srv.Shutdown()
 	if _, _, err := srv.FailBackend(0); err != nil {
 		t.Fatal(err)
@@ -434,18 +509,125 @@ func TestRepairerBudget(t *testing.T) {
 	if got := rep.Started(); got != 0 {
 		t.Fatalf("started = %d under an unmeetable budget, want 0", got)
 	}
+}
 
-	for _, cfg := range []RepairConfig{
-		{MinLive: -1},
-		{Interval: -5},
-		{CopyRate: -1},
-		{MaxPerScan: -2},
-		{Budget: -1},
-	} {
-		if _, err := NewRepairer(srv, cfg); err == nil {
-			t.Fatalf("invalid repair config %+v accepted", cfg)
+// TestRepairerRespectsStorage is Eq. 4 on the live repairer: 3 servers with
+// storage for 2 copies each, v0 and v1 on {s0, s1}, v2 on s2. Crashing s1
+// starts two copies, both onto s2, which has room for one. The first lands;
+// the second aborts for lack of storage, as the simulator's repairer does
+// from the same state, and s2 ends at its capacity.
+func TestRepairerRespectsStorage(t *testing.T) {
+	c := core.Catalog{
+		{ID: 0, Popularity: 0.4, BitRate: 4 * core.Mbps, Duration: 90 * core.Minute},
+		{ID: 1, Popularity: 0.4, BitRate: 4 * core.Mbps, Duration: 90 * core.Minute},
+		{ID: 2, Popularity: 0.2, BitRate: 4 * core.Mbps, Duration: 90 * core.Minute},
+	}
+	p := &core.Problem{
+		Catalog:            c,
+		NumServers:         3,
+		StoragePerServer:   2 * c[0].SizeBytes(),
+		BandwidthPerServer: 40 * core.Mbps,
+		ArrivalRate:        1.0 / core.Minute,
+		PeakPeriod:         90 * core.Minute,
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	l := core.NewLayout(3)
+	l.Replicas = []int{2, 2, 1}
+	for _, pl := range []struct{ v, s int }{{0, 0}, {0, 1}, {1, 0}, {1, 1}, {2, 2}} {
+		if err := l.Place(pl.v, pl.s); err != nil {
+			t.Fatal(err)
 		}
 	}
+
+	srv := repairServer(t, p, l, 1e5, 0)
+	rep := srv.Repairer()
+	defer srv.Shutdown()
+	if _, _, err := srv.FailBackend(1); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, 5*time.Second, "both copies to settle", func() bool {
+		return rep.Started() == 2 && rep.Inflight() == 0
+	})
+	if got, want := [3]int64{rep.Started(), rep.Completed(), rep.Aborted()}, [3]int64{2, 1, 1}; got != want {
+		t.Fatalf("started/completed/aborted = %v, want %v", got, want)
+	}
+	cl := srv.Cluster()
+	held := 0
+	for v := 0; v < cl.Videos(); v++ {
+		if holds(cl, v, 2) {
+			held++
+		}
+	}
+	if held != 2 || cl.StorageFree(2) < -1e-6 {
+		t.Fatalf("s2 holds %d copies with %g bytes free, want 2 copies within its storage", held, cl.StorageFree(2))
+	}
+	var abort *RepairAction
+	for _, a := range rep.Journal() {
+		if a.Action == "abort" {
+			abort = &a
+		}
+	}
+	if abort == nil || abort.Dst != 2 || !strings.Contains(abort.Detail, "storage") {
+		t.Fatalf("journal %+v has no storage abort onto s2", rep.Journal())
+	}
+
+	// The simulator's repairer, from the same state, agrees.
+	st, err := cluster.New(p, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := resilience.NewRepairer(p, resilience.Policy{Repair: true, RepairRate: 20 * core.Mbps}.WithDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.FailServer(1)
+	var landings []func(float64)
+	sr.Tick(0, st, func(_ float64, fn func(float64)) { landings = append(landings, fn) })
+	for _, fn := range landings {
+		fn(0)
+	}
+	if got := [3]int{sr.Started(), sr.Completed(), sr.Aborted()}; got != [3]int{2, 1, 1} {
+		t.Fatalf("simulator started/completed/aborted = %v, want [2 1 1]", got)
+	}
+}
+
+// TestNewResiliencePolicy: the daemon always fails over and cannot degrade,
+// so New refuses a policy that asks otherwise, naming the field, and
+// refuses invalid tunables through the shared validation.
+func TestNewResiliencePolicy(t *testing.T) {
+	for _, tc := range []struct {
+		pol  resilience.Policy
+		want string
+	}{
+		{resilience.Policy{Repair: true}, "Failover"},
+		{resilience.Policy{Failover: true, Degrade: true}, "Degrade"},
+		{resilience.Policy{Failover: true, Repair: true, RepairBudget: -1}, "budget"},
+		{resilience.Policy{Failover: true, Retry: true, RetryJitter: 2}, "jitter"},
+	} {
+		srv, err := New(testProblem(t, 0), testLayout(t), Config{Resilience: &tc.pol})
+		if err == nil {
+			srv.Shutdown()
+			t.Fatalf("policy %+v accepted", tc.pol)
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("policy %+v: error %q does not name %s", tc.pol, err, tc.want)
+		}
+	}
+	srv, err := New(testProblem(t, 0), testLayout(t), Config{Resilience: &resilience.Policy{Failover: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown()
+	if srv.Repairer() != nil || srv.retry != nil {
+		t.Fatal("failover-only policy started retry or repair")
+	}
+}
+
+// retryPolicy is failover plus retry at a constant base-second backoff.
+func retryPolicy(base, patience float64, limit int) *resilience.Policy {
+	return &resilience.Policy{Failover: true, Retry: true, RetryBase: base, RetryFactor: 1, RetryPatience: patience, RetryLimit: limit}
 }
 
 // TestOpenRetrySuccess: a capacity-rejected request waits in the retry queue
@@ -453,8 +635,8 @@ func TestRepairerBudget(t *testing.T) {
 // decision recorded for the whole attempt chain.
 func TestOpenRetrySuccess(t *testing.T) {
 	srv, err := New(testProblem(t, 0), testLayout(t), Config{
-		Compress: 1000,
-		Retry:    &RetryConfig{Base: 1, Factor: 1, Patience: 300},
+		Compress:   1000,
+		Resilience: retryPolicy(1, 300, 0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -511,8 +693,8 @@ func TestOpenRetrySuccess(t *testing.T) {
 // until its patience runs out and settles as exactly one rejection.
 func TestOpenRetryRenege(t *testing.T) {
 	srv, err := New(testProblem(t, 0), testLayout(t), Config{
-		Compress: 1e4,
-		Retry:    &RetryConfig{Base: 1, Factor: 1, Patience: 10},
+		Compress:   1e4,
+		Resilience: retryPolicy(1, 10, 0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -543,8 +725,8 @@ func TestOpenRetryRenege(t *testing.T) {
 // (no renege — the request never waited), and a canceled waiter reneges.
 func TestOpenRetryQueueFull(t *testing.T) {
 	srv, err := New(testProblem(t, 0), testLayout(t), Config{
-		Compress: 1000,
-		Retry:    &RetryConfig{Base: 1, Factor: 1, Patience: 1e5, Limit: 1},
+		Compress:   1000,
+		Resilience: retryPolicy(1, 1e5, 1),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -307,7 +307,7 @@ func (s *Server) handleFault(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleRepairs(w http.ResponseWriter, _ *http.Request) {
-	rep := s.rep.Load()
+	rep := s.rep
 	if rep == nil {
 		writeJSON(w, http.StatusOK, repairsBody{})
 		return

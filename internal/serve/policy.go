@@ -102,7 +102,7 @@ func (p *rankPolicy) Admit(v int) (Grant, bool) {
 func (p *rankPolicy) Release(g Grant) {
 	p.c.Release(g.Server, g.Rate)
 	if g.Redirected {
-		p.c.ReleaseBackbone(g.Rate)
+		p.c.releaseBackbone(g.Rate)
 	}
 }
 
@@ -141,7 +141,7 @@ func (p *rankPolicy) redirectOne(v int) (g Grant, ok, again bool) {
 		return Grant{}, false, true
 	}
 	g = Grant{Video: v, Server: s, Source: src, Rate: rate, Redirected: s != src}
-	if g.Redirected && !p.c.TryReserveBackbone(rate) {
+	if g.Redirected && !p.c.reserveBackbone(rate) {
 		p.c.Release(s, rate)
 		return Grant{}, false, true
 	}

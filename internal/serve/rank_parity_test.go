@@ -15,8 +15,10 @@ import (
 // parityCase is one generated cluster: a layout, per-video rates,
 // per-server links and (in about half the cases) a backbone in whole Mb/s
 // (so the daemon's integer accounting and the simulator's float accounting
-// agree exactly), a pre-loaded set of streams, the servers down before the
-// first request, and a request script.
+// agree exactly), per-server storage of the layout's footprint plus a
+// slack of whole and half 1 Mb/s-copy sizes (so sums stay exact), a
+// pre-loaded set of streams, the servers down before the first request, and
+// a request script.
 type parityCase struct {
 	p      *core.Problem
 	layout *core.Layout
@@ -86,6 +88,11 @@ func genParityCase(seed int64) (*parityCase, error) {
 	}
 	if rng.Intn(2) == 0 {
 		p.BackboneBandwidth = float64(1+rng.Intn(12)) * core.Mbps
+	}
+	unit := core.Mbps * cat[0].Duration / 8 // bytes of a 1 Mb/s copy
+	p.ServerStorage = l.ServerStorageUsed(p)
+	for s := range p.ServerStorage {
+		p.ServerStorage[s] += (float64(rng.Intn(8)) + 0.5) * unit
 	}
 	return c, nil
 }

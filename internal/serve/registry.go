@@ -15,6 +15,8 @@ package serve
 // entry pushed at admission is the only one it ever has.
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"time"
 )
@@ -206,7 +208,7 @@ func (p *partition) fireExpired() time.Duration {
 }
 
 // shutdown refuses further inserts and settles every registered session as
-// canceled.
+// canceled, in ID (admission) order.
 func (p *partition) shutdown() {
 	p.mu.Lock()
 	p.dead = true
@@ -217,6 +219,7 @@ func (p *partition) shutdown() {
 	clear(p.reg)
 	p.exp = nil
 	p.mu.Unlock()
+	slices.SortFunc(live, func(x, y *session) int { return cmp.Compare(x.id, y.id) })
 	for _, sess := range live {
 		p.s.end(sess, false)
 	}

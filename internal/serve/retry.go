@@ -3,60 +3,28 @@ package serve
 import (
 	"context"
 	"fmt"
-	"math/rand/v2"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"vodcluster/internal/obs"
 	"vodcluster/internal/resilience"
+	"vodcluster/internal/stats"
 )
 
-// RetryConfig tunes live admission retry-with-backoff. All durations are
-// virtual seconds — the time base traces and the simulator use — divided by
-// the daemon's compression factor for real sleeps, so a compressed replay
-// retries on the same virtual schedule the simulator's resilience.Retrier
-// does. Zero-valued fields take the simulator's defaults: base 5 s,
-// factor 2, jitter 0.5, patience 120 s, queue limit 256.
-type RetryConfig struct {
-	// Base is the delay before the first retry, virtual seconds.
-	Base float64
-	// Factor multiplies the delay on each further attempt.
-	Factor float64
-	// Jitter spreads each delay uniformly over ±Jitter/2 of itself, in [0, 1].
-	Jitter float64
-	// Patience bounds the total virtual time a request backs off before
-	// reneging, counted from its first rejection.
-	Patience float64
-	// Limit bounds how many requests wait in retry at once; requests
-	// rejected while the queue is full fail immediately.
-	Limit int
-}
-
-// retrier is the live retry queue: a bounded count of request goroutines
-// sleeping out their exponential backoff on real clocks, with the same delay
-// schedule, patience reneging, and queue bound as the simulator's
-// resilience.Retrier.
+// retrier is the live retry queue: the simulator's resilience.Retrier —
+// its queue bound, delay schedule and patience — held under a mutex, with
+// each queued request's goroutine sleeping out its backoff on a real timer
+// at the compressed virtual time. Only a rejected request takes the mutex.
 type retrier struct {
-	s       *Server
-	pol     resilience.Policy
-	pending atomic.Int64
-	peak    atomic.Int64
+	s  *Server
+	mu sync.Mutex
+	q  *resilience.Retrier
 }
 
-// newRetrier validates the config against the shared resilience tunables.
-func newRetrier(s *Server, cfg RetryConfig) (*retrier, error) {
-	pol := resilience.Policy{
-		Retry:         true,
-		RetryBase:     cfg.Base,
-		RetryFactor:   cfg.Factor,
-		RetryJitter:   cfg.Jitter,
-		RetryPatience: cfg.Patience,
-		RetryLimit:    cfg.Limit,
-	}.WithDefaults()
-	if err := pol.Validate(); err != nil {
-		return nil, err
-	}
-	return &retrier{s: s, pol: pol}, nil
+// newRetrier builds the daemon's retry queue for a defaulted policy. Its
+// jitter comes from the stream sim.Run gives its retrier at seed 0.
+func newRetrier(s *Server, pol resilience.Policy) *retrier {
+	return &retrier{s: s, q: resilience.NewRetrier(pol, stats.NewRNG(0).Derive(3))}
 }
 
 // RetryPending returns the number of requests currently waiting in the
@@ -66,7 +34,9 @@ func (s *Server) RetryPending() (pending, peak int64) {
 	if s.retry == nil {
 		return 0, 0
 	}
-	return s.retry.pending.Load(), s.retry.peak.Load()
+	s.retry.mu.Lock()
+	defer s.retry.mu.Unlock()
+	return int64(s.retry.q.Pending()), int64(s.retry.q.PeakPending())
 }
 
 // OpenRetry runs one admission decision with the daemon's retry policy: a
@@ -94,30 +64,33 @@ func (s *Server) OpenRetry(ctx context.Context, v int) (SessionInfo, Outcome, er
 	return s.retry.run(ctx, v, arriveNS, start)
 }
 
+// delay is the Retrier's backoff before retry number attempt, under the
+// mutex; ok is false when the request reneges instead.
+func (r *retrier) delay(attempt int, waited float64) (float64, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.q.Delay(attempt, waited)
+}
+
 // run owns one rejected request from its first (unsettled) rejection to its
 // final outcome.
 func (r *retrier) run(ctx context.Context, v int, arriveNS int64, start time.Time) (SessionInfo, Outcome, error) {
 	s := r.s
-	// Bounded queue: a full queue makes the rejection final immediately.
-	for {
-		n := r.pending.Load()
-		if n >= int64(r.pol.RetryLimit) {
-			s.met.Decision(false, false, false, time.Since(start))
-			s.tracer.Record(obs.Event{TS: arriveNS, Kind: obs.KindReject, Video: v,
-				DurNS: s.tracer.NowNS() - arriveNS, Detail: "retry queue full"})
-			return SessionInfo{}, OutcomeRejected, nil
-		}
-		if r.pending.CompareAndSwap(n, n+1) {
-			for {
-				p := r.peak.Load()
-				if n+1 <= p || r.peak.CompareAndSwap(p, n+1) {
-					break
-				}
-			}
-			break
-		}
+	r.mu.Lock()
+	queued := r.q.TryEnqueue()
+	r.mu.Unlock()
+	if !queued {
+		// Bounded queue: a full queue makes the rejection final immediately.
+		s.met.Decision(false, false, false, time.Since(start))
+		s.tracer.Record(obs.Event{TS: arriveNS, Kind: obs.KindReject, Video: v,
+			DurNS: s.tracer.NowNS() - arriveNS, Detail: "retry queue full"})
+		return SessionInfo{}, OutcomeRejected, nil
 	}
-	defer r.pending.Add(-1)
+	defer func() {
+		r.mu.Lock()
+		r.q.Resolve()
+		r.mu.Unlock()
+	}()
 
 	renege := func(detail string) (SessionInfo, Outcome, error) {
 		s.met.Reneged()
@@ -129,12 +102,12 @@ func (r *retrier) run(ctx context.Context, v int, arriveNS int64, start time.Tim
 
 	waited := 0.0 // virtual seconds spent backing off so far
 	for attempt := 0; ; attempt++ {
-		d := resilience.BackoffDelay(r.pol, attempt, rand.Float64())
-		if waited+d > r.pol.RetryPatience {
+		d, ok := r.delay(attempt, waited)
+		if !ok {
 			return renege("")
 		}
 		waited += d
-		t := time.NewTimer(time.Duration(d / s.compress * float64(time.Second)))
+		t := time.NewTimer(s.wall(d))
 		select {
 		case <-t.C:
 		case <-ctx.Done():

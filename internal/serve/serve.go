@@ -27,8 +27,11 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,6 +39,7 @@ import (
 	"vodcluster/internal/core"
 	"vodcluster/internal/faults"
 	"vodcluster/internal/obs"
+	"vodcluster/internal/resilience"
 )
 
 // Outcome classifies one admission decision.
@@ -86,12 +90,15 @@ type Config struct {
 	// exposes GET /debug/trace on the HTTP API. Nil disables tracing at the
 	// cost of one branch per event.
 	Tracer *obs.Tracer
-	// Retry enables admission retry-with-backoff: a capacity-rejected
-	// request waits (exponential backoff with jitter, in compressed virtual
-	// time) and retries until admitted or its patience runs out, instead of
-	// failing immediately. Nil disables retry; see RetryConfig for the
-	// tunables, whose defaults mirror the simulator's resilience policy.
-	Retry *RetryConfig
+	// Resilience selects the failure-handling mechanisms beyond failover,
+	// with the type and the rules sim.Config.Resilience runs, so one policy
+	// configures both sides. Retry queues a capacity-rejected request for
+	// re-admission with exponential backoff and jitter, in compressed
+	// virtual time, until admitted or out of patience. Repair starts a
+	// re-replication repairer (see Server.Repairer). The daemon always fails
+	// over and cannot serve degraded copies, so New rejects Failover false
+	// and Degrade true. Nil means failover only.
+	Resilience *resilience.Policy
 	// Shards splits the session registry into that many partitions, each
 	// with its own lock, expiry heap and expiry goroutine (DESIGN.md §15).
 	// Admission decisions do not depend on it: every policy commits on the
@@ -119,10 +126,10 @@ type Server struct {
 	activeN  atomic.Int64 // live sessions across every partition
 	draining atomic.Bool
 
-	retry *retrier // nil unless Config.Retry enabled admission retry
+	retry *retrier  // nil unless Config.Resilience enables retry
+	rep   *Repairer // nil unless Config.Resilience enables repair
 
 	hc  atomic.Pointer[HealthChecker] // attached health-check loop, if any
-	rep atomic.Pointer[Repairer]      // attached re-replication repairer, if any
 	reb atomic.Pointer[Rebalancer]    // attached placement controller, if any
 	inj atomic.Pointer[faults.Injector]
 }
@@ -144,6 +151,19 @@ func New(p *core.Problem, layout *core.Layout, cfg Config) (*Server, error) {
 	if compress < 0 {
 		return nil, fmt.Errorf("serve: compression factor must be positive, got %g", compress)
 	}
+	var res resilience.Policy
+	if cfg.Resilience != nil {
+		if !cfg.Resilience.Failover {
+			return nil, fmt.Errorf("serve: Config.Resilience.Failover must be true: the daemon always fails over")
+		}
+		if cfg.Resilience.Degrade {
+			return nil, fmt.Errorf("serve: Config.Resilience.Degrade is not supported: the daemon serves full-rate copies only")
+		}
+		res = cfg.Resilience.WithDefaults()
+		if err := res.Validate(); err != nil {
+			return nil, err
+		}
+	}
 	ctx, stop := context.WithCancel(context.Background())
 	s := &Server{
 		c:        c,
@@ -155,13 +175,16 @@ func New(p *core.Problem, layout *core.Layout, cfg Config) (*Server, error) {
 		baseCtx:  ctx,
 		baseStop: stop,
 	}
-	if cfg.Retry != nil {
-		r, err := newRetrier(s, *cfg.Retry)
+	if res.Retry {
+		s.retry = newRetrier(s, res)
+	}
+	if res.Repair {
+		r, err := newRepairer(s, res)
 		if err != nil {
 			stop()
 			return nil, err
 		}
-		s.retry = r
+		s.rep = r
 	}
 	s.startPartitions(min(max(cfg.Shards, 1), c.Servers()))
 	return s, nil
@@ -215,11 +238,21 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 
 // wallDuration returns the compressed wall-clock lifetime of video v.
 func (s *Server) wallDuration(v int) time.Duration {
-	d := time.Duration(s.c.Problem().Catalog[v].Duration / s.compress * float64(time.Second))
+	d := s.wall(s.c.Problem().Catalog[v].Duration)
 	if s.maxWall > 0 && d > s.maxWall {
 		d = s.maxWall
 	}
 	return d
+}
+
+// wall converts virtual seconds to the compressed wall-clock duration,
+// clamped to the longest time.Duration.
+func (s *Server) wall(seconds float64) time.Duration {
+	ns := seconds / s.compress * float64(time.Second)
+	if ns >= math.MaxInt64 {
+		return math.MaxInt64
+	}
+	return time.Duration(ns)
 }
 
 // Open runs one admission decision for video v. On acceptance the session
@@ -383,8 +416,8 @@ func (s *Server) FailBackend(b int) (failedOver, dropped int, err error) {
 	s.tracer.Record(obs.Event{TS: s.tracer.NowNS(), Kind: obs.KindHealth,
 		Server: b, Detail: "down"})
 	failedOver, dropped = s.evictSessions(b, "failed")
-	if r := s.rep.Load(); r != nil {
-		r.Kick() // scan for under-replicated videos now, not at the next tick
+	if s.rep != nil {
+		s.rep.Kick() // scan for under-replicated videos now, not at the next tick
 	}
 	return failedOver, dropped, nil
 }
@@ -398,7 +431,10 @@ func (s *Server) FailBackend(b int) (failedOver, dropped int, err error) {
 // Close or expiry always finds it and settles whichever grant is current, and
 // every affected session's bandwidth is released exactly once. The loop
 // repeats until no session references b, catching sessions another
-// backend's eviction concurrently failed over *onto* b.
+// backend's eviction concurrently failed over *onto* b. Each pass settles
+// the sessions in ID (admission) order, the order State.FailServer tears
+// them in, so which ones fail over and which are dropped when the survivors
+// run short does not depend on map iteration or the partition count.
 func (s *Server) evictSessions(b int, cause string) (failedOver, dropped int) {
 	type ref struct {
 		id    int64
@@ -419,6 +455,7 @@ func (s *Server) evictSessions(b int, cause string) (failedOver, dropped int) {
 		if len(affected) == 0 {
 			return failedOver, dropped
 		}
+		slices.SortFunc(affected, func(x, y ref) int { return cmp.Compare(x.id, y.id) })
 		for _, r := range affected {
 			ng, ok := s.pol.Failover(r.video, b)
 			p := s.partOf(r.id)
@@ -530,8 +567,8 @@ func (s *Server) Shutdown() {
 	if h := s.hc.Load(); h != nil {
 		h.Stop()
 	}
-	if r := s.rep.Load(); r != nil {
-		r.Stop()
+	if s.rep != nil {
+		s.rep.stopAndWait()
 	}
 	if rp := s.reb.Load(); rp != nil {
 		(*rp).Stop()

@@ -150,18 +150,17 @@ examples:
 	$(GO) run ./examples/dynamic-replication
 	$(GO) run ./examples/hierarchical-sites
 
+# Every fuzz target in the module for FUZZTIME each, found by `go test -list`
+# so a new target is fuzzed without an edit here.
 fuzz:
-	$(GO) test -run=Fuzz -fuzz=FuzzLoad -fuzztime=$(FUZZTIME) ./internal/config/
-	$(GO) test -run=Fuzz -fuzz=FuzzTraceLoad -fuzztime=$(FUZZTIME) ./internal/workload/
-	$(GO) test -run=Fuzz -fuzz=FuzzApportion -fuzztime=$(FUZZTIME) ./internal/apportion/
-	$(GO) test -run=Fuzz -fuzz=FuzzBoundedDivisorOracle -fuzztime=$(FUZZTIME) ./internal/apportion/
-	$(GO) test -run=Fuzz -fuzz=FuzzWireParse -fuzztime=$(FUZZTIME) ./internal/serve/
-	$(GO) test -run=Fuzz -fuzz=FuzzIngressConn -fuzztime=$(FUZZTIME) ./internal/serve/
-	$(GO) test -run=Fuzz -fuzz=FuzzRankParity -fuzztime=$(FUZZTIME) ./internal/serve/
-	$(GO) test -run=Fuzz -fuzz=FuzzRepairParity -fuzztime=$(FUZZTIME) ./internal/serve/
-	$(GO) test -run=Fuzz -fuzz=FuzzEngineOrder -fuzztime=$(FUZZTIME) ./internal/sim/
-	$(GO) test -run=Fuzz -fuzz=FuzzHolderLists -fuzztime=$(FUZZTIME) ./internal/anneal/
-	$(GO) test -run=Fuzz -fuzz=FuzzSparseLayout -fuzztime=$(FUZZTIME) ./internal/anneal/
+	@pkgs=$$($(GO) list ./...) || exit 1; \
+	for pkg in $$pkgs; do \
+		list=$$($(GO) test -list '^Fuzz' $$pkg) || exit 1; \
+		for f in $$(echo "$$list" | grep '^Fuzz'); do \
+			echo "fuzz $$f in $$pkg"; \
+			$(GO) test -run='^$$' -fuzz="^$$f\$$" -fuzztime=$(FUZZTIME) $$pkg || exit 1; \
+		done; \
+	done
 
 clean:
 	rm -f cover.out

@@ -261,8 +261,8 @@ func MinimizeDelta[S, M any](p DeltaProblem[S, M], initial S, opts Options) (Res
 }
 
 // Scratch hides any delta fast path of p, forcing Minimize and
-// MinimizeParallel onto the clone-and-rescan Problem loop. Benchmarks and
-// differential tests use it to run both engines over one problem.
+// MinimizeParallel onto the clone-and-rescan Problem loop, so one problem
+// can run on both loops.
 func Scratch[S any](p Problem[S]) Problem[S] { return scratchOnly[S]{p} }
 
 type scratchOnly[S any] struct{ p Problem[S] }

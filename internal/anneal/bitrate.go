@@ -376,50 +376,19 @@ func (bp *BitRateProblem) costOf(e Eval) float64 {
 // Clone implements Problem.
 func (bp *BitRateProblem) Clone(l *BitRateLayout) *BitRateLayout { return l.clone() }
 
-// Neighbor implements Problem with the paper's move structure: pick a random
-// server; either raise the rate of one of its copies or add a new video copy
-// at the lowest rate; then, while the server violates storage or bandwidth,
-// lower the rates of its copies and finally evict lowest-rate copies — never
-// a video's cluster-wide last copy. When the chosen server admits no move at
-// all (fully packed with every rate at the maximum), Neighbor returns l
-// itself — the no-op signal Unchanged recognizes — instead of an identical
-// clone the engine would re-evaluate and count as accepted.
+// Neighbor implements Problem: a clone of l moved by Propose and kept by
+// Apply, so the clone-and-rescan loop and the delta path share one move
+// rule. When the chosen server admits no move at all (fully packed with
+// every rate at the maximum), Neighbor returns l itself — the no-op signal
+// Unchanged recognizes — instead of an identical clone the engine would
+// re-evaluate and count as accepted.
 func (bp *BitRateProblem) Neighbor(l *BitRateLayout, rng *stats.RNG) *BitRateLayout {
-	p := bp.P
-	m, n := p.M(), p.N()
-	s := rng.Intn(n)
-
-	onServer := make([]int, 0, m)
-	offServer := make([]int, 0, m)
-	for v := 0; v < m; v++ {
-		if l.Rate(v, s) >= 0 {
-			onServer = append(onServer, v)
-		} else {
-			offServer = append(offServer, v)
-		}
-	}
-
-	// Decide the move against l, clone only once one exists.
-	mutV, mutRI := -1, int16(0)
-	grow := rng.Bernoulli(0.5)
-	switch {
-	case (grow || len(onServer) == 0) && len(offServer) > 0:
-		mutV = offServer[rng.Intn(len(offServer))]
-	case len(onServer) > 0:
-		v := onServer[rng.Intn(len(onServer))]
-		if ri := l.Rate(v, s); int(ri) < len(bp.RateSet)-1 {
-			mutV, mutRI = v, ri+1
-		} else if len(offServer) > 0 { // already at max: add instead
-			mutV = offServer[rng.Intn(len(offServer))]
-		}
-	}
-	if mutV < 0 {
+	nl := l.clone()
+	move, _ := bp.Propose(nl, rng)
+	if bp.IsNoop(move) {
 		return l // no move on this server: recognized no-op
 	}
-
-	nl := l.clone()
-	nl.set(mutV, s, mutRI)
-	bp.repair(nl, rng)
+	bp.Apply(nl, move)
 	return nl
 }
 
@@ -427,93 +396,21 @@ func (bp *BitRateProblem) Neighbor(l *BitRateLayout, rng *stats.RNG) *BitRateLay
 // its argument itself.
 func (bp *BitRateProblem) Unchanged(prev, cand *BitRateLayout) bool { return prev == cand }
 
-// serverLoad computes server s's storage use and expected peak bandwidth
-// demand under layout l.
-func (bp *BitRateProblem) serverLoad(l *BitRateLayout, s int) (storage, demand float64) {
-	p := bp.P
-	peak := p.PeakRequests()
-	for v := 0; v < p.M(); v++ {
-		ri := l.Rate(v, s)
-		if ri < 0 {
-			continue
-		}
-		storage += bp.copySizeBytes(v, ri)
-		w := p.Catalog[v].Popularity * peak / float64(l.Copies(v))
-		demand += w * bp.RateSet[ri]
-	}
-	return storage, demand
-}
-
-// repair restores feasibility after a move by repeatedly applying one
-// reduction action — lowering a raised copy's rate or evicting a lowest-rate
-// copy that is not its video's last — on a violated server. The action is
-// chosen uniformly at random so annealing can trade replicas for quality and
-// vice versa; a deterministic highest-rate-first policy locks the search
-// into all-copies states. Repair is global, not per-server: evicting a copy
-// raises the communication weight of the video's remaining copies and can
-// push *other* servers over their bandwidth limit, so the scan loops until
-// no server is violated. Every action strictly reduces Σ(rate indices) +
-// Σ(copies), so the loop terminates; in the rare state where a violated
-// server has nothing reducible, the cost penalty takes over.
-func (bp *BitRateProblem) repair(l *BitRateLayout, rng *stats.RNG) {
-	p := bp.P
-	m, n := p.M(), p.N()
-	lowerable := make([]int, 0, m)
-	evictable := make([]int, 0, m)
-	// Upper bound on reduction actions: every copy can be lowered through
-	// the whole rate ladder and then evicted once.
-	maxActions := m*n*len(bp.RateSet) + m*n
-	for action := 0; action < maxActions; action++ {
-		violated := -1
-		for s := 0; s < n; s++ {
-			storage, demand := bp.serverLoad(l, s)
-			if storage > p.StorageOf(s) || demand > p.BandwidthOf(s) {
-				violated = s
-				break
-			}
-		}
-		if violated == -1 {
-			return
-		}
-		lowerable = lowerable[:0]
-		evictable = evictable[:0]
-		for v := 0; v < m; v++ {
-			ri := l.Rate(v, violated)
-			if ri < 0 {
-				continue
-			}
-			if ri > 0 {
-				lowerable = append(lowerable, v)
-			} else if l.Copies(v) > 1 {
-				evictable = append(evictable, v)
-			}
-		}
-		total := len(lowerable) + len(evictable)
-		if total == 0 {
-			return // nothing reducible; Cost's penalty handles the rest
-		}
-		k := rng.Intn(total)
-		if k < len(lowerable) {
-			v := lowerable[k]
-			l.set(v, violated, l.Rate(v, violated)-1)
-		} else {
-			l.set(evictable[k-len(lowerable)], violated, -1)
-		}
-	}
-}
-
 var (
 	_ Problem[*BitRateLayout]           = (*BitRateProblem)(nil)
 	_ NoopDetector[*BitRateLayout]      = (*BitRateProblem)(nil)
 	_ DeltaProblem[*BitRateLayout, any] = (*BitRateProblem)(nil)
 )
 
-// Propose implements DeltaProblem: the same move structure as Neighbor, but
-// executed in place against the layout's cached evaluation state, so the
-// cost delta comes out in O(changed cells) instead of a rescan of the
-// layout. The returned move is a reused scratch buffer owned by the
-// layout's cache — valid only until the next Propose, per the DeltaProblem
-// contract.
+// Propose implements DeltaProblem with the paper's move structure: pick a
+// random server; either raise the rate of one of its copies or add a new
+// video copy at the lowest rate; then, while a server violates storage or
+// bandwidth, lower the rates of its copies and evict lowest-rate copies —
+// never a video's cluster-wide last copy (brCache.repair). The move runs in
+// place against the layout's cached evaluation state, so the cost delta
+// comes out in O(changed cells) instead of a rescan of the layout. The
+// returned move is a reused scratch buffer owned by the layout's cache —
+// valid only until the next Propose, per the DeltaProblem contract.
 func (bp *BitRateProblem) Propose(l *BitRateLayout, rng *stats.RNG) (any, float64) {
 	c := bp.ensureCache(l)
 	c.maybeRebuild(l)

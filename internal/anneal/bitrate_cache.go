@@ -67,7 +67,7 @@ type brCache struct {
 	// Membership lists, one per server: the videos with a copy on s with
 	// their rate indices, the rest, and each video's index in whichever list
 	// it is in. They make "pick a uniform random (non-)resident video" O(1)
-	// instead of the O(M) classification scan Neighbor pays per proposal.
+	// instead of an O(M) classification scan per proposal.
 	// Only the holders are stored up front; see holderLists.
 	lists []holderLists
 
@@ -320,11 +320,19 @@ func (c *brCache) eval() Eval {
 	return e
 }
 
-// repair is the delta path's feasibility restoration: the same randomized
-// reduction policy as BitRateProblem.repair, but driven by the cached
-// per-server loads and the incrementally tracked violated-server count, so
-// one action costs O(copies on the violated server) instead of a full
-// serverLoad rescan of every server.
+// repair restores feasibility after a move by repeatedly applying one
+// reduction action — lowering a raised copy's rate or evicting a lowest-rate
+// copy that is not its video's last — on a violated server. The action is
+// chosen uniformly at random so annealing can trade replicas for quality and
+// vice versa; a deterministic highest-rate-first policy locks the search
+// into all-copies states. Repair is global, not per-server: evicting a copy
+// raises the communication weight of the video's remaining copies and can
+// push *other* servers over their bandwidth limit, so it loops until no
+// server is violated. Every action strictly reduces Σ(rate indices) +
+// Σ(copies), so the loop terminates; in the rare state where a violated
+// server has nothing reducible, the cost penalty takes over. The cached
+// per-server loads and the incrementally tracked violated-server count make
+// one action cost O(copies on the violated server).
 func (c *brCache) repair(l *BitRateLayout, rng *stats.RNG) {
 	bp := c.bp
 	m, n := bp.P.M(), bp.P.N()

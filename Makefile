@@ -47,10 +47,13 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# One iteration of the Fig. 4 benchmarks: catches bit-rot in the bench code
-# and the exp sweep harness without paying for a full benchmark run.
+# One iteration of the Fig. 4 benchmarks and of the serve layer benchmarks
+# (the admission round trip, the registry insert and settle): catches
+# bit-rot in the bench code and the exp sweep harness without paying for a
+# full benchmark run.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=Fig4 -benchtime=1x .
+	$(GO) test -run='^$$' -bench='AdmissionPath|Registry' -benchtime=1x ./internal/serve
 
 # One workload of the whole-system benchmark, untraced: the three end-to-end
 # metrics and the correctness checks. `make bench-workload W=plan_scale`;

@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sync"
 	"sync/atomic"
 
 	"vodcluster/internal/stats"
@@ -14,11 +13,11 @@ import (
 // serving daemon's atomic admission-latency histogram (whose bucket set is
 // fixed at compile time), Hist takes its range and resolution at
 // construction, which is what run-specific instruments — queue depth,
-// per-phase latencies — need. A nil *Hist is a valid no-op, mirroring the
-// nil-Tracer convention.
+// per-phase latencies — need. stats.Histogram counts without a lock, so a
+// per-decision Observe never serializes goroutines. A nil *Hist is a valid
+// no-op, mirroring the nil-Tracer convention.
 type Hist struct {
-	mu sync.Mutex
-	h  *stats.Histogram
+	h *stats.Histogram
 }
 
 // NewHist builds a histogram with n bins spanning [lo, hi).
@@ -31,9 +30,7 @@ func (h *Hist) Observe(x float64) {
 	if h == nil {
 		return
 	}
-	h.mu.Lock()
 	h.h.Add(x)
-	h.mu.Unlock()
 }
 
 // WriteProm renders the histogram as one Prometheus histogram family:
@@ -41,12 +38,12 @@ func (h *Hist) Observe(x float64) {
 // _count. Observations below the range count into every bucket (they are
 // ≤ every edge); observations at or above it only into +Inf. A nil Hist
 // writes nothing, so callers render optional instruments unconditionally.
+// Each count is read once, so the buckets stay cumulative and +Inf equals
+// _count while observations land.
 func (h *Hist) WriteProm(w io.Writer, name, help string) {
 	if h == nil {
 		return
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	fmt.Fprintf(w, "# HELP %s %s\n", name, help)
 	fmt.Fprintf(w, "# TYPE %s histogram\n", name)
 	cum := h.h.Underflow()
@@ -54,16 +51,17 @@ func (h *Hist) WriteProm(w io.Writer, name, help string) {
 		cum += h.h.Count(i)
 		fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", name, h.h.BinUpper(i), cum)
 	}
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, h.h.Total())
+	cum += h.h.Overflow()
+	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
 	fmt.Fprintf(w, "%s_sum %g\n", name, h.h.Sum())
-	fmt.Fprintf(w, "%s_count %d\n", name, h.h.Total())
+	fmt.Fprintf(w, "%s_count %d\n", name, cum)
 }
 
 // ExpHist is a lock-free histogram with exponentially growing bucket upper
 // bounds (each bound doubles the previous one), built for hot-path latency
 // instruments: Observe is a bucket search over a small fixed table plus two
 // atomic adds, so a per-request recording never serializes goroutines the
-// way the mutexed Hist would. The sum is accumulated in integer billionths,
+// way a mutexed histogram would. The sum is accumulated in integer billionths,
 // which keeps it an atomic add at nanosecond precision for seconds-valued
 // observations. A nil *ExpHist is a valid no-op.
 type ExpHist struct {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -128,5 +129,37 @@ func TestExpHistNil(t *testing.T) {
 	h.WriteProm(&buf, "x", "")
 	if buf.Len() != 0 {
 		t.Fatalf("nil ExpHist wrote %q", buf.String())
+	}
+}
+
+// TestHistConcurrent: observations from several goroutines at once all land,
+// in bins and in the sum, with no lock around Observe.
+func TestHistConcurrent(t *testing.T) {
+	h := NewHist(0, 8, 8)
+	const goroutines, each = 4, 1000
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				h.Observe(float64(i % 10)) // 8 and 9 overflow
+			}
+		}()
+	}
+	wg.Wait()
+	var buf bytes.Buffer
+	h.WriteProm(&buf, "c", "h")
+	out := buf.String()
+	for _, want := range []string{
+		"c_bucket{le=\"1\"} 400\n",
+		"c_bucket{le=\"8\"} 3200\n",
+		"c_bucket{le=\"+Inf\"} 4000\n",
+		"c_sum 18000\n",
+		"c_count 4000\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("missing %q in:\n%s", want, out)
+		}
 	}
 }

@@ -274,7 +274,7 @@ func (g *Ingress) serveOne(li int, conn net.Conn, cs *connState) bool {
 		}
 		return false // EOF between requests is the normal end of keep-alive
 	}
-	start := time.Now()
+	start := g.s.nowNS()
 	st := &g.stats.ls[li]
 	method, path, ok := parseRequestLine(line)
 	if !ok {
@@ -300,7 +300,10 @@ func (g *Ingress) serveOne(li int, conn net.Conn, cs *connState) bool {
 		return false
 	}
 
-	clen, connClose := 0, false
+	// clenDigits is the length of the first Content-Length value, -1 before
+	// one is seen: with atoiBytes's plain digits, two values are the same
+	// text exactly when their numbers and lengths agree.
+	clen, clenDigits, connClose := 0, -1, false
 	for {
 		h, err := cs.br.ReadSlice('\n')
 		if err != nil {
@@ -314,15 +317,30 @@ func (g *Ingress) serveOne(li int, conn net.Conn, cs *connState) bool {
 		if len(h) == 0 {
 			break
 		}
+		if bytes.IndexByte(h, ':') < 0 {
+			st.parseErrors.Add(1)
+			g.appendReply(cs, http.StatusBadRequest,
+				appendOutcome(cs.resp[:0], "", "malformed header line"), true, false)
+			return false
+		}
 		if v, ok := headerValue(h, "content-length"); ok {
-			n, nok := atoiBytes(trimSpaces(v))
+			v = trimSpaces(v)
+			n, nok := atoiBytes(v)
 			if !nok {
 				st.parseErrors.Add(1)
 				g.appendReply(cs, http.StatusBadRequest,
 					appendOutcome(cs.resp[:0], "", "malformed content-length"), true, false)
 				return false
 			}
-			clen = n
+			// RFC 9112 §6.3: differing Content-Length values leave the
+			// message length undefined, the request-smuggling shape.
+			if clenDigits >= 0 && (n != clen || len(v) != clenDigits) {
+				st.parseErrors.Add(1)
+				g.appendReply(cs, http.StatusBadRequest,
+					appendOutcome(cs.resp[:0], "", "conflicting content-length"), true, false)
+				return false
+			}
+			clen, clenDigits = n, len(v)
 		} else if v, ok := headerValue(h, "connection"); ok {
 			if asciiEqualFold(trimSpaces(v), "close") {
 				connClose = true
@@ -359,7 +377,7 @@ func (g *Ingress) serveOne(li int, conn net.Conn, cs *connState) bool {
 	case routeClose:
 		g.fastClose(cs, st, body, connClose)
 	}
-	st.latency.Observe(time.Since(start).Seconds())
+	st.latency.Observe(time.Duration(g.s.nowNS() - start).Seconds())
 	return !connClose
 }
 

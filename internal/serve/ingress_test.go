@@ -260,6 +260,65 @@ func TestIngressProtocolErrors(t *testing.T) {
 	}
 }
 
+// TestIngressStrictHeaders: two header shapes net/http refuses — differing
+// duplicate Content-Length values (RFC 9112 §6.3, the request-smuggling
+// shape) and a header line with no colon — get 400 and a closed connection,
+// and nothing from that request or any pipelined after it is booked.
+// Identical duplicates stay accepted, as net/http accepts them.
+func TestIngressStrictHeaders(t *testing.T) {
+	srv, _, addr := newTestIngress(t, Config{}, IngressConfig{})
+	open := `{"video":0}`
+	next := fmt.Sprintf("POST /open HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s", len(open), open)
+	for _, tc := range []struct {
+		name, head string
+	}{
+		{"differing content-lengths", "Content-Length: 0\r\nContent-Length: 11\r\n"},
+		{"differing content-length text", "Content-Length: 011\r\nContent-Length: 11\r\n"},
+		{"header line without colon", "Content-Length: 11\r\nX-Smuggle 1\r\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			raw := "POST /open HTTP/1.1\r\n" + tc.head + "\r\n" + open + next
+			if _, err := http.ReadRequest(bufio.NewReader(strings.NewReader(raw))); err == nil {
+				t.Fatalf("net/http accepts %q; the case no longer pins a divergence", raw)
+			}
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(5 * time.Second))
+			if _, err := conn.Write([]byte(raw)); err != nil {
+				t.Fatal(err)
+			}
+			br := bufio.NewReader(conn)
+			resp, err := http.ReadResponse(br, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !resp.Close {
+				t.Fatalf("status %d, close %v; want 400 and Connection: close", resp.StatusCode, resp.Close)
+			}
+			if rest, err := io.ReadAll(br); err != nil || len(rest) != 0 {
+				t.Fatalf("after the 400 the connection sent %q (err %v), want EOF", rest, err)
+			}
+			if n := srv.Active(); n != 0 {
+				t.Fatalf("%d sessions booked from a refused connection", n)
+			}
+			if u := srv.Cluster().Used(0) + srv.Cluster().Used(1); u != 0 {
+				t.Fatalf("%d bit/s reserved from a refused connection", u)
+			}
+		})
+	}
+	t.Run("identical content-lengths", func(t *testing.T) {
+		raw := "POST /open HTTP/1.1\r\nContent-Length: 11\r\nContent-Length: 11\r\n\r\n" + open
+		if resp := rawRoundTrip(t, addr, raw); resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d, want 200", resp.StatusCode)
+		}
+	})
+}
+
 // TestIngressKeepAliveAfterBadBody: a malformed body fails that one request,
 // not the connection — the next pipelined request on the same connection
 // still settles.

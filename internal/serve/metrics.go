@@ -21,9 +21,10 @@ var latencyBuckets = [...]float64{
 // Metrics is the daemon's lock-free instrument panel: admission outcome
 // counters, session lifecycle counters, and an admission-latency histogram,
 // all atomics so the hot path never serializes on telemetry. Render writes
-// the Prometheus text exposition format.
+// the Prometheus text exposition format. Settled decisions are accepted +
+// rejected, which is also the latency histogram's count, so neither is a
+// counter of its own.
 type Metrics struct {
-	requests  atomic.Int64 // settled admission decisions
 	accepted  atomic.Int64
 	rejected  atomic.Int64
 	draining  atomic.Int64 // rejected because the daemon was draining
@@ -48,7 +49,6 @@ type Metrics struct {
 
 	shards atomic.Int64 // session registry partitions in use
 
-	latCount atomic.Int64
 	latSumNs atomic.Int64
 	latBins  [len(latencyBuckets) + 1]atomic.Int64 // +Inf overflow last
 
@@ -160,11 +160,10 @@ func NewMetrics(maxDepth int) *Metrics {
 
 // ObserveQueueDepth records the active-session count seen by one admission
 // decision.
-func (m *Metrics) ObserveQueueDepth(depth float64) { m.queueDepth.Observe(depth) }
+func (m *Metrics) ObserveQueueDepth(depth int64) { m.queueDepth.Observe(float64(depth)) }
 
 // Decision records one settled admission decision and its latency.
 func (m *Metrics) Decision(accepted, redirected, wasDraining bool, lat time.Duration) {
-	m.requests.Add(1)
 	if accepted {
 		m.accepted.Add(1)
 		if redirected {
@@ -176,7 +175,6 @@ func (m *Metrics) Decision(accepted, redirected, wasDraining bool, lat time.Dura
 			m.draining.Add(1)
 		}
 	}
-	m.latCount.Add(1)
 	m.latSumNs.Add(int64(lat))
 	sec := lat.Seconds()
 	i := 0
@@ -244,15 +242,16 @@ func (m *Metrics) Probe(ok bool) {
 func (m *Metrics) Accepted() int64 { return m.accepted.Load() }
 
 // Requests returns the number of settled admission decisions so far.
-func (m *Metrics) Requests() int64 { return m.requests.Load() }
+func (m *Metrics) Requests() int64 { return m.accepted.Load() + m.rejected.Load() }
 
 // Render writes the Prometheus text exposition of the counters plus the
 // per-server gauges read from the cluster.
 func (m *Metrics) Render(w io.Writer, c *Cluster, active int64, policy string) {
+	accepted, rejected := m.accepted.Load(), m.rejected.Load()
 	fmt.Fprintf(w, "# HELP vod_requests_total Settled admission decisions by outcome.\n")
 	fmt.Fprintf(w, "# TYPE vod_requests_total counter\n")
-	fmt.Fprintf(w, "vod_requests_total{outcome=\"accepted\"} %d\n", m.accepted.Load())
-	fmt.Fprintf(w, "vod_requests_total{outcome=\"rejected\"} %d\n", m.rejected.Load())
+	fmt.Fprintf(w, "vod_requests_total{outcome=\"accepted\"} %d\n", accepted)
+	fmt.Fprintf(w, "vod_requests_total{outcome=\"rejected\"} %d\n", rejected)
 	fmt.Fprintf(w, "# HELP vod_rejected_draining_total Rejections issued while the daemon was draining.\n")
 	fmt.Fprintf(w, "# TYPE vod_rejected_draining_total counter\n")
 	fmt.Fprintf(w, "vod_rejected_draining_total %d\n", m.draining.Load())
@@ -352,7 +351,7 @@ func (m *Metrics) Render(w io.Writer, c *Cluster, active int64, policy string) {
 	cum += m.latBins[len(latencyBuckets)].Load()
 	fmt.Fprintf(w, "vod_admission_latency_seconds_bucket{le=\"+Inf\"} %d\n", cum)
 	fmt.Fprintf(w, "vod_admission_latency_seconds_sum %g\n", float64(m.latSumNs.Load())/float64(time.Second))
-	fmt.Fprintf(w, "vod_admission_latency_seconds_count %d\n", m.latCount.Load())
+	fmt.Fprintf(w, "vod_admission_latency_seconds_count %d\n", accepted+rejected)
 
 	m.queueDepth.WriteProm(w, "vod_queue_depth",
 		"Active sessions observed at each admission decision.")

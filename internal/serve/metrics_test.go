@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -155,5 +156,60 @@ func TestRenderQueueDepth(t *testing.T) {
 	out = renderString(t, &zero, "p")
 	if strings.Contains(out, "vod_queue_depth") {
 		t.Fatalf("zero-value Metrics should skip the queue-depth family:\n%s", out)
+	}
+}
+
+// TestRenderGolden pins the whole exposition for a fixed set of decisions,
+// queue depths and lifecycle counts against testdata/metrics_render.golden,
+// captured from the mutexed float histogram and the explicit request and
+// latency counters: the lock-free histogram and the derived counters must
+// render the same observations byte for byte.
+func TestRenderGolden(t *testing.T) {
+	m := NewMetrics(8)
+	// Depths below, inside, on the edge of and beyond [0, 8).
+	m.ObserveQueueDepth(0)
+	m.ObserveQueueDepth(1)
+	m.ObserveQueueDepth(3)
+	m.ObserveQueueDepth(3)
+	m.ObserveQueueDepth(7)
+	m.ObserveQueueDepth(8)
+	m.ObserveQueueDepth(100)
+	for _, d := range []struct {
+		accepted, redirected, draining bool
+		lat                            time.Duration
+	}{
+		{true, false, false, 50 * time.Microsecond},
+		{true, true, false, 100 * time.Microsecond}, // on a bucket edge
+		{true, false, false, 3 * time.Millisecond},
+		{false, false, false, 3 * time.Millisecond},
+		{false, false, true, 40 * time.Millisecond},
+		{true, false, false, 1234567 * time.Nanosecond},
+		{false, false, false, 10 * time.Second}, // only +Inf
+	} {
+		m.Decision(d.accepted, d.redirected, d.draining, d.lat)
+	}
+	m.BadVideo()
+	m.Completed()
+	m.Canceled()
+	m.Canceled()
+	m.FailedOver()
+	m.Dropped()
+	m.Retried()
+	m.Reneged()
+	m.BackendFailed()
+	m.ReReplicated()
+	m.RebalanceRound()
+	m.Migrated()
+	m.Evicted()
+	m.Probe(true)
+	m.Probe(false)
+	m.SetShards(2)
+	got := renderString(t, m, "least-loaded")
+	want, err := os.ReadFile("testdata/metrics_render.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("exposition diverged from the golden capture.\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }

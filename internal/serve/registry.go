@@ -8,9 +8,9 @@ package serve
 // only when its push becomes the new heap top, which with equal-length
 // titles is rare.
 //
-// Presence in a partition's map is the settlement token: natural expiry, a
-// client Close, an eviction scan and the shutdown flush race to remove the
-// entry, and whichever removes it releases the grant. A live session never
+// Presence in a partition's session index is the settlement token: natural
+// expiry, a client Close, an eviction scan and the shutdown flush race to
+// remove the entry, and whichever removes it releases the grant. A live session never
 // leaves its partition — failover swaps its grant in place — so the heap
 // entry pushed at admission is the only one it ever has.
 
@@ -26,7 +26,7 @@ type partition struct {
 	s *Server
 
 	mu        sync.Mutex
-	reg       map[int64]*session
+	reg       sessionIndex
 	exp       expiryHeap
 	compactAt int  // heap length at which compact runs
 	dead      bool // set by the shutdown flush; later inserts are refused
@@ -42,7 +42,6 @@ func (s *Server) startPartitions(k int) {
 	for i := range s.parts {
 		p := &partition{
 			s:         s,
-			reg:       make(map[int64]*session),
 			compactAt: compactSlack,
 			wake:      make(chan struct{}, 1),
 			done:      make(chan struct{}),
@@ -88,12 +87,13 @@ const (
 	insertStopped              // the partition has shut down
 )
 
-// insert registers grant g as live session id expiring at deadline. It
-// re-checks that g.Source still holds the video under the partition lock:
-// EvictReplica removes the holder before its pinned-session re-check, which
-// takes this lock, so either that re-check sees the session and rolls the
-// eviction back, or this check sees the removal and the caller decides again.
-func (p *partition) insert(id int64, g Grant, deadline time.Time) insertResult {
+// insert registers grant g as live session id expiring at deadline (nowNS
+// time). It re-checks that g.Source still holds the video under the
+// partition lock: EvictReplica removes the holder before its pinned-session
+// re-check, which takes this lock, so either that re-check sees the session
+// and rolls the eviction back, or this check sees the removal and the caller
+// decides again.
+func (p *partition) insert(id int64, g Grant, deadline int64) insertResult {
 	s := p.s
 	sess := s.getSession()
 	sess.id, sess.video, sess.grant = id, g.Video, g
@@ -110,7 +110,7 @@ func (p *partition) insert(id int64, g Grant, deadline time.Time) insertResult {
 	// Counted before it is visible, so an eviction scan that drops it at once
 	// cannot drive the gauge negative.
 	s.activeN.Add(1)
-	p.reg[id] = sess
+	p.reg.put(id, sess)
 	top := p.exp.push(expiry{at: deadline, id: id})
 	if len(p.exp) >= p.compactAt {
 		p.compact()
@@ -137,7 +137,7 @@ const compactSlack = 1024
 func (p *partition) compact() {
 	live := p.exp[:0]
 	for _, e := range p.exp {
-		if _, ok := p.reg[e.id]; ok {
+		if p.reg.get(e.id) != nil {
 			live = append(live, e)
 		}
 	}
@@ -150,15 +150,12 @@ func (p *partition) compact() {
 // releases its grant.
 func (p *partition) settle(id int64, natural bool) bool {
 	p.mu.Lock()
-	sess, ok := p.reg[id]
-	if ok {
-		delete(p.reg, id)
-	}
+	sess := p.reg.del(id)
 	p.mu.Unlock()
-	if ok {
+	if sess != nil {
 		p.s.end(sess, natural)
 	}
-	return ok
+	return sess != nil
 }
 
 // run is the partition's expiry goroutine: wake at the next deadline or on
@@ -183,25 +180,20 @@ func (p *partition) run() {
 // the wait until the next one. Entries of sessions that already ended find
 // no registry entry and are skipped.
 func (p *partition) fireExpired() time.Duration {
-	now := time.Now()
+	now := p.s.nowNS()
 	for {
 		p.mu.Lock()
 		if len(p.exp) == 0 {
 			p.mu.Unlock()
 			return time.Hour
 		}
-		if p.exp[0].at.After(now) {
-			d := time.Until(p.exp[0].at)
+		if at := p.exp[0].at; at > now {
 			p.mu.Unlock()
-			return max(d, 0)
+			return time.Duration(max(at-p.s.nowNS(), 0))
 		}
-		id := p.exp.popMin().id
-		sess, ok := p.reg[id]
-		if ok {
-			delete(p.reg, id)
-		}
+		sess := p.reg.del(p.exp.popMin().id)
 		p.mu.Unlock()
-		if ok {
+		if sess != nil {
 			p.s.end(sess, true)
 		}
 	}
@@ -212,11 +204,9 @@ func (p *partition) fireExpired() time.Duration {
 func (p *partition) shutdown() {
 	p.mu.Lock()
 	p.dead = true
-	live := make([]*session, 0, len(p.reg))
-	for _, sess := range p.reg {
-		live = append(live, sess)
-	}
-	clear(p.reg)
+	live := make([]*session, 0, p.reg.n)
+	p.reg.each(func(sess *session) { live = append(live, sess) })
+	p.reg = sessionIndex{}
 	p.exp = nil
 	p.mu.Unlock()
 	slices.SortFunc(live, func(x, y *session) int { return cmp.Compare(x.id, y.id) })
@@ -232,11 +222,11 @@ func (s *Server) PinnedSessions(v, b int) int {
 	n := 0
 	for _, p := range s.parts {
 		p.mu.Lock()
-		for _, sess := range p.reg {
+		p.reg.each(func(sess *session) {
 			if sess.video == v && (sess.grant.Server == b || sess.grant.Source == b) {
 				n++
 			}
-		}
+		})
 		p.mu.Unlock()
 	}
 	return n
@@ -244,9 +234,9 @@ func (s *Server) PinnedSessions(v, b int) int {
 
 // expiry is one deadline entry, pushed once at admission; entries are lazy —
 // settlement consults the registry, so the entry of a session that already
-// ended is a no-op.
+// ended is a no-op. at is in nowNS time.
 type expiry struct {
-	at time.Time
+	at int64
 	id int64
 }
 
@@ -264,7 +254,7 @@ func (h *expiryHeap) push(e expiry) bool {
 	i := len(hs) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !hs[i].at.Before(hs[parent].at) {
+		if hs[i].at >= hs[parent].at {
 			break
 		}
 		hs[i], hs[parent] = hs[parent], hs[i]
@@ -298,10 +288,10 @@ func (h expiryHeap) down(i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		min := i
-		if l < n && h[l].at.Before(h[min].at) {
+		if l < n && h[l].at < h[min].at {
 			min = l
 		}
-		if r < n && h[r].at.Before(h[min].at) {
+		if r < n && h[r].at < h[min].at {
 			min = r
 		}
 		if min == i {

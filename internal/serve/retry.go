@@ -56,7 +56,7 @@ func (s *Server) OpenRetry(ctx context.Context, v int) (SessionInfo, Outcome, er
 		return SessionInfo{}, OutcomeRejected, fmt.Errorf("serve: video %d outside catalog of %d", v, s.c.Videos())
 	}
 	s.observeDemand(v) // once per request, however many retry attempts follow
-	start := time.Now()
+	start := s.nowNS()
 	info, outcome := s.attempt(v, arriveNS, false)
 	if outcome != OutcomeRejected {
 		return info, outcome, nil
@@ -73,15 +73,15 @@ func (r *retrier) delay(attempt int, waited float64) (float64, bool) {
 }
 
 // run owns one rejected request from its first (unsettled) rejection to its
-// final outcome.
-func (r *retrier) run(ctx context.Context, v int, arriveNS int64, start time.Time) (SessionInfo, Outcome, error) {
+// final outcome; start is the request's nowNS stamp.
+func (r *retrier) run(ctx context.Context, v int, arriveNS, start int64) (SessionInfo, Outcome, error) {
 	s := r.s
 	r.mu.Lock()
 	queued := r.q.TryEnqueue()
 	r.mu.Unlock()
 	if !queued {
 		// Bounded queue: a full queue makes the rejection final immediately.
-		s.met.Decision(false, false, false, time.Since(start))
+		s.met.Decision(false, false, false, time.Duration(s.nowNS()-start))
 		s.tracer.Record(obs.Event{TS: arriveNS, Kind: obs.KindReject, Video: v,
 			DurNS: s.tracer.NowNS() - arriveNS, Detail: "retry queue full"})
 		return SessionInfo{}, OutcomeRejected, nil
@@ -94,7 +94,7 @@ func (r *retrier) run(ctx context.Context, v int, arriveNS int64, start time.Tim
 
 	renege := func(detail string) (SessionInfo, Outcome, error) {
 		s.met.Reneged()
-		s.met.Decision(false, false, false, time.Since(start))
+		s.met.Decision(false, false, false, time.Duration(s.nowNS()-start))
 		s.tracer.Record(obs.Event{TS: arriveNS, Kind: obs.KindRenege, Video: v,
 			DurNS: s.tracer.NowNS() - arriveNS, Detail: detail})
 		return SessionInfo{}, OutcomeRejected, nil

@@ -116,6 +116,7 @@ type Server struct {
 	tracer   *obs.Tracer
 	compress float64
 	maxWall  time.Duration
+	epoch    time.Time // zero of nowNS
 
 	baseCtx  context.Context
 	baseStop context.CancelFunc
@@ -172,6 +173,7 @@ func New(p *core.Problem, layout *core.Layout, cfg Config) (*Server, error) {
 		tracer:   cfg.Tracer,
 		compress: compress,
 		maxWall:  cfg.MaxSessionWall,
+		epoch:    time.Now(),
 		baseCtx:  ctx,
 		baseStop: stop,
 	}
@@ -255,6 +257,11 @@ func (s *Server) wall(seconds float64) time.Duration {
 	return time.Duration(ns)
 }
 
+// nowNS returns the monotonic nanoseconds since New: one clock read where
+// time.Now takes two. It stamps admission latencies and session deadlines,
+// and is the admission path's one clock seam.
+func (s *Server) nowNS() int64 { return int64(time.Since(s.epoch)) }
+
 // Open runs one admission decision for video v. On acceptance the session
 // is registered with its deadline and releases its reservation when it
 // expires, is closed, or is dropped. The returned outcome distinguishes a
@@ -279,8 +286,8 @@ func (s *Server) Open(v int) (SessionInfo, Outcome, error) {
 // retries never inflate the request counters. Accepted and draining outcomes
 // are always final and always recorded here.
 func (s *Server) attempt(v int, arriveNS int64, settleReject bool) (SessionInfo, Outcome) {
-	start := time.Now()
-	s.met.ObserveQueueDepth(float64(s.activeN.Load()))
+	start := s.nowNS()
+	s.met.ObserveQueueDepth(s.activeN.Load())
 	if s.draining.Load() {
 		return s.refuse(v, arriveNS, start)
 	}
@@ -288,7 +295,7 @@ func (s *Server) attempt(v int, arriveNS int64, settleReject bool) (SessionInfo,
 		g, ok := s.pol.Admit(v)
 		if !ok {
 			if settleReject {
-				s.met.Decision(false, false, false, time.Since(start))
+				s.met.Decision(false, false, false, time.Duration(s.nowNS()-start))
 				s.tracer.Record(obs.Event{TS: arriveNS, Kind: obs.KindReject, Video: v,
 					DurNS: s.tracer.NowNS() - arriveNS})
 			}
@@ -296,7 +303,7 @@ func (s *Server) attempt(v int, arriveNS int64, settleReject bool) (SessionInfo,
 		}
 		id := s.nextID.Add(1)
 		wall := s.wallDuration(v)
-		switch s.partOf(id).insert(id, g, time.Now().Add(wall)) {
+		switch s.partOf(id).insert(id, g, deadline(start, wall)) {
 		case insertStopped:
 			s.pol.Release(g)
 			return s.refuse(v, arriveNS, start)
@@ -306,7 +313,7 @@ func (s *Server) attempt(v int, arriveNS int64, settleReject bool) (SessionInfo,
 			s.pol.Release(g)
 			continue
 		}
-		s.met.Decision(true, g.Redirected, false, time.Since(start))
+		s.met.Decision(true, g.Redirected, false, time.Duration(s.nowNS()-start))
 		s.tracer.Record(obs.Event{TS: arriveNS, Kind: obs.KindAdmit,
 			Session: id, Video: v, Server: g.Server,
 			DurNS: s.tracer.NowNS() - arriveNS})
@@ -322,9 +329,19 @@ func (s *Server) attempt(v int, arriveNS int64, settleReject bool) (SessionInfo,
 	}
 }
 
-// refuse settles one request as a drain refusal.
-func (s *Server) refuse(v int, arriveNS int64, start time.Time) (SessionInfo, Outcome) {
-	s.met.Decision(false, false, true, time.Since(start))
+// deadline returns start + d on the nowNS clock, saturating at the largest
+// int64: wall clamps an unbounded lifetime to the longest time.Duration, and
+// a wrapped sum would expire that session at once.
+func deadline(start int64, d time.Duration) int64 {
+	if int64(d) > math.MaxInt64-start {
+		return math.MaxInt64
+	}
+	return start + int64(d)
+}
+
+// refuse settles one request as a drain refusal; start is its nowNS stamp.
+func (s *Server) refuse(v int, arriveNS, start int64) (SessionInfo, Outcome) {
+	s.met.Decision(false, false, true, time.Duration(s.nowNS()-start))
 	s.tracer.Record(obs.Event{TS: arriveNS, Kind: obs.KindDrain, Video: v,
 		DurNS: s.tracer.NowNS() - arriveNS})
 	return SessionInfo{}, OutcomeDraining
@@ -434,7 +451,7 @@ func (s *Server) FailBackend(b int) (failedOver, dropped int, err error) {
 // backend's eviction concurrently failed over *onto* b. Each pass settles
 // the sessions in ID (admission) order, the order State.FailServer tears
 // them in, so which ones fail over and which are dropped when the survivors
-// run short does not depend on map iteration or the partition count.
+// run short does not depend on table order or the partition count.
 func (s *Server) evictSessions(b int, cause string) (failedOver, dropped int) {
 	type ref struct {
 		id    int64
@@ -445,11 +462,11 @@ func (s *Server) evictSessions(b int, cause string) (failedOver, dropped int) {
 		affected = affected[:0]
 		for _, p := range s.parts {
 			p.mu.Lock()
-			for id, sess := range p.reg {
+			p.reg.each(func(sess *session) {
 				if sess.grant.Server == b || sess.grant.Source == b {
-					affected = append(affected, ref{id, sess.video})
+					affected = append(affected, ref{sess.id, sess.video})
 				}
-			}
+			})
 			p.mu.Unlock()
 		}
 		if len(affected) == 0 {
@@ -460,8 +477,8 @@ func (s *Server) evictSessions(b int, cause string) (failedOver, dropped int) {
 			ng, ok := s.pol.Failover(r.video, b)
 			p := s.partOf(r.id)
 			p.mu.Lock()
-			sess, live := p.reg[r.id]
-			if !live || (sess.grant.Server != b && sess.grant.Source != b) {
+			sess := p.reg.get(r.id)
+			if sess == nil || (sess.grant.Server != b && sess.grant.Source != b) {
 				// Ended or moved concurrently; undo our failover reservation.
 				p.mu.Unlock()
 				if ok {
@@ -481,7 +498,7 @@ func (s *Server) evictSessions(b int, cause string) (failedOver, dropped int) {
 			if moved {
 				sess.grant = ng
 			} else {
-				delete(p.reg, r.id)
+				p.reg.del(r.id)
 			}
 			p.mu.Unlock()
 			s.pol.Release(old)

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -641,6 +642,38 @@ func TestWallDurationCompression(t *testing.T) {
 	if _, err := New(testProblem(t, 0), testLayout(t), Config{Compress: -1}); err == nil {
 		t.Fatal("negative compression accepted")
 	}
+}
+
+// TestUnboundedSessionNeverExpires: at a compression small enough that wall
+// clamps a lifetime to the longest time.Duration, the deadline saturates
+// instead of wrapping negative, so the session stays live until closed.
+// Any admission after New has a positive nowNS start, so a wrapping add
+// would put the deadline in the past.
+func TestUnboundedSessionNeverExpires(t *testing.T) {
+	srv, err := New(testProblem(t, 0), testLayout(t), Config{Compress: 1e-12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown()
+	if got := srv.wallDuration(0); got != math.MaxInt64 {
+		t.Fatalf("wall duration = %d, want the clamp %d", got, int64(math.MaxInt64))
+	}
+	info, outcome, err := srv.Open(0)
+	if err != nil || outcome != OutcomeAccepted {
+		t.Fatalf("open: outcome %v err %v", outcome, err)
+	}
+	// Fire the partition's due expiries here rather than wait for its
+	// goroutine: the next deadline must be centuries away.
+	if d := srv.partOf(info.ID).fireExpired(); d < 100*365*24*time.Hour {
+		t.Fatalf("next expiry in %v", d)
+	}
+	if n := srv.Metrics().completed.Load(); n != 0 {
+		t.Fatalf("%d sessions expired; an unbounded lifetime must not", n)
+	}
+	if !srv.Close(info.ID) {
+		t.Fatal("session no longer live before its close")
+	}
+	assertNoLeaks(t, srv)
 }
 
 func TestPolicyNamesResolve(t *testing.T) {

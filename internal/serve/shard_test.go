@@ -199,12 +199,12 @@ func strandedSessions(srv *Server) []string {
 	var bad []string
 	for _, p := range srv.parts {
 		p.mu.Lock()
-		for id, sess := range p.reg {
+		p.reg.each(func(sess *session) {
 			if !holds(srv.c, sess.video, sess.grant.Source) {
 				bad = append(bad, fmt.Sprintf("session %d streams video %d from non-holder %d",
-					id, sess.video, sess.grant.Source))
+					sess.id, sess.video, sess.grant.Source))
 			}
-		}
+		})
 		p.mu.Unlock()
 	}
 	return bad
@@ -229,7 +229,7 @@ func TestExpiryHeapCompaction(t *testing.T) {
 		srv.Close(info.ID)
 	}
 	p.mu.Lock()
-	n, live := len(p.exp), len(p.reg)
+	n, live := len(p.exp), p.reg.n
 	p.mu.Unlock()
 	if n >= 2*live+compactSlack {
 		t.Fatalf("expiry heap holds %d entries for %d live sessions", n, live)
@@ -243,10 +243,10 @@ func TestExpiryHeapCompaction(t *testing.T) {
 // in deadline order.
 func TestExpiryHeapOrder(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
-	base := time.Now()
+	base := int64(time.Hour)
 	var pushed, raw expiryHeap
 	for i := 0; i < 500; i++ {
-		e := expiry{at: base.Add(time.Duration(rng.IntN(1000)) * time.Millisecond), id: int64(i)}
+		e := expiry{at: base + int64(time.Duration(rng.IntN(1000))*time.Millisecond), id: int64(i)}
 		pushed.push(e)
 		raw = append(raw, e)
 	}
@@ -255,8 +255,8 @@ func TestExpiryHeapOrder(t *testing.T) {
 		prev := base
 		for len(*h) > 0 {
 			e := h.popMin()
-			if e.at.Before(prev) {
-				t.Fatalf("popped %v after %v", e.at.Sub(base), prev.Sub(base))
+			if e.at < prev {
+				t.Fatalf("popped %v after %v", time.Duration(e.at-base), time.Duration(prev-base))
 			}
 			prev = e.at
 		}
@@ -682,4 +682,37 @@ func TestShardedFailoverTargetDrained(t *testing.T) {
 		t.Errorf("dropped metric = %d, the scans reported %d", got, dropped)
 	}
 	assertNoLeaks(t, srv)
+}
+
+// BenchmarkRegistryInsertSettle is the registry's own cost per decision:
+// one session inserted into its partition's index and expiry heap, then
+// settled by id, over a backlog of live sessions the size of a loaded
+// daemon's, with the heap compactions that closed sessions' stale entries
+// cause. Grants are zero-rate, so the one compare-and-swap reservation per
+// operation never fails and the cluster holds any backlog.
+func BenchmarkRegistryInsertSettle(b *testing.B) {
+	for _, k := range []int{1, 8} {
+		b.Run(fmt.Sprintf("partitions=%d", k), func(b *testing.B) {
+			srv := newShardedServer(b, Config{Shards: k})
+			far := srv.nowNS() + int64(time.Hour)
+			grant := func(id int64) Grant {
+				v := int(id % 8)
+				srv.c.TryReserve(v, 0)
+				return Grant{Video: v, Server: v, Source: v}
+			}
+			for i := 0; i < 4096; i++ { // the live backlog
+				id := srv.nextID.Add(1)
+				srv.partOf(id).insert(id, grant(id), far)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				id := srv.nextID.Add(1)
+				p := srv.partOf(id)
+				if p.insert(id, grant(id), far) != inserted || !p.settle(id, false) {
+					b.Fatalf("session %d did not insert and settle", id)
+				}
+			}
+		})
+	}
 }

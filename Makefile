@@ -86,12 +86,14 @@ bench-compare:
 # the open-loop load generator while the scripted fault schedule crashes and
 # recovers a backend mid-trace, scrape /metrics for non-zero admissions,
 # and cross-validate the rejection rate (overall and post-failure) against
-# sim.Run with the same scripted failures. The second run repeats the check
-# over four registry partitions on the paper layout with E9's 2 Gb/s
-# backbone, so admissions also redirect (a nonzero "redirected" row).
+# sim.Run with the same scripted failures. Both runs go through the
+# daemon's one front, the sharded ingress: the first on one listener, the
+# second on two SO_REUSEPORT listeners over four registry partitions, on the
+# paper layout with E9's 2 Gb/s backbone, so admissions also redirect (a
+# nonzero "redirected" row).
 serve-smoke:
 	$(GO) run ./cmd/vodload -selftest -rate 8000 -burst 1 -validate -faults testdata/faults_smoke.json
-	$(GO) run ./cmd/vodload -selftest -rate 8000 -burst 1 -validate -faults testdata/faults_smoke.json -shards 4 -policy least-loaded -scenario testdata/backbone_smoke.json
+	$(GO) run ./cmd/vodload -selftest -rate 8000 -burst 1 -validate -faults testdata/faults_smoke.json -shards 4 -listeners 2 -policy least-loaded -scenario testdata/backbone_smoke.json
 
 # The failure-drill integration test under the race detector: a scripted
 # mid-trace crash with health checking, admission retry, and automatic

@@ -3,7 +3,6 @@ package vodcluster_test
 import (
 	"context"
 	"math"
-	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -100,11 +99,10 @@ func TestChaosFailureDrill(t *testing.T) {
 	}
 	srv.AttachInjector(faults.NewInjector())
 	repairer := srv.Repairer()
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
+	base := startIngress(t, srv)
 	defer srv.Shutdown()
 
-	client := serve.NewClient(hs.URL)
+	client := serve.NewClient(base)
 	ctx := context.Background()
 	schedErr := make(chan error, 1)
 	go func() {

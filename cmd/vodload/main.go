@@ -27,8 +27,6 @@ import (
 	"flag"
 	"fmt"
 	"math"
-	"net"
-	"net/http"
 	"os"
 	"strconv"
 	"strings"
@@ -58,7 +56,7 @@ func run() error {
 	planPath := flag.String("plan", "", "plan file for the layout (selftest/validate)")
 	policy := flag.String("policy", "least-loaded", "admission policy of the in-process daemon (selftest)")
 	shards := flag.Int("shards", 1, "session registry partitions of the in-process daemon (selftest); every policy admits at any count")
-	listeners := flag.Int("listeners", 0, "sharded ingress accept loops of the in-process daemon (selftest); 0 serves the plain net/http mux")
+	listeners := flag.Int("listeners", 1, "sharded ingress accept loops of the in-process daemon (selftest); more than 1 share the port through SO_REUSEPORT (Linux only)")
 	conns := flag.Int("conns", 0, "persistent fast connections the replay drives; 0 picks 4×GOMAXPROCS clamped to [8,64]")
 	tracePath := flag.String("trace", "", "replay this trace file instead of generating arrivals")
 	rate := flag.Float64("rate", 8000, "generated load: admission decisions per wall second")
@@ -153,7 +151,7 @@ func run() error {
 		defer stop()
 		defer srv.Shutdown()
 		base = baseURL
-		fmt.Printf("selftest daemon: %s (policy %s, compress %gx, %d shards)\n", base, srv.PolicyName(), srv.Compress(), srv.Shards())
+		fmt.Printf("selftest daemon: %s (policy %s, compress %gx, %d shards, %d ingress listeners)\n", base, srv.PolicyName(), srv.Compress(), srv.Shards(), max(*listeners, 1))
 	}
 
 	client := serve.NewClient(base)
@@ -317,36 +315,28 @@ func printReport(tr *workload.Trace, rep *serve.Report, sched *faults.Schedule, 
 }
 
 // startInProcess boots a vodserved instance on a loopback port inside this
-// process — the zero-dependency path the smoke target and quick experiments
-// use. res (nil for failover only) is the resilience policy a sim.Run
-// cross-check uses too, so a scripted crash heals the same way on both
-// sides. listeners > 0 fronts the daemon with the sharded ingress (that many
-// accept loops) instead of the net/http mux.
+// process, behind the daemon's one front, the sharded ingress with that many
+// accept loops — the zero-dependency path the smoke target and quick
+// experiments use. res (nil for failover only) is the resilience policy a
+// sim.Run cross-check uses too, so a scripted crash heals the same way on
+// both sides.
 func startInProcess(p *core.Problem, layout *core.Layout, policy string, compress float64, shards, listeners int, res *resilience.Policy) (*serve.Server, func(), string, error) {
 	srv, err := serve.New(p, layout, serve.Config{Policy: policy, Compress: compress, Shards: shards, Resilience: res})
 	if err != nil {
 		return nil, nil, "", err
 	}
 	srv.AttachInjector(faults.NewInjector())
-	if listeners > 0 {
-		ing, err := serve.NewIngress(srv, serve.IngressConfig{Listeners: listeners})
-		if err != nil {
-			return nil, nil, "", err
-		}
-		addr, err := ing.Start("127.0.0.1:0")
-		if err != nil {
-			return nil, nil, "", err
-		}
-		return srv, ing.Close, "http://" + addr.String(), nil
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ing, err := serve.NewIngress(srv, serve.IngressConfig{Listeners: listeners})
 	if err != nil {
+		srv.Shutdown()
 		return nil, nil, "", err
 	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go func() { _ = hs.Serve(ln) }()
-	stop := func() { _ = hs.Close() }
-	return srv, stop, "http://" + ln.Addr().String(), nil
+	addr, err := ing.Start("127.0.0.1:0")
+	if err != nil {
+		srv.Shutdown()
+		return nil, nil, "", err
+	}
+	return srv, ing.Close, "http://" + addr.String(), nil
 }
 
 // scrapeAccepted parses vod_requests_total{outcome="accepted"} out of the

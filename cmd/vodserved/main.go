@@ -8,19 +8,19 @@
 //	vodserved -scenario scenario.json -policy static-rr
 //	vodserved -plan plan.json -compress 60         # 1 video-minute per second
 //
-// Endpoints: POST /session?video=V, DELETE /session/{id},
-// POST /open, /open/batch, /close (body-first admission hot path),
-// POST /backend/{id}/drain, POST /backend/{id}/restore, GET /metrics
-// (Prometheus text), GET /healthz, GET /layout. SIGTERM/SIGINT drain the
-// daemon gracefully: new sessions are refused while active ones run out,
-// bounded by -drain-timeout.
+// Endpoints: POST /open, /open/batch, /close (admission; bodies
+// {"video":V}, {"videos":[…]}, {"id":N}), POST /backend/{id}/drain,
+// POST /backend/{id}/restore, GET /metrics (Prometheus text), GET /healthz,
+// GET /layout. SIGTERM/SIGINT drain the daemon gracefully: new sessions are
+// refused while active ones run out, bounded by -drain-timeout.
 //
-// High-throughput ingress (DESIGN.md §16): -listeners N fronts the daemon
-// with N SO_REUSEPORT accept loops running an allocation-free HTTP/1.1
-// admission path (keep-alive, pipelining, batched opens capped by -batch);
-// every non-admission route falls back to the regular handler stack.
-// Per-listener counters and latency histograms render as vod_http_* in
-// /metrics.
+// The front (DESIGN.md §16) is the sharded ingress: -listeners N accept
+// loops on one SO_REUSEPORT port, each connection served by an
+// allocation-free HTTP/1.1 admission path (keep-alive, pipelining, batched
+// opens capped by -batch). Every other route, and any request line other
+// than HTTP/1.1, falls back to the regular handler stack, with pprof and the
+// request middleware. Per-listener
+// counters and latency histograms render as vod_http_* in /metrics.
 //
 // Observability: -pprof (default on) mounts the net/http/pprof profiling
 // endpoints under /debug/pprof/; -trace N enables the session tracer with
@@ -47,11 +47,9 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -85,7 +83,7 @@ func run() error {
 	listPolicies := flag.Bool("list-policies", false, "print the admission-policy registry and exit")
 	compress := flag.Float64("compress", 1, "time-compression factor: a D-second video holds bandwidth for D/compress wall seconds")
 	shards := flag.Int("shards", 1, "session registry partitions (DESIGN.md §15), each with its own lock and expiry goroutine; every policy admits at any count, clamped to the backend count")
-	listeners := flag.Int("listeners", 0, "sharded SO_REUSEPORT ingress accept loops (DESIGN.md §16); 0 serves the plain net/http mux")
+	listeners := flag.Int("listeners", 1, "accept loops of the sharded ingress, the daemon's HTTP front (DESIGN.md §16); more than 1 share the port through SO_REUSEPORT (Linux only)")
 	maxBatch := flag.Int("batch", 0, "max videos per POST /open/batch request (0 = default 256)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain waits for active sessions")
 	pprofOn := flag.Bool("pprof", true, "mount the net/http/pprof profiling endpoints under /debug/pprof/")
@@ -185,44 +183,20 @@ func run() error {
 		handler = withPprof(handler)
 	}
 
-	// Two fronts share the drain flow below: the sharded ingress (DESIGN.md
-	// §16) or the plain net/http server. stopServing tears down whichever
-	// one ran, after the sessions drained.
-	errCh := make(chan error, 1)
-	var stopServing func() error
-	if *listeners > 0 {
-		ing, err := serve.NewIngress(srv, serve.IngressConfig{
-			Listeners: *listeners, MaxBatch: *maxBatch, Fallback: handler,
-		})
-		if err != nil {
-			return err
-		}
-		iaddr, err := ing.Start(*addr)
-		if err != nil {
-			return err
-		}
-		log.Printf("vodserved: serving %d videos on %d backends at %s (policy %s, compress %gx, %d shards, %d ingress listeners)",
-			p.M(), p.N(), iaddr, srv.PolicyName(), srv.Compress(), srv.Shards(), *listeners)
-		stopServing = func() error { ing.Close(); return nil }
-	} else {
-		ln, err := net.Listen("tcp", *addr)
-		if err != nil {
-			return err
-		}
-		hs := &http.Server{Handler: handler}
-		go func() { errCh <- hs.Serve(ln) }()
-		log.Printf("vodserved: serving %d videos on %d backends at %s (policy %s, compress %gx, %d shards)",
-			p.M(), p.N(), ln.Addr(), srv.PolicyName(), srv.Compress(), srv.Shards())
-		stopServing = func() error {
-			shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			if err := hs.Shutdown(shutCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				return err
-			}
-			<-errCh // Serve has returned ErrServerClosed
-			return nil
-		}
+	// The sharded ingress (DESIGN.md §16) is the one front: it answers the
+	// admission routes itself and hands every other request to handler.
+	ing, err := serve.NewIngress(srv, serve.IngressConfig{
+		Listeners: *listeners, MaxBatch: *maxBatch, Fallback: handler,
+	})
+	if err != nil {
+		return err
 	}
+	iaddr, err := ing.Start(*addr)
+	if err != nil {
+		return err
+	}
+	log.Printf("vodserved: serving %d videos on %d backends at %s (policy %s, compress %gx, %d shards, %d ingress listeners)",
+		p.M(), p.N(), iaddr, srv.PolicyName(), srv.Compress(), srv.Shards(), max(*listeners, 1))
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
@@ -238,11 +212,7 @@ func run() error {
 			}
 		}()
 	}
-	select {
-	case err := <-errCh:
-		return err
-	case <-ctx.Done():
-	}
+	<-ctx.Done()
 
 	log.Printf("vodserved: draining %d active sessions (timeout %s)", srv.Active(), *drainTimeout)
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
@@ -251,10 +221,7 @@ func run() error {
 		log.Printf("vodserved: %v", err)
 	}
 	srv.Shutdown() // stop the health-check and repair loops
-
-	if err := stopServing(); err != nil {
-		return err
-	}
+	ing.Close()
 	log.Printf("vodserved: drained; bye")
 	return nil
 }

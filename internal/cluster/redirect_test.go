@@ -98,29 +98,33 @@ func TestRejectsWhenNoProxyHasRoom(t *testing.T) {
 	}
 }
 
+// newState3 is three servers on a 100 Mb/s backbone: v0 on s0, v1 on s0
+// and s1, v2 on s2; two 4 Mb/s streams fill a link.
+func newState3(t testing.TB) *State {
+	t.Helper()
+	p := testProblem(t, 100*core.Mbps)
+	p.NumServers = 3
+	l := core.NewLayout(3)
+	l.Replicas = []int{1, 2, 1}
+	for _, pl := range []struct{ v, s int }{{0, 0}, {1, 0}, {1, 1}, {2, 2}} {
+		if err := l.Place(pl.v, pl.s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := New(p, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 // TestRedirectSkipsDownServers: a failed server's emptied link never makes
 // it the proxy, and a failed holder never sources the stream.
 func TestRedirectSkipsDownServers(t *testing.T) {
-	newState3 := func() *State {
-		p := testProblem(t, 100*core.Mbps)
-		p.NumServers = 3
-		l := core.NewLayout(3)
-		l.Replicas = []int{1, 2, 1}
-		for _, pl := range []struct{ v, s int }{{0, 0}, {1, 0}, {1, 1}, {2, 2}} {
-			if err := l.Place(pl.v, pl.s); err != nil {
-				t.Fatal(err)
-			}
-		}
-		st, err := New(p, l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
 	sched := Redirecting{LeastLoaded{}}
 
 	// v0 only on s0, s0 full, s2 down: s1 is the only live proxy.
-	st := newState3()
+	st := newState3(t)
 	fillServer(t, st, 0, 2)
 	st.FailServer(2)
 	id, ok := st.Admit(0, sched)
@@ -132,7 +136,7 @@ func TestRedirectSkipsDownServers(t *testing.T) {
 	}
 
 	// v1 on {s0, s1}, s0 down, s1 full, s2 idle: s1 sources, s2 proxies.
-	st = newState3()
+	st = newState3(t)
 	st.FailServer(0)
 	fillServer(t, st, 1, 2)
 	id, ok = st.Admit(1, sched)
@@ -141,5 +145,38 @@ func TestRedirectSkipsDownServers(t *testing.T) {
 	}
 	if s, _ := st.Lookup(id); s.Server != 2 || s.Source != 1 || !s.Redirected {
 		t.Fatalf("stream %+v, want redirect 1→2", s)
+	}
+}
+
+// TestRedirectBoundaries pins Redirect's index boundaries on newState3:
+// server 0 sources and proxies like any other server, and proxy ties go to
+// the later index, as the doc comment says.
+func TestRedirectBoundaries(t *testing.T) {
+	for _, tc := range []struct {
+		name                   string
+		setup                  func(testing.TB, *State)
+		video                  int
+		wantServer, wantSource int
+	}{
+		{"server 0 sources when a later holder is also eligible", func(t testing.TB, st *State) {
+			fillServer(t, st, 1, 4) // s0 then s1
+		}, 1, 2, 0},
+		{"proxy ties go to the later index", func(t testing.TB, st *State) {
+			fillServer(t, st, 0, 2)
+		}, 0, 2, 0},
+		{"server 0 proxies", func(t testing.TB, st *State) {
+			fillServer(t, st, 2, 2)
+			st.FailServer(1)
+		}, 2, 0, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := newState3(t)
+			tc.setup(t, st)
+			server, source := Redirect(st, tc.video, 4*core.Mbps)
+			if server != tc.wantServer || source != tc.wantSource {
+				t.Fatalf("Redirect(v%d) = server %d, source %d; want %d, %d",
+					tc.video, server, source, tc.wantServer, tc.wantSource)
+			}
+		})
 	}
 }

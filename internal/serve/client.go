@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -18,94 +19,80 @@ import (
 	"vodcluster/internal/workload"
 )
 
-// Client talks to a vodserved daemon. The zero HTTP client is replaced by
-// one tuned for many short keep-alive requests to a single host, which is
-// what open-loop replay produces.
+// Client talks to a vodserved daemon: admissions over fast connections
+// (FastConn), the rare admin calls over a plain http.Client.
 type Client struct {
 	// Base is the daemon's base URL, e.g. "http://127.0.0.1:8370".
 	Base string
-	// HTTP overrides the transport; nil gets a keep-alive pool sized for
-	// replay concurrency.
-	HTTP *http.Client
 	// Conns is the number of persistent fast connections Replay drives
 	// (each owned by one worker goroutine); 0 picks 4×GOMAXPROCS clamped
 	// to [8, 64].
 	Conns int
+
+	mu sync.Mutex
+	fc *FastConn // Request's and CloseSession's connection, dialed on first use
 }
 
-// NewClient builds a replay-tuned client for a daemon base URL.
-func NewClient(base string) *Client {
-	// MaxConnsPerHost bounds in-flight sockets: open-loop replay can have
-	// thousands of outstanding decisions, and letting each open its own
-	// connection thrashes the scheduler; queueing on a bounded pool is
-	// faster and the queue delay is honestly part of observed admission
-	// latency.
-	tr := &http.Transport{
-		MaxIdleConns:        256,
-		MaxIdleConnsPerHost: 256,
-		MaxConnsPerHost:     256,
-		DisableCompression:  true,
-	}
-	return &Client{Base: base, HTTP: &http.Client{Transport: tr, Timeout: 30 * time.Second}}
-}
+// NewClient builds a client for a daemon base URL.
+func NewClient(base string) *Client { return &Client{Base: base} }
 
-func (c *Client) httpClient() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
+// onConn runs fn on *fc, dialing it when nil. After a connection error it
+// drops the connection and tries once more on a fresh one, so a connection
+// the daemon closed costs one redial, not a failed request. A request the
+// daemon answered with an error status is not sent again.
+func (c *Client) onConn(fc **FastConn, fn func(*FastConn) error) error {
+	var err error
+	var answered *statusError
+	for attempt := 0; attempt < 2; attempt++ {
+		if *fc == nil {
+			if *fc, err = c.DialFast(); err != nil {
+				*fc = nil
+				return err
+			}
+		}
+		if err = fn(*fc); err == nil || errors.As(err, &answered) {
+			return err
+		}
+		(*fc).Close()
+		*fc = nil
 	}
-	return http.DefaultClient
+	return err
 }
 
 // Request runs one admission decision for video v and returns the outcome,
 // the session info when accepted, and the observed admission latency.
 func (c *Client) Request(ctx context.Context, v int) (SessionInfo, Outcome, time.Duration, error) {
-	url := fmt.Sprintf("%s/session?video=%d", c.Base, v)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, nil)
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return SessionInfo{}, "", 0, err
 	}
+	var info SessionInfo
+	var out Outcome
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	start := time.Now()
-	resp, err := c.httpClient().Do(req)
-	lat := time.Since(start)
-	if err != nil {
-		return SessionInfo{}, "", lat, err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		var info SessionInfo
-		if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-			return SessionInfo{}, "", lat, fmt.Errorf("serve: decoding session: %w", err)
-		}
-		return info, OutcomeAccepted, lat, nil
-	case http.StatusServiceUnavailable:
-		var e errorBody
-		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Outcome == "" {
-			return SessionInfo{}, OutcomeRejected, lat, nil
-		}
-		return SessionInfo{}, e.Outcome, lat, nil
-	default:
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		return SessionInfo{}, "", lat, fmt.Errorf("serve: %s: %s", resp.Status, body)
-	}
+	err := c.onConn(&c.fc, func(fc *FastConn) (err error) {
+		info, out, err = fc.Open(v)
+		return err
+	})
+	return info, out, time.Since(start), err
 }
 
 // CloseSession ends session id early on the daemon.
 func (c *Client) CloseSession(ctx context.Context, id int64) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete,
-		fmt.Sprintf("%s/session/%d", c.Base, id), nil)
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return err
 	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
+	var closed bool
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	err := c.onConn(&c.fc, func(fc *FastConn) (err error) {
+		closed, err = fc.CloseSession(id)
 		return err
+	})
+	if err == nil && !closed {
+		err = fmt.Errorf("serve: closing session %d: no such session", id)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("serve: closing session %d: %s", id, resp.Status)
-	}
-	return nil
+	return err
 }
 
 // Metrics fetches and returns the daemon's raw Prometheus exposition.
@@ -114,7 +101,7 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	resp, err := c.httpClient().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return "", err
 	}
@@ -237,14 +224,14 @@ func (r *Report) Result() metrics.Result {
 // the replay starts, regardless of how earlier decisions fared. A central
 // timer loop hands requests to a pool of worker goroutines, each owning one
 // persistent fast connection (Conns of them), so replay reuses sockets
-// instead of paying a dial or a transport round trip per decision; a worker
-// whose connection dies redials once per request. The daemon must run with
-// the same compression factor for its session occupancy to match the
-// trace's virtual timeline. Dispatch stops early when ctx ends;
-// already-dispatched requests still settle. Latencies are measured from the
-// moment the dispatcher hands a request off, so worker-queue wait is
-// honestly part of observed admission latency, and the report carries the
-// dispatcher's own lag so callers can detect an under-driven run.
+// instead of paying a dial per decision; a worker whose connection dies
+// redials once per request. The daemon must run with the same compression
+// factor for its session occupancy to match the trace's virtual timeline.
+// Dispatch stops early when ctx ends; already-dispatched requests still
+// settle. Latencies are measured from the moment the dispatcher hands a
+// request off, so worker-queue wait is honestly part of observed admission
+// latency, and the report carries the dispatcher's own lag so callers can
+// detect an under-driven run.
 func (c *Client) Replay(ctx context.Context, tr *workload.Trace, compress float64) (*Report, error) {
 	scaled, err := tr.Compress(compress)
 	if err != nil {
@@ -287,20 +274,10 @@ func (c *Client) Replay(ctx context.Context, tr *workload.Trace, compress float6
 			for j := range jobs {
 				var info SessionInfo
 				var out Outcome
-				var err error
-				for attempt := 0; attempt < 2; attempt++ {
-					if fc == nil {
-						if fc, err = c.DialFast(); err != nil {
-							fc = nil
-							break
-						}
-					}
-					if info, out, err = fc.Open(j.v); err == nil {
-						break
-					}
-					fc.Close()
-					fc = nil
-				}
+				err := c.onConn(&fc, func(fc *FastConn) (err error) {
+					info, out, err = fc.Open(j.v)
+					return err
+				})
 				results[j.i] = outcome{out, info.Redirected, time.Since(j.at), err}
 			}
 		}()
@@ -380,7 +357,7 @@ func (c *Client) Fault(ctx context.Context, e faults.Event) error {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.httpClient().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}

@@ -63,13 +63,16 @@ type repairsBody struct {
 	Journal   []RepairAction `json:"journal"`
 }
 
-// Handler returns the daemon's HTTP API:
+// Handler returns the daemon's HTTP API. The ingress (NewIngress) is the
+// daemon's one front: it answers HTTP/1.1 admissions on its own path and
+// hands every other request here as its fallback. The admission routes
+// stay on this handler, answered by the same Server.answer, for the
+// admissions handed over (an HTTP/1.0 client's) and for a net/http server
+// mounted on it directly.
 //
-//	POST   /session?video=V        admit a session (200 / 503 with outcome)
 //	POST   /open                   admit a session; body {"video":V}
 //	POST   /open/batch             admit many; body {"videos":[v0,v1,…]}
 //	POST   /close                  end a session early; body {"id":N}
-//	DELETE /session/{id}           end a session early
 //	POST   /backend/{id}/drain     drain a backend (fails sessions over)
 //	POST   /backend/{id}/restore   restore a drained backend
 //	POST   /backend/{id}/fail      crash a backend (evicts its sessions)
@@ -85,11 +88,9 @@ type repairsBody struct {
 //	                               ?format=chrome renders Chrome trace_event
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /session", s.handleOpen)
-	mux.HandleFunc("POST /open", s.handleOpenFast)
-	mux.HandleFunc("POST /open/batch", s.handleOpenBatch)
-	mux.HandleFunc("POST /close", s.handleCloseFast)
-	mux.HandleFunc("DELETE /session/{id}", s.handleClose)
+	mux.HandleFunc("POST /open", s.admission(routeOpen))
+	mux.HandleFunc("POST /open/batch", s.admission(routeBatch))
+	mux.HandleFunc("POST /close", s.admission(routeClose))
 	mux.HandleFunc("POST /backend/{id}/drain", s.handleDrain)
 	mux.HandleFunc("POST /backend/{id}/restore", s.handleRestore)
 	mux.HandleFunc("POST /backend/{id}/fail", s.handleFail)
@@ -113,127 +114,28 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 	_ = json.NewEncoder(w).Encode(body)
 }
 
-// writeRaw sends a pre-encoded JSON body with an explicit Content-Length.
-// The hand-rolled fast client has no chunked decoder, so the body-first
-// admission routes must never fall into net/http's chunked framing (which
-// kicks in when WriteHeader precedes Write without a declared length).
-func writeRaw(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(status)
-	w.Write(body)
-}
-
-// readFastBody slurps a hot-path request body, bounded by the same cap the
-// sharded ingress enforces.
-func readFastBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	return io.ReadAll(http.MaxBytesReader(w, r.Body, defaultMaxBody))
-}
-
-// handleOpenFast is POST /open: the body-first twin of POST /session,
-// sharing its wire format with the sharded ingress so the fast client works
-// against either front.
-func (s *Server) handleOpenFast(w http.ResponseWriter, r *http.Request) {
-	body, err := readFastBody(w, r)
-	if err != nil {
-		writeRaw(w, http.StatusRequestEntityTooLarge, appendOutcome(nil, "", "request body too large"))
-		return
-	}
-	v, err := parseOpenBody(body)
-	if err != nil {
-		writeRaw(w, http.StatusBadRequest, appendOutcome(nil, "", err.Error()))
-		return
-	}
-	info, outcome, oerr := s.OpenRetry(r.Context(), v)
-	status := http.StatusOK
-	switch {
-	case oerr != nil:
-		status = http.StatusBadRequest
-	case outcome != OutcomeAccepted:
-		status = http.StatusServiceUnavailable
-		w.Header().Set("Retry-After", "1")
-	}
-	writeRaw(w, status, appendOpenResult(nil, info, outcome, oerr))
-}
-
-// handleOpenBatch is POST /open/batch: one round trip, many admissions,
-// answered as a JSON array aligned with the request order.
-func (s *Server) handleOpenBatch(w http.ResponseWriter, r *http.Request) {
-	body, err := readFastBody(w, r)
-	if err != nil {
-		writeRaw(w, http.StatusRequestEntityTooLarge, appendOutcome(nil, "", "request body too large"))
-		return
-	}
-	vids, err := parseBatchBody(body, nil)
-	if err != nil {
-		writeRaw(w, http.StatusBadRequest, appendOutcome(nil, "", err.Error()))
-		return
-	}
-	if len(vids) > defaultMaxBatch {
-		writeRaw(w, http.StatusBadRequest, appendOutcome(nil, "",
-			fmt.Sprintf("batch of %d exceeds the %d-video cap", len(vids), defaultMaxBatch)))
-		return
-	}
-	resp := []byte{'['}
-	for i, v := range vids {
-		if i > 0 {
-			resp = append(resp, ',')
+// admission serves admission route r through the answer the ingress runs.
+// The reply goes out with an explicit Content-Length: the fast client has
+// no chunked decoder, and net/http frames a body chunked when WriteHeader
+// precedes Write without a declared length.
+func (s *Server) admission(r route) http.HandlerFunc {
+	return func(w http.ResponseWriter, req *http.Request) {
+		var b replyBuf
+		vd := verdict{status: http.StatusRequestEntityTooLarge}
+		if body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxBody)); err != nil {
+			b.resp = appendOutcome(nil, "", "request body too large")
+		} else {
+			vd = s.answer(req.Context(), r, body, defaultMaxBatch, &b)
 		}
-		info, outcome, oerr := s.OpenRetry(r.Context(), v)
-		resp = appendOpenResult(resp, info, outcome, oerr)
+		h := w.Header()
+		h.Set("Content-Type", "application/json")
+		h.Set("Content-Length", strconv.Itoa(len(b.resp)))
+		if vd.retry {
+			h.Set("Retry-After", "1")
+		}
+		w.WriteHeader(vd.status)
+		w.Write(b.resp)
 	}
-	resp = append(resp, ']')
-	writeRaw(w, http.StatusOK, resp)
-}
-
-// handleCloseFast is POST /close: the body-first twin of DELETE /session/{id}.
-func (s *Server) handleCloseFast(w http.ResponseWriter, r *http.Request) {
-	body, err := readFastBody(w, r)
-	if err != nil {
-		writeRaw(w, http.StatusRequestEntityTooLarge, appendOutcome(nil, "", "request body too large"))
-		return
-	}
-	id, err := parseCloseBody(body)
-	if err != nil {
-		writeRaw(w, http.StatusBadRequest, appendOutcome(nil, "", err.Error()))
-		return
-	}
-	if !s.Close(id) {
-		writeRaw(w, http.StatusNotFound, appendOutcome(nil, "", "no such session"))
-		return
-	}
-	writeRaw(w, http.StatusOK, appendOutcome(nil, "closed", ""))
-}
-
-func (s *Server) handleOpen(w http.ResponseWriter, r *http.Request) {
-	v, err := strconv.Atoi(r.URL.Query().Get("video"))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "video must be an integer catalog rank"})
-		return
-	}
-	info, outcome, err := s.OpenRetry(r.Context(), v)
-	switch {
-	case err != nil:
-		writeJSON(w, http.StatusBadRequest, errorBody{Outcome: outcome, Error: err.Error()})
-	case outcome == OutcomeAccepted:
-		writeJSON(w, http.StatusOK, info)
-	default: // rejected or draining: the VoD "busy signal"
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Outcome: outcome})
-	}
-}
-
-func (s *Server) handleClose(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "session id must be an integer"})
-		return
-	}
-	if !s.Close(id) {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "no such session"})
-		return
-	}
-	writeJSON(w, http.StatusOK, errorBody{Outcome: "closed"})
 }
 
 func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {

@@ -4,31 +4,26 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+// newTestServer boots a micro-cluster daemon behind the ingress, the
+// daemon's one front, and returns its base URL: admin routes are answered
+// by the ingress's Handler() fallback.
+func newTestServer(t *testing.T, cfg Config) (*Server, string) {
 	t.Helper()
-	srv, err := New(testProblem(t, 0), testLayout(t), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		hs.Close()
-		srv.Shutdown()
-	})
-	return srv, hs
+	srv, _, addr := newTestIngress(t, cfg, IngressConfig{})
+	return srv, "http://" + addr
 }
 
 func TestHTTPSessionFlow(t *testing.T) {
-	srv, hs := newTestServer(t, Config{})
-	client := NewClient(hs.URL)
+	srv, base := newTestServer(t, Config{})
+	client := NewClient(base)
 	ctx := context.Background()
 
 	info, outcome, lat, err := client.Request(ctx, 0)
@@ -54,13 +49,16 @@ func TestHTTPSessionFlow(t *testing.T) {
 	}
 
 	// Saturate v1 (one 2-slot holder): the third request gets the busy
-	// signal with a Retry-After hint.
+	// signal with a Retry-After hint, from a stock net/http client too.
 	for i := 0; i < 2; i++ {
 		if _, outcome, _, err := client.Request(ctx, 1); err != nil || outcome != OutcomeAccepted {
 			t.Fatalf("fill %d: outcome %q, err %v", i, outcome, err)
 		}
 	}
-	resp, err := http.Post(hs.URL+"/session?video=1", "", nil)
+	if _, outcome, _, err := client.Request(ctx, 1); err != nil || outcome != OutcomeRejected {
+		t.Fatalf("saturated request: outcome %q, err %v", outcome, err)
+	}
+	resp, err := http.Post(base+"/open", "application/json", strings.NewReader(`{"video":1}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,23 +78,28 @@ func TestHTTPSessionFlow(t *testing.T) {
 	}
 }
 
+// TestHTTPBadRequests: refusals through the ingress, on its admission path
+// and on the routes it hands to Handler(). The retired /session routes are
+// unknown paths now.
 func TestHTTPBadRequests(t *testing.T) {
-	_, hs := newTestServer(t, Config{})
+	_, base := newTestServer(t, Config{})
 	for _, tc := range []struct {
-		method, path string
-		wantStatus   int
+		method, path, body string
+		wantStatus         int
 	}{
-		{http.MethodPost, "/session?video=abc", http.StatusBadRequest},
-		{http.MethodPost, "/session?video=99", http.StatusBadRequest},
-		{http.MethodPost, "/session", http.StatusBadRequest},
-		{http.MethodDelete, "/session/notanumber", http.StatusBadRequest},
-		{http.MethodDelete, "/session/12345", http.StatusNotFound},
-		{http.MethodPost, "/backend/99/drain", http.StatusBadRequest},
-		{http.MethodPost, "/backend/x/restore", http.StatusBadRequest},
-		{http.MethodGet, "/session?video=0", http.StatusMethodNotAllowed},
-		{http.MethodGet, "/nope", http.StatusNotFound},
+		{http.MethodPost, "/open", `{"video":"abc"}`, http.StatusBadRequest},
+		{http.MethodPost, "/open", `{"video":99}`, http.StatusBadRequest},
+		{http.MethodPost, "/open", ``, http.StatusBadRequest},
+		{http.MethodPost, "/close", `{"id":"notanumber"}`, http.StatusBadRequest},
+		{http.MethodPost, "/close", `{"id":12345}`, http.StatusNotFound},
+		{http.MethodPost, "/backend/99/drain", ``, http.StatusBadRequest},
+		{http.MethodPost, "/backend/x/restore", ``, http.StatusBadRequest},
+		{http.MethodGet, "/open", ``, http.StatusMethodNotAllowed},
+		{http.MethodPost, "/session?video=0", ``, http.StatusNotFound},
+		{http.MethodDelete, "/session/1", ``, http.StatusNotFound},
+		{http.MethodGet, "/nope", ``, http.StatusNotFound},
 	} {
-		req, err := http.NewRequest(tc.method, hs.URL+tc.path, nil)
+		req, err := http.NewRequest(tc.method, base+tc.path, strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,14 +109,14 @@ func TestHTTPBadRequests(t *testing.T) {
 		}
 		resp.Body.Close()
 		if resp.StatusCode != tc.wantStatus {
-			t.Errorf("%s %s: status %d, want %d", tc.method, tc.path, resp.StatusCode, tc.wantStatus)
+			t.Errorf("%s %s %s: status %d, want %d", tc.method, tc.path, tc.body, resp.StatusCode, tc.wantStatus)
 		}
 	}
 }
 
 func TestHTTPHealthzAndLayout(t *testing.T) {
-	srv, hs := newTestServer(t, Config{Policy: "static-rr", Compress: 60})
-	resp, err := http.Get(hs.URL + "/healthz")
+	srv, base := newTestServer(t, Config{Policy: "static-rr", Compress: 60})
+	resp, err := http.Get(base + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +129,7 @@ func TestHTTPHealthzAndLayout(t *testing.T) {
 		t.Fatalf("healthz: status %d body %+v", resp.StatusCode, h)
 	}
 
-	resp, err = http.Get(hs.URL + "/layout")
+	resp, err = http.Get(base + "/layout")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,10 +146,10 @@ func TestHTTPHealthzAndLayout(t *testing.T) {
 	}
 
 	// A backend drain shows up in /healthz; a daemon drain flips the status.
-	if _, err := http.Post(hs.URL+"/backend/0/drain", "", nil); err != nil {
+	if _, err := http.Post(base+"/backend/0/drain", "", nil); err != nil {
 		t.Fatal(err)
 	}
-	resp, err = http.Get(hs.URL + "/healthz")
+	resp, err = http.Get(base + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +166,7 @@ func TestHTTPHealthzAndLayout(t *testing.T) {
 	if err := srv.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	resp, err = http.Get(hs.URL + "/healthz")
+	resp, err = http.Get(base + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,10 +195,10 @@ func (r *stubRebalancer) Status() RebalanceStatus { return r.status }
 func (r *stubRebalancer) Stop()                   {}
 
 func TestHTTPRebalanceAndLayoutVersion(t *testing.T) {
-	srv, hs := newTestServer(t, Config{})
+	srv, base := newTestServer(t, Config{})
 	getLayout := func() layoutBody {
 		t.Helper()
-		resp, err := http.Get(hs.URL + "/layout")
+		resp, err := http.Get(base + "/layout")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +227,7 @@ func TestHTTPRebalanceAndLayoutVersion(t *testing.T) {
 	}
 
 	// No controller attached: status is a zero-ish snapshot, trigger conflicts.
-	resp, err := http.Get(hs.URL + "/rebalance")
+	resp, err := http.Get(base + "/rebalance")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +239,7 @@ func TestHTTPRebalanceAndLayoutVersion(t *testing.T) {
 	if st.Enabled || st.LayoutVersion != 1 {
 		t.Fatalf("detached rebalance status: %+v", st)
 	}
-	resp, err = http.Post(hs.URL+"/rebalance/trigger", "", nil)
+	resp, err = http.Post(base+"/rebalance/trigger", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +251,7 @@ func TestHTTPRebalanceAndLayoutVersion(t *testing.T) {
 	// Attached: trigger lands on the controller, status passes through.
 	stub := &stubRebalancer{status: RebalanceStatus{Enabled: true, Rounds: 3, LayoutVersion: 1}}
 	srv.AttachRebalancer(stub)
-	resp, err = http.Post(hs.URL+"/rebalance/trigger", "", nil)
+	resp, err = http.Post(base+"/rebalance/trigger", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +262,7 @@ func TestHTTPRebalanceAndLayoutVersion(t *testing.T) {
 	if stub.triggers.Load() != 1 {
 		t.Fatalf("triggers = %d, want 1", stub.triggers.Load())
 	}
-	resp, err = http.Get(hs.URL + "/rebalance")
+	resp, err = http.Get(base + "/rebalance")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,9 +308,54 @@ func TestHTTPRebalanceAndLayoutVersion(t *testing.T) {
 	}
 }
 
+// TestClientSharedConn: Request and CloseSession share the client's one
+// fast connection across goroutines, a connection that died under it costs
+// a redial, not a failed request, and a request the daemon answered with an
+// error is not sent twice.
+func TestClientSharedConn(t *testing.T) {
+	srv, base := newTestServer(t, Config{})
+	client := NewClient(base)
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ { // four streams of v0 fill both 2-slot holders
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				info, outcome, _, err := client.Request(ctx, 0)
+				if err != nil || outcome != OutcomeAccepted {
+					t.Errorf("request: outcome %q, err %v", outcome, err)
+					return
+				}
+				if err := client.CloseSession(ctx, info.ID); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := srv.Active(); n != 0 {
+		t.Fatalf("%d sessions left open", n)
+	}
+
+	client.fc.Close() // the connection dies between two requests
+	if _, outcome, _, err := client.Request(ctx, 0); err != nil || outcome != OutcomeAccepted {
+		t.Fatalf("request after the connection died: outcome %q, err %v", outcome, err)
+	}
+
+	// An answered refusal is not sent again: one bad video, one count.
+	if _, _, _, err := client.Request(ctx, 99); err == nil {
+		t.Fatal("request for a video outside the catalog succeeded")
+	}
+	if n := srv.Metrics().badVideo.Load(); n != 1 {
+		t.Fatalf("bad-video count %d after one request, want 1", n)
+	}
+}
+
 func TestHTTPMetricsExposition(t *testing.T) {
-	_, hs := newTestServer(t, Config{})
-	client := NewClient(hs.URL)
+	_, base := newTestServer(t, Config{})
+	client := NewClient(base)
 	ctx := context.Background()
 	if _, outcome, _, err := client.Request(ctx, 0); err != nil || outcome != OutcomeAccepted {
 		t.Fatalf("request: outcome %q, err %v", outcome, err)
@@ -332,13 +380,13 @@ func TestHTTPMetricsExposition(t *testing.T) {
 }
 
 func TestHTTPDrainEndpointFailsOver(t *testing.T) {
-	srv, hs := newTestServer(t, Config{})
-	client := NewClient(hs.URL)
+	srv, base := newTestServer(t, Config{})
+	client := NewClient(base)
 	info, outcome, _, err := client.Request(context.Background(), 0)
 	if err != nil || outcome != OutcomeAccepted {
 		t.Fatalf("request: outcome %q, err %v", outcome, err)
 	}
-	resp, err := http.Post(hs.URL+"/backend/"+strconv.Itoa(info.Server)+"/drain", "", nil)
+	resp, err := http.Post(base+"/backend/"+strconv.Itoa(info.Server)+"/drain", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,9 +10,10 @@ package serve
 // on the /open, /open/batch, and /close hot paths — no encoding/json, no
 // net/http machinery, no per-request goroutine. Admissions call
 // Server.OpenRetry, which decides and commits on the connection's own
-// goroutine. Every other route (admin, /metrics, /fault, …) is replayed into
-// a net/http fallback handler and answered with Connection: close; admin
-// traffic is rare enough that correctness beats reuse there.
+// goroutine. Every other route (admin, /metrics, /fault, …), and every
+// request line other than HTTP/1.1, is replayed into a net/http fallback
+// handler and answered with Connection: close; such traffic is rare enough
+// that correctness beats reuse there.
 
 import (
 	"bufio"
@@ -31,9 +32,9 @@ import (
 const (
 	// defaultMaxBatch caps videos per POST /open/batch request.
 	defaultMaxBatch = 256
-	// defaultMaxBody caps a hot-path request body; larger bodies are
-	// refused with 413 and the connection closed.
-	defaultMaxBody = 1 << 20
+	// maxBody caps an admission request body; the ingress refuses a larger
+	// declared length with 413 before reading it, and closes the connection.
+	maxBody = 1 << 20
 	// flushBytes forces a flush mid-pipeline once this many response bytes
 	// accumulate, bounding per-connection buffer growth under deep
 	// pipelining.
@@ -47,8 +48,6 @@ type IngressConfig struct {
 	Listeners int
 	// MaxBatch caps videos per batch request; 0 means 256.
 	MaxBatch int
-	// MaxBody caps a hot-path request body in bytes; 0 means 1 MiB.
-	MaxBody int
 	// Fallback serves every request that is not a hot-path admission call.
 	// Nil uses the server's own Handler(). The fallback response is sent
 	// with Connection: close.
@@ -61,7 +60,6 @@ type Ingress struct {
 	s        *Server
 	fallback http.Handler
 	maxBatch int
-	maxBody  int
 	stats    *HTTPStats
 
 	mu     sync.Mutex
@@ -80,8 +78,7 @@ type connState struct {
 	br   *bufio.Reader
 	out  []byte // pending (possibly pipelined) response bytes
 	body []byte // request-body scratch
-	resp []byte // response-body scratch
-	vids []int  // batch-video scratch
+	replyBuf
 }
 
 // NewIngress builds the ingress; Start binds and serves.
@@ -97,19 +94,15 @@ func NewIngress(s *Server, cfg IngressConfig) (*Ingress, error) {
 	if maxBatch <= 0 {
 		maxBatch = defaultMaxBatch
 	}
-	maxBody := cfg.MaxBody
-	if maxBody <= 0 {
-		maxBody = defaultMaxBody
-	}
 	fb := cfg.Fallback
 	if fb == nil {
 		fb = s.Handler()
 	}
 	return &Ingress{
 		s: s, fallback: fb,
-		maxBatch: maxBatch, maxBody: maxBody,
-		stats: NewHTTPStats(n),
-		conns: make(map[net.Conn]struct{}),
+		maxBatch: maxBatch,
+		stats:    NewHTTPStats(n),
+		conns:    make(map[net.Conn]struct{}),
 	}, nil
 }
 
@@ -269,22 +262,18 @@ func (g *Ingress) serveOne(li int, conn net.Conn, cs *connState) bool {
 	line, err := cs.br.ReadSlice('\n')
 	if err != nil {
 		if err == bufio.ErrBufferFull {
-			g.appendReply(cs, http.StatusRequestHeaderFieldsTooLarge,
-				appendOutcome(cs.resp[:0], "", "request line too long"), true, false)
+			return refuseConn(cs, nil, http.StatusRequestHeaderFieldsTooLarge, "request line too long")
 		}
 		return false // EOF between requests is the normal end of keep-alive
 	}
 	start := g.s.nowNS()
 	st := &g.stats.ls[li]
-	method, path, ok := parseRequestLine(line)
+	method, path, proto, ok := parseRequestLine(line)
 	if !ok {
-		st.parseErrors.Add(1)
-		g.appendReply(cs, http.StatusBadRequest,
-			appendOutcome(cs.resp[:0], "", "malformed request line"), true, false)
-		return false
+		return refuseConn(cs, st, http.StatusBadRequest, "malformed request line")
 	}
 	r := routeNone
-	if string(method) == "POST" {
+	if string(method) == "POST" && string(proto) == "HTTP/1.1" {
 		switch string(path) {
 		case "/open":
 			r = routeOpen
@@ -303,13 +292,12 @@ func (g *Ingress) serveOne(li int, conn net.Conn, cs *connState) bool {
 	// clenDigits is the length of the first Content-Length value, -1 before
 	// one is seen: with atoiBytes's plain digits, two values are the same
 	// text exactly when their numbers and lengths agree.
-	clen, clenDigits, connClose := 0, -1, false
+	clen, clenDigits, hosts, connClose := 0, -1, 0, false
 	for {
 		h, err := cs.br.ReadSlice('\n')
 		if err != nil {
 			if err == bufio.ErrBufferFull {
-				g.appendReply(cs, http.StatusRequestHeaderFieldsTooLarge,
-					appendOutcome(cs.resp[:0], "", "header too long"), true, false)
+				return refuseConn(cs, nil, http.StatusRequestHeaderFieldsTooLarge, "header too long")
 			}
 			return false
 		}
@@ -317,49 +305,38 @@ func (g *Ingress) serveOne(li int, conn net.Conn, cs *connState) bool {
 		if len(h) == 0 {
 			break
 		}
-		if bytes.IndexByte(h, ':') < 0 {
-			st.parseErrors.Add(1)
-			g.appendReply(cs, http.StatusBadRequest,
-				appendOutcome(cs.resp[:0], "", "malformed header line"), true, false)
-			return false
+		if !validHeaderLine(h) {
+			return refuseConn(cs, st, http.StatusBadRequest, "malformed header line")
 		}
 		if v, ok := headerValue(h, "content-length"); ok {
 			v = trimSpaces(v)
 			n, nok := atoiBytes(v)
 			if !nok {
-				st.parseErrors.Add(1)
-				g.appendReply(cs, http.StatusBadRequest,
-					appendOutcome(cs.resp[:0], "", "malformed content-length"), true, false)
-				return false
+				return refuseConn(cs, st, http.StatusBadRequest, "malformed content-length")
 			}
 			// RFC 9112 §6.3: differing Content-Length values leave the
 			// message length undefined, the request-smuggling shape.
 			if clenDigits >= 0 && (n != clen || len(v) != clenDigits) {
-				st.parseErrors.Add(1)
-				g.appendReply(cs, http.StatusBadRequest,
-					appendOutcome(cs.resp[:0], "", "conflicting content-length"), true, false)
-				return false
+				return refuseConn(cs, st, http.StatusBadRequest, "conflicting content-length")
 			}
 			clen, clenDigits = n, len(v)
+		} else if _, ok := headerValue(h, "host"); ok {
+			// RFC 9112 §3.2: a request with more than one Host is refused.
+			if hosts++; hosts > 1 {
+				return refuseConn(cs, st, http.StatusBadRequest, "duplicate host header")
+			}
 		} else if v, ok := headerValue(h, "connection"); ok {
 			if asciiEqualFold(trimSpaces(v), "close") {
 				connClose = true
 			}
 		} else if _, ok := headerValue(h, "transfer-encoding"); ok {
-			g.appendReply(cs, http.StatusNotImplemented,
-				appendOutcome(cs.resp[:0], "", "chunked bodies not supported on admission paths"), true, false)
-			return false
+			return refuseConn(cs, nil, http.StatusNotImplemented, "chunked bodies not supported on admission paths")
 		} else if _, ok := headerValue(h, "expect"); ok {
-			g.appendReply(cs, http.StatusExpectationFailed,
-				appendOutcome(cs.resp[:0], "", "expectations not supported on admission paths"), true, false)
-			return false
+			return refuseConn(cs, nil, http.StatusExpectationFailed, "expectations not supported on admission paths")
 		}
 	}
-	if clen > g.maxBody {
-		st.parseErrors.Add(1)
-		g.appendReply(cs, http.StatusRequestEntityTooLarge,
-			appendOutcome(cs.resp[:0], "", "request body too large"), true, false)
-		return false
+	if clen > maxBody {
+		return refuseConn(cs, st, http.StatusRequestEntityTooLarge, "request body too large")
 	}
 	if cap(cs.body) < clen {
 		cs.body = make([]byte, clen)
@@ -369,91 +346,120 @@ func (g *Ingress) serveOne(li int, conn net.Conn, cs *connState) bool {
 		return false
 	}
 	st.requests.Add(1)
-	switch r {
-	case routeOpen:
-		g.fastOpen(cs, st, body, connClose)
-	case routeBatch:
-		g.fastBatch(cs, st, body, connClose)
-	case routeClose:
-		g.fastClose(cs, st, body, connClose)
-	}
+	g.serveAdmission(cs, st, r, body, connClose)
 	st.latency.Observe(time.Duration(g.s.nowNS() - start).Seconds())
 	return !connClose
 }
 
-func (g *Ingress) fastOpen(cs *connState, st *listenerStats, body []byte, connClose bool) {
-	v, err := parseOpenBody(body)
-	if err != nil {
-		st.parseErrors.Add(1)
-		cs.resp = appendOutcome(cs.resp[:0], "", err.Error())
-		g.appendReply(cs, http.StatusBadRequest, cs.resp, connClose, false)
-		return
-	}
-	info, out, oerr := g.s.OpenRetry(context.Background(), v)
-	st.decisions.Add(1)
-	status, retry := http.StatusOK, false
+// serveAdmission runs one admission request through the route's shared answer,
+// counts it on the listener and appends the reply to the connection.
+func (g *Ingress) serveAdmission(cs *connState, st *listenerStats, r route, body []byte, connClose bool) {
+	vd := g.s.answer(context.Background(), r, body, g.maxBatch, &cs.replyBuf)
 	switch {
-	case oerr != nil:
-		status = http.StatusBadRequest
-	case out != OutcomeAccepted:
-		status, retry = http.StatusServiceUnavailable, true
+	case vd.decided > 0:
+		st.decisions.Add(int64(vd.decided))
+	case vd.status == http.StatusBadRequest:
+		st.parseErrors.Add(1)
 	}
-	cs.resp = appendOpenResult(cs.resp[:0], info, out, oerr)
-	g.appendReply(cs, status, cs.resp, connClose, retry)
+	if r == routeBatch && vd.status == http.StatusOK {
+		st.batches.Add(1)
+	}
+	appendReply(cs, vd.status, cs.resp, connClose, vd.retry)
 }
 
-func (g *Ingress) fastBatch(cs *connState, st *listenerStats, body []byte, connClose bool) {
-	vids, err := parseBatchBody(body, cs.vids[:0])
-	if err != nil {
-		st.parseErrors.Add(1)
-		cs.resp = appendOutcome(cs.resp[:0], "", err.Error())
-		g.appendReply(cs, http.StatusBadRequest, cs.resp, connClose, false)
-		return
-	}
-	cs.vids = vids
-	if len(vids) > g.maxBatch {
-		st.parseErrors.Add(1)
-		cs.resp = appendOutcome(cs.resp[:0], "",
-			fmt.Sprintf("batch of %d exceeds the %d-video cap", len(vids), g.maxBatch))
-		g.appendReply(cs, http.StatusBadRequest, cs.resp, connClose, false)
-		return
-	}
-	resp := append(cs.resp[:0], '[')
-	for i, v := range vids {
-		if i > 0 {
-			resp = append(resp, ',')
+// verdict is how an admission request was answered: its status, whether
+// the reply carries Retry-After, and how many decisions it settled. A 400
+// that settled none refused the body before deciding.
+type verdict struct {
+	status  int
+	retry   bool
+	decided int
+}
+
+// replyBuf is the scratch one admission reply is built in: a connection's
+// own, reused request after request, in the ingress; a fresh one per
+// request in Handler().
+type replyBuf struct {
+	resp []byte // reply body
+	vids []int  // a batch's video ids
+}
+
+// answer is the one answer of each admission route, for the ingress and
+// Handler() alike: it decodes body, runs the decisions, and leaves the
+// reply body in b.resp. Batches above maxBatch are refused undecided.
+func (s *Server) answer(ctx context.Context, r route, body []byte, maxBatch int, b *replyBuf) verdict {
+	b.resp = b.resp[:0]
+	switch r {
+	case routeOpen:
+		v, err := parseOpenBody(body)
+		if err != nil {
+			return b.badBody(err.Error())
 		}
-		info, out, oerr := g.s.OpenRetry(context.Background(), v)
-		resp = appendOpenResult(resp, info, out, oerr)
+		info, out, oerr := s.OpenRetry(ctx, v)
+		b.resp = appendOpenResult(b.resp, info, out, oerr)
+		vd := verdict{status: http.StatusOK, decided: 1}
+		switch {
+		case oerr != nil:
+			vd.status = http.StatusBadRequest
+		case out != OutcomeAccepted:
+			vd.status, vd.retry = http.StatusServiceUnavailable, true
+		}
+		return vd
+	case routeBatch:
+		vids, err := parseBatchBody(body, b.vids[:0])
+		if err != nil {
+			return b.badBody(err.Error())
+		}
+		b.vids = vids
+		if len(vids) > maxBatch {
+			return b.badBody(fmt.Sprintf("batch of %d exceeds the %d-video cap", len(vids), maxBatch))
+		}
+		resp := append(b.resp, '[')
+		for i, v := range vids {
+			if i > 0 {
+				resp = append(resp, ',')
+			}
+			info, out, oerr := s.OpenRetry(ctx, v)
+			resp = appendOpenResult(resp, info, out, oerr)
+		}
+		b.resp = append(resp, ']')
+		return verdict{status: http.StatusOK, decided: len(vids)}
+	default: // routeClose
+		id, err := parseCloseBody(body)
+		if err != nil {
+			return b.badBody(err.Error())
+		}
+		if !s.Close(id) {
+			b.resp = appendOutcome(b.resp, "", "no such session")
+			return verdict{status: http.StatusNotFound}
+		}
+		b.resp = appendOutcome(b.resp, "closed", "")
+		return verdict{status: http.StatusOK}
 	}
-	resp = append(resp, ']')
-	cs.resp = resp
-	st.decisions.Add(int64(len(vids)))
-	st.batches.Add(1)
-	g.appendReply(cs, http.StatusOK, resp, connClose, false)
 }
 
-func (g *Ingress) fastClose(cs *connState, st *listenerStats, body []byte, connClose bool) {
-	id, err := parseCloseBody(body)
-	if err != nil {
+// badBody leaves msg's error envelope in b.resp: the 400 of a body refused
+// before any decision.
+func (b *replyBuf) badBody(msg string) verdict {
+	b.resp = appendOutcome(b.resp, "", msg)
+	return verdict{status: http.StatusBadRequest}
+}
+
+// refuseConn answers a request the ingress will not read further, with
+// Connection: close, and returns serveOne's false. A non-nil st counts it as
+// a parse error.
+func refuseConn(cs *connState, st *listenerStats, status int, msg string) bool {
+	if st != nil {
 		st.parseErrors.Add(1)
-		cs.resp = appendOutcome(cs.resp[:0], "", err.Error())
-		g.appendReply(cs, http.StatusBadRequest, cs.resp, connClose, false)
-		return
 	}
-	if g.s.Close(id) {
-		cs.resp = appendOutcome(cs.resp[:0], "closed", "")
-		g.appendReply(cs, http.StatusOK, cs.resp, connClose, false)
-		return
-	}
-	cs.resp = appendOutcome(cs.resp[:0], "", "no such session")
-	g.appendReply(cs, http.StatusNotFound, cs.resp, connClose, false)
+	appendReply(cs, status, appendOutcome(cs.resp[:0], "", msg), true, false)
+	return false
 }
 
 // appendReply appends one full HTTP/1.1 response (head + body) to the
 // connection's output buffer. body may alias cs.resp; it is copied into
 // cs.out after the head.
-func (g *Ingress) appendReply(cs *connState, status int, body []byte, connClose, retryAfter bool) {
+func appendReply(cs *connState, status int, body []byte, connClose, retryAfter bool) {
 	out := append(cs.out, "HTTP/1.1 "...)
 	out = strconv.AppendInt(out, int64(status), 10)
 	out = append(out, ' ')
@@ -537,25 +543,54 @@ func (w *fallbackWriter) finish(conn net.Conn) {
 
 // --- byte-level HTTP helpers (shared with the fast client) ---
 
-// parseRequestLine splits "METHOD SP PATH SP HTTP/1.1\r\n". Only HTTP/1.1
-// parses as hot-eligible; anything else (including HTTP/1.0) goes through
-// the fallback, which handles legacy semantics correctly.
-func parseRequestLine(line []byte) (method, path []byte, ok bool) {
+// parseRequestLine splits "METHOD SP PATH SP PROTO\r\n". Only an HTTP/1.1
+// line takes the admission path; any other protocol goes to the fallback,
+// which keeps net/http's semantics for it (HTTP/1.0 included).
+func parseRequestLine(line []byte) (method, path, proto []byte, ok bool) {
 	line = trimCRLF(line)
 	sp1 := bytes.IndexByte(line, ' ')
 	if sp1 <= 0 {
-		return nil, nil, false
+		return nil, nil, nil, false
 	}
 	rest := line[sp1+1:]
 	sp2 := bytes.IndexByte(rest, ' ')
 	if sp2 <= 0 {
-		return nil, nil, false
+		return nil, nil, nil, false
 	}
-	if string(rest[sp2+1:]) != "HTTP/1.1" {
-		return nil, nil, false
-	}
-	return line[:sp1], rest[:sp2], true
+	return line[:sp1], rest[:sp2], rest[sp2+1:], true
 }
+
+// validHeaderLine reports whether h, a header line without its line end,
+// is a field net/textproto accepts: a name of token bytes (and spaces,
+// which textproto tolerates before the colon), a colon, and a value of
+// visible ASCII, spaces, tabs and obs-text. A line opening with whitespace,
+// an obs-fold continuation that textproto joins to the line before, is
+// refused.
+func validHeaderLine(h []byte) bool {
+	colon := bytes.IndexByte(h, ':')
+	if colon <= 0 || h[0] == ' ' {
+		return false
+	}
+	for _, c := range h[:colon] {
+		if !tokenByte[c] && c != ' ' {
+			return false
+		}
+	}
+	for _, c := range h[colon+1:] {
+		if c < ' ' && c != '\t' || c == 0x7f {
+			return false
+		}
+	}
+	return true
+}
+
+// tokenByte marks the bytes of an RFC 9110 token.
+var tokenByte = func() (t [256]bool) {
+	for _, c := range "!#$%&'*+-.^_`|~0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz" {
+		t[c] = true
+	}
+	return t
+}()
 
 // trimCRLF strips one trailing \r\n or \n.
 func trimCRLF(b []byte) []byte {

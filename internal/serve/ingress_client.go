@@ -198,8 +198,21 @@ func (fc *FastConn) ReadOpen() (SessionInfo, Outcome, error) {
 		}
 		return SessionInfo{}, out, nil
 	default:
-		return SessionInfo{}, "", fmt.Errorf("serve: open: status %d: %s", status, excerpt(body))
+		return SessionInfo{}, "", &statusError{"open", status, string(excerpt(body))}
 	}
+}
+
+// statusError reports a request the daemon answered with a status the
+// call does not expect, such as a 400 for a video outside the catalog. The
+// request was answered, so the connection stays good.
+type statusError struct {
+	op     string
+	status int
+	body   string
+}
+
+func (e *statusError) Error() string {
+	return fmt.Sprintf("serve: %s: status %d: %s", e.op, e.status, e.body)
 }
 
 // OpenResult is one element of a batch admission response.
@@ -217,7 +230,7 @@ func (fc *FastConn) ReadOpenBatch(dst []OpenResult) ([]OpenResult, error) {
 		return dst, err
 	}
 	if status != 200 {
-		return dst, fmt.Errorf("serve: batch: status %d: %s", status, excerpt(body))
+		return dst, &statusError{"batch", status, string(excerpt(body))}
 	}
 	err = splitJSONArray(body, func(elem []byte) error {
 		if bytes.HasPrefix(elem, []byte(`{"id":`)) {
@@ -251,7 +264,7 @@ func (fc *FastConn) ReadClose() (bool, error) {
 	case 404:
 		return false, nil
 	default:
-		return false, fmt.Errorf("serve: close: status %d: %s", status, excerpt(body))
+		return false, &statusError{"close", status, string(excerpt(body))}
 	}
 }
 

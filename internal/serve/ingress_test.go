@@ -193,8 +193,8 @@ func TestIngressBatch(t *testing.T) {
 	}
 }
 
-// TestIngressFallback routes a non-hot-path request through the stitched-in
-// net/http handler and checks an ordinary stdlib client can consume it.
+// TestIngressFallback routes non-hot-path requests through the stitched-in
+// net/http handler and checks an ordinary stdlib client can consume them.
 func TestIngressFallback(t *testing.T) {
 	_, ing, addr := newTestIngress(t, Config{}, IngressConfig{})
 	resp, err := http.Get("http://" + addr + "/metrics")
@@ -214,6 +214,19 @@ func TestIngressFallback(t *testing.T) {
 	}
 	if ing.Stats().Fallbacks() != 1 {
 		t.Fatalf("fallbacks counter = %d, want 1", ing.Stats().Fallbacks())
+	}
+
+	// Any protocol but HTTP/1.1 goes to the fallback too, admissions
+	// included: Handler() answers them with the ingress's own answer.
+	open := "POST /open HTTP/1.0\r\nContent-Length: 11\r\n\r\n{\"video\":0}"
+	if r := rawRoundTrip(t, addr, open); r.StatusCode != http.StatusOK || !r.Close {
+		t.Fatalf("HTTP/1.0 open: status %d, close %v; want 200 and close", r.StatusCode, r.Close)
+	}
+	if r := rawRoundTrip(t, addr, "GET /healthz HTTP/1.0\r\n\r\n"); r.StatusCode != http.StatusOK {
+		t.Fatalf("HTTP/1.0 healthz: status %d, want 200", r.StatusCode)
+	}
+	if ing.Stats().Fallbacks() != 3 || ing.Stats().Decisions() != 0 {
+		t.Fatalf("fallbacks %d, ingress decisions %d; want 3 and 0", ing.Stats().Fallbacks(), ing.Stats().Decisions())
 	}
 }
 
@@ -239,7 +252,7 @@ func rawRoundTrip(t *testing.T, addr, raw string) *http.Response {
 }
 
 func TestIngressProtocolErrors(t *testing.T) {
-	_, _, addr := newTestIngress(t, Config{}, IngressConfig{MaxBody: 64})
+	_, _, addr := newTestIngress(t, Config{}, IngressConfig{})
 	for _, tc := range []struct {
 		name, raw  string
 		wantStatus int
@@ -248,7 +261,7 @@ func TestIngressProtocolErrors(t *testing.T) {
 		{"chunked body refused", "POST /open HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n", http.StatusNotImplemented},
 		{"expect refused", "POST /open HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 11\r\n\r\n", http.StatusExpectationFailed},
 		{"bad content-length", "POST /open HTTP/1.1\r\nContent-Length: ten\r\n\r\n", http.StatusBadRequest},
-		{"oversized body", "POST /open HTTP/1.1\r\nContent-Length: 100\r\n\r\n", http.StatusRequestEntityTooLarge},
+		{"oversized body", "POST /open HTTP/1.1\r\nContent-Length: 1048577\r\n\r\n", http.StatusRequestEntityTooLarge},
 		{"body is not json", "POST /open HTTP/1.1\r\nContent-Length: 3\r\n\r\nhi!", http.StatusBadRequest},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -260,10 +273,12 @@ func TestIngressProtocolErrors(t *testing.T) {
 	}
 }
 
-// TestIngressStrictHeaders: two header shapes net/http refuses — differing
+// TestIngressStrictHeaders: header shapes net/http refuses — differing
 // duplicate Content-Length values (RFC 9112 §6.3, the request-smuggling
-// shape) and a header line with no colon — get 400 and a closed connection,
-// and nothing from that request or any pipelined after it is booked.
+// shape), a header line with no colon, a name byte outside the token set, a
+// control byte in a value, and a second Host (RFC 9112 §3.2) — get 400 and
+// a closed connection, and nothing from that request or any pipelined after
+// it is booked.
 // Identical duplicates stay accepted, as net/http accepts them.
 func TestIngressStrictHeaders(t *testing.T) {
 	srv, _, addr := newTestIngress(t, Config{}, IngressConfig{})
@@ -275,6 +290,9 @@ func TestIngressStrictHeaders(t *testing.T) {
 		{"differing content-lengths", "Content-Length: 0\r\nContent-Length: 11\r\n"},
 		{"differing content-length text", "Content-Length: 011\r\nContent-Length: 11\r\n"},
 		{"header line without colon", "Content-Length: 11\r\nX-Smuggle 1\r\n"},
+		{"non-token byte in a header name", "X(A): 1\r\nContent-Length: 11\r\n"},
+		{"control byte in a header value", "X-A: 1\x01\r\nContent-Length: 11\r\n"},
+		{"second host", "Host: a\r\nHost: b\r\nContent-Length: 11\r\n"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			raw := "POST /open HTTP/1.1\r\n" + tc.head + "\r\n" + open + next
@@ -466,7 +484,7 @@ func TestAdmissionPathAllocs(t *testing.T) {
 	var closeBody []byte
 	roundTrip := func() {
 		cs.out = cs.out[:0]
-		ing.fastOpen(cs, st, openBody, false)
+		ing.serveAdmission(cs, st, routeOpen, openBody, false)
 		id, _, ok := parseInt(cs.resp, len(`{"id":`))
 		if !ok {
 			t.Fatalf("open response %q has no canonical id", cs.resp)
@@ -475,7 +493,7 @@ func TestAdmissionPathAllocs(t *testing.T) {
 		closeBody = strconv.AppendInt(closeBody, id, 10)
 		closeBody = append(closeBody, '}')
 		cs.out = cs.out[:0]
-		ing.fastClose(cs, st, closeBody, false)
+		ing.serveAdmission(cs, st, routeClose, closeBody, false)
 	}
 	for i := 0; i < 100; i++ { // warm buffers and pools
 		roundTrip()
@@ -553,7 +571,7 @@ func BenchmarkAdmissionPath(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cs.out = cs.out[:0]
-		ing.fastOpen(cs, st, openBody, false)
+		ing.serveAdmission(cs, st, routeOpen, openBody, false)
 		id, _, ok := parseInt(cs.resp, len(`{"id":`))
 		if !ok {
 			b.Fatalf("open response %q has no canonical id", cs.resp)
@@ -562,7 +580,7 @@ func BenchmarkAdmissionPath(b *testing.B) {
 		closeBody = strconv.AppendInt(closeBody, id, 10)
 		closeBody = append(closeBody, '}')
 		cs.out = cs.out[:0]
-		ing.fastClose(cs, st, closeBody, false)
+		ing.serveAdmission(cs, st, routeClose, closeBody, false)
 	}
 }
 
@@ -592,7 +610,7 @@ func FuzzIngressConn(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	ing, err := NewIngress(srv, IngressConfig{MaxBody: 1 << 16})
+	ing, err := NewIngress(srv, IngressConfig{})
 	if err != nil {
 		f.Fatal(err)
 	}

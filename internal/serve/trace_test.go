@@ -16,8 +16,8 @@ import (
 // events with wall-clock timestamps and a decision span on the admit.
 func TestServerTracesLifecycle(t *testing.T) {
 	tr := obs.NewTracer(256)
-	srv, hs := newTestServer(t, Config{Tracer: tr})
-	client := NewClient(hs.URL)
+	srv, base := newTestServer(t, Config{Tracer: tr})
+	client := NewClient(base)
 	ctx := context.Background()
 
 	info, outcome, _, err := client.Request(ctx, 0)
@@ -64,13 +64,13 @@ func TestServerTracesLifecycle(t *testing.T) {
 // does not exist.
 func TestTraceDumpEndpoint(t *testing.T) {
 	tr := obs.NewTracer(256)
-	_, hs := newTestServer(t, Config{Tracer: tr})
-	client := NewClient(hs.URL)
+	_, base := newTestServer(t, Config{Tracer: tr})
+	client := NewClient(base)
 	if _, outcome, _, err := client.Request(context.Background(), 0); err != nil || outcome != OutcomeAccepted {
 		t.Fatalf("request: outcome %q, err %v", outcome, err)
 	}
 
-	resp, err := http.Get(hs.URL + "/debug/trace")
+	resp, err := http.Get(base + "/debug/trace")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestTraceDumpEndpoint(t *testing.T) {
 		t.Fatalf("dump too small: total %d, %d events", dump.Total, len(dump.Events))
 	}
 
-	resp, err = http.Get(hs.URL + "/debug/trace?format=chrome")
+	resp, err = http.Get(base + "/debug/trace?format=chrome")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestTraceDumpEndpoint(t *testing.T) {
 	}
 
 	_, plain := newTestServer(t, Config{})
-	resp, err = http.Get(plain.URL + "/debug/trace")
+	resp, err = http.Get(plain + "/debug/trace")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"net/http/httptest"
-
 	"vodcluster/internal/core"
 	"vodcluster/internal/rebalance"
 	"vodcluster/internal/serve"
@@ -110,12 +108,11 @@ func replayDrill(t *testing.T, tr *workload.Trace, compress float64, withRebalan
 		}
 		ctl.Start()
 	}
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
+	base := startIngress(t, srv)
 	defer srv.Shutdown()
 
 	ctx := context.Background()
-	rep, err := serve.NewClient(hs.URL).Replay(ctx, tr, compress)
+	rep, err := serve.NewClient(base).Replay(ctx, tr, compress)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package vodcluster_test
 import (
 	"context"
 	"math"
-	"net/http/httptest"
 	"testing"
 
 	"vodcluster"
@@ -15,6 +14,23 @@ import (
 	"vodcluster/internal/workload"
 )
 
+// startIngress fronts srv with the daemon's one front, a one-listener
+// ingress on a loopback port, and returns its base URL. The ingress closes
+// when the test ends.
+func startIngress(t *testing.T, srv *serve.Server) string {
+	t.Helper()
+	ing, err := serve.NewIngress(srv, serve.IngressConfig{Listeners: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := ing.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ing.Close)
+	return "http://" + addr.String()
+}
+
 // replayAgainstLive boots an in-process daemon for the problem/layout pair,
 // replays the trace through vodload's client library, and returns the
 // replay report.
@@ -25,11 +41,10 @@ func replayAgainstLive(t *testing.T, p *core.Problem, layout *core.Layout,
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
+	base := startIngress(t, srv)
 	defer srv.Shutdown()
 
-	rep, err := serve.NewClient(hs.URL).Replay(context.Background(), tr, compress)
+	rep, err := serve.NewClient(base).Replay(context.Background(), tr, compress)
 	if err != nil {
 		t.Fatal(err)
 	}

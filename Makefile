@@ -16,7 +16,7 @@ BENCH_BASE ?= HEAD
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race cover bench bench-smoke bench-workload bench-compare serve-smoke chaos-smoke regret-smoke rebalance-smoke staticcheck govulncheck figures figures-smoke examples fuzz clean ci fmt-check
+.PHONY: all build test race cover bench bench-smoke bench-workload bench-compare serve-smoke chaos-smoke regret-smoke rebalance-smoke staticcheck govulncheck figures figures-smoke digests examples fuzz clean ci fmt-check
 
 all: build test
 
@@ -145,6 +145,14 @@ figures:
 # replication per point, no artifacts written into the tree.
 figures-smoke:
 	$(GO) run ./cmd/vodbench -fig all -runs 1
+
+# Rewrite vodbench's pinned quick output, which `go test ./cmd/vodbench`
+# compares byte for byte at one worker and at four. Run it only for a change
+# that means to move the figures, and say why in the commit.
+DIGEST := cmd/vodbench/testdata/all_quick_seed42.txt
+digests:
+	$(GO) run ./cmd/vodbench -fig all -quick -seed 42 > $(DIGEST).tmp
+	mv $(DIGEST).tmp $(DIGEST)
 
 examples:
 	$(GO) run ./examples/quickstart

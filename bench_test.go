@@ -29,19 +29,8 @@ import (
 // rate and mean imbalance over `runs` replications.
 func benchPoint(b *testing.B, theta, degree float64, repl, plac string, lambdaPerMin float64, runs int) (rej, imb float64) {
 	b.Helper()
-	s := config.Paper()
-	s.Theta = theta
-	s.Degree = degree
-	s.Replicator, s.Placer = repl, plac
-	p, layout, sched, err := vodcluster.Pipeline(s)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pts, err := vodcluster.SweepArrivalRates(p, layout, sched, []float64{lambdaPerMin}, runs, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return pts[0].Agg.RejectionRate.Mean(), pts[0].Agg.ImbalanceAvg.Mean()
+	agg := aggregateAt(b, comboScenario(theta, degree, repl, plac), lambdaPerMin, runs)
+	return agg.RejectionRate.Mean(), agg.ImbalanceAvg.Mean()
 }
 
 // BenchmarkFig4RejectionByDegree regenerates Figure 4's headline cells:
@@ -72,14 +61,8 @@ func BenchmarkFig4Sweep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		series = append(series, exp.Series{
-			Name: fmt.Sprintf("deg %.1f", degree),
-			Config: func(lam float64) (sim.Config, error) {
-				q := p.Clone()
-				q.ArrivalRate = lam / core.Minute
-				return sim.Config{Problem: q, Layout: layout, NewScheduler: sched}, nil
-			},
-		})
+		series = append(series, exp.ArrivalSeries(fmt.Sprintf("deg %.1f", degree),
+			sim.Config{Problem: p, Layout: layout, NewScheduler: sched}))
 	}
 	for _, workers := range []int{1, 0} {
 		name := "workers=max"

@@ -103,6 +103,7 @@ func TestChaosFailureDrill(t *testing.T) {
 	defer srv.Shutdown()
 
 	client := serve.NewClient(base)
+	defer client.Close()
 	ctx := context.Background()
 	schedErr := make(chan error, 1)
 	go func() {

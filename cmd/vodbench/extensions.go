@@ -269,7 +269,7 @@ func figureHetero(cfg benchConfig) error {
 			return fmt.Errorf("hetero %s: %w", placer, err)
 		}
 		relImb = append(relImb, place.RelativeImbalance(p, layout))
-		series = append(series, lambdaSeries(placer, p, layout, sched))
+		series = append(series, exp.ArrivalSeries(placer, sim.Config{Problem: p, Layout: layout, NewScheduler: sched}))
 	}
 	grid, err := cfg.sweep(lambdas, series).Run()
 	if err != nil {

@@ -5,23 +5,12 @@ import (
 
 	"vodcluster"
 	"vodcluster/internal/anneal"
-	"vodcluster/internal/cluster"
 	"vodcluster/internal/config"
 	"vodcluster/internal/core"
 	"vodcluster/internal/exp"
 	"vodcluster/internal/report"
 	"vodcluster/internal/sim"
 )
-
-// lambdaSeries wraps a built pipeline as a sweep series over the arrival
-// rate in requests/minute — the x-axis every paper figure sweeps.
-func lambdaSeries(name string, p *core.Problem, layout *core.Layout, sched func() cluster.Scheduler) exp.Series {
-	return exp.Series{Name: name, Config: func(lam float64) (sim.Config, error) {
-		q := p.Clone()
-		q.ArrivalRate = lam / core.Minute
-		return sim.Config{Problem: q, Layout: layout, NewScheduler: sched}, nil
-	}}
-}
 
 // figureSA runs the §4.3 scalable-bit-rate experiment, whose numeric results
 // the paper omits for space: simulated annealing over the discrete rate set
@@ -163,17 +152,15 @@ func figureSensitivity(cfg benchConfig) error {
 	for _, v := range variants {
 		var lambda float64
 		series := make([]exp.Series, 0, 2)
-		for _, c := range []combo{{"zipf", "slf"}, {"classification", "roundrobin"}} {
-			s := config.Paper()
+		for _, c := range []combo{zipfSLF, classRR} {
+			s := c.scenario(config.Paper().Theta, 1.2)
 			v.mutate(&s)
-			s.Degree = 1.2
-			s.Replicator, s.Placer = c.repl, c.plac
-			p, layout, sched, err := vodcluster.Pipeline(s)
+			ser, err := scenarioSeries(c.String(), s)
 			if err != nil {
 				return fmt.Errorf("sensitivity %q: %w", v.name, err)
 			}
 			lambda = s.LambdaPerMin
-			series = append(series, lambdaSeries(c.String(), p, layout, sched))
+			series = append(series, ser)
 		}
 		grid, err := cfg.sweep([]float64{lambda}, series).Run()
 		if err != nil {
@@ -189,24 +176,21 @@ func figureSensitivity(cfg benchConfig) error {
 // over the internal backbone on top of the conservative placement.
 func figureRedirect(cfg benchConfig) error {
 	cfg.emit.Printf("\n=== §6: request redirection over the internal backbone ===\n")
-	lambdas := lambdaSweep
-	if cfg.quick {
-		lambdas = lambdaSweepQuick
-	}
+	lambdas := cfg.lambdas()
 	series := make([]exp.Series, 0, 2)
 	for _, backbone := range []float64{0, 2} {
 		s := config.Paper()
 		s.Degree = 1.2
 		s.BackboneGbps = backbone
-		p, layout, sched, err := vodcluster.Pipeline(s)
-		if err != nil {
-			return err
-		}
 		name := "static-rr"
 		if backbone > 0 {
 			name = fmt.Sprintf("static-rr + %g Gb/s backbone", backbone)
 		}
-		series = append(series, lambdaSeries(name, p, layout, sched))
+		ser, err := scenarioSeries(name, s)
+		if err != nil {
+			return err
+		}
+		series = append(series, ser)
 	}
 	sw := cfg.sweep(lambdas, series)
 	grid, err := sw.Run()

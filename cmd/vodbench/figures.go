@@ -2,11 +2,9 @@ package main
 
 import (
 	"fmt"
-	"strings"
 
 	"vodcluster"
 	"vodcluster/internal/config"
-	"vodcluster/internal/core"
 	"vodcluster/internal/exp"
 	"vodcluster/internal/sim"
 )
@@ -22,16 +20,35 @@ var (
 	thetas           = []float64{0.75, 0.25}
 )
 
+const lambdaHeader = "λ (req/min)"
+
 // combo names one replication+placement pairing.
 type combo struct{ repl, plac string }
 
 func (c combo) String() string { return c.repl + "+" + c.plac }
 
-var fourCombos = []combo{
-	{"zipf", "slf"},
-	{"zipf", "roundrobin"},
-	{"classification", "slf"},
-	{"classification", "roundrobin"},
+// scenario is the paper scenario at skew θ and replication degree, laid out
+// by this pairing.
+func (c combo) scenario(theta, degree float64) config.Scenario {
+	s := config.Paper()
+	s.Theta = theta
+	s.Degree = degree
+	s.Replicator, s.Placer = c.repl, c.plac
+	return s
+}
+
+var (
+	zipfSLF    = combo{"zipf", "slf"}
+	classRR    = combo{"classification", "roundrobin"}
+	fourCombos = []combo{zipfSLF, {"zipf", "roundrobin"}, {"classification", "slf"}, classRR}
+)
+
+// lambdas is the arrival-rate axis every λ figure sweeps.
+func (cfg benchConfig) lambdas() []float64 {
+	if cfg.quick {
+		return lambdaSweepQuick
+	}
+	return lambdaSweep
 }
 
 // sweep builds an exp.Sweep over arrival rates with the bench's shared knobs.
@@ -45,130 +62,134 @@ func (cfg benchConfig) sweep(lambdas []float64, series []exp.Series) *exp.Sweep 
 	}
 }
 
-// comboSeries builds one sweep series for a (θ, degree, combo) cell: the
-// layout is computed once, for the peak rate, exactly as the paper's
-// conservative model prescribes — replication and placement decisions do not
-// depend on λ, only the runtime load does.
-func comboSeries(name string, theta, degree float64, c combo) (exp.Series, error) {
-	s := config.Paper()
-	s.Theta = theta
-	s.Degree = degree
-	s.Replicator = c.repl
-	s.Placer = c.plac
+// scenarioSeries builds scenario s's layout once, for the peak rate, and
+// sweeps it over the arrival rate: replication and placement decisions do
+// not depend on λ, only the runtime load does.
+func scenarioSeries(name string, s config.Scenario) (exp.Series, error) {
 	p, layout, sched, err := vodcluster.Pipeline(s)
 	if err != nil {
-		return exp.Series{}, fmt.Errorf("%s at θ=%g degree=%g: %w", c, theta, degree, err)
+		return exp.Series{}, fmt.Errorf("%s: %w", name, err)
 	}
-	return exp.Series{Name: name, Config: func(lam float64) (sim.Config, error) {
-		q := p.Clone()
-		q.ArrivalRate = lam / core.Minute
-		return sim.Config{Problem: q, Layout: layout, NewScheduler: sched}, nil
-	}}, nil
+	return exp.ArrivalSeries(name, sim.Config{Problem: p, Layout: layout, NewScheduler: sched}), nil
 }
 
-// comboSeriesList builds one series per combo at a fixed (θ, degree).
-func comboSeriesList(theta, degree float64, combos []combo) ([]exp.Series, error) {
-	series := make([]exp.Series, 0, len(combos))
-	for _, c := range combos {
-		ser, err := comboSeries(c.String(), theta, degree, c)
-		if err != nil {
-			return nil, err
-		}
-		series = append(series, ser)
+// curve is one line of a λ panel: its legend name and the scenario it
+// sweeps.
+type curve struct {
+	name string
+	s    config.Scenario
+}
+
+// comboCurves is one curve per pairing at a fixed (θ, degree).
+func comboCurves(theta, degree float64) []curve {
+	out := make([]curve, 0, len(fourCombos))
+	for _, c := range fourCombos {
+		out = append(out, curve{c.String(), c.scenario(theta, degree)})
 	}
-	return series, nil
+	return out
+}
+
+// panel is one subplot of Figs. 4–6. Its heading reads "Fig. <n>(<label>)
+// <desc>", its chart title inserts the figure's plotted quantity before
+// desc, and its table lands as fig<n><label>-<csv>.
+type panel struct {
+	label, desc, csv string
+	curves           []curve
+	// headers are the table's value-column titles; nil means the curve
+	// names.
+	headers []string
+}
+
+// lambdaFigure is one of Figs. 4–6: panels of scenario curves swept over
+// the arrival rate, all plotting one metric.
+type lambdaFigure struct {
+	num, title   string // "4"; the "=== ... ===" banner
+	what, yLabel string // chart-title quantity and y-axis label
+	metric       exp.Metric
+	panels       []panel
+}
+
+func (f lambdaFigure) run(cfg benchConfig) error {
+	cfg.emit.Printf("%s", f.title)
+	for _, pn := range f.panels {
+		fig := fmt.Sprintf("Fig. %s(%s)", f.num, pn.label)
+		cfg.emit.Printf("\n--- %s %s ---\n", fig, pn.desc)
+		series := make([]exp.Series, 0, len(pn.curves))
+		for _, c := range pn.curves {
+			ser, err := scenarioSeries(c.name, c.s)
+			if err != nil {
+				return err
+			}
+			series = append(series, ser)
+		}
+		s := cfg.sweep(cfg.lambdas(), series)
+		grid, err := s.Run()
+		if err != nil {
+			return err
+		}
+		var headers []string
+		if pn.headers != nil {
+			headers = append([]string{lambdaHeader}, pn.headers...)
+		}
+		if err := cfg.emit.Table(fmt.Sprintf("fig%s%s-%s", f.num, pn.label, pn.csv), s.Table(grid, lambdaHeader, f.metric, headers)); err != nil {
+			return err
+		}
+		chart := s.Chart(grid, fmt.Sprintf("%s %s — %s", fig, f.what, pn.desc), "arrival rate (req/min)", f.yLabel, f.metric)
+		if err := cfg.emit.Chart(chart); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // figure4 reproduces Fig. 4: impact of the replication degree on rejection
 // rate, for (a, c) Zipf replication + smallest-load-first placement and
 // (b, d) classification replication + round-robin placement, at two skews.
 func figure4(cfg benchConfig) error {
-	lambdas, degrees := lambdaSweep, degreeSweep
+	degrees := degreeSweep
 	if cfg.quick {
-		lambdas, degrees = lambdaSweepQuick, degreeSweepQuick
+		degrees = degreeSweepQuick
 	}
-	subplots := []struct {
-		label string
+	f := lambdaFigure{
+		num: "4", title: "=== Figure 4: rejection rate vs arrival rate, by replication degree ===\n",
+		what: "rejection rate (%)", yLabel: "rejection rate (%)", metric: exp.RejectionPct,
+	}
+	for i, sub := range []struct {
 		theta float64
 		c     combo
-	}{
-		{"(a)", thetas[0], combo{"zipf", "slf"}},
-		{"(b)", thetas[0], combo{"classification", "roundrobin"}},
-		{"(c)", thetas[1], combo{"zipf", "slf"}},
-		{"(d)", thetas[1], combo{"classification", "roundrobin"}},
-	}
-	cfg.emit.Printf("=== Figure 4: rejection rate vs arrival rate, by replication degree ===\n")
-	for _, sub := range subplots {
-		cfg.emit.Printf("\n--- Fig. 4%s %s, θ=%.2f ---\n", sub.label, sub.c, sub.theta)
-		series := make([]exp.Series, 0, len(degrees))
+	}{{thetas[0], zipfSLF}, {thetas[0], classRR}, {thetas[1], zipfSLF}, {thetas[1], classRR}} {
+		pn := panel{
+			label: string(rune('a' + i)),
+			desc:  fmt.Sprintf("%s, θ=%.2f", sub.c, sub.theta),
+			csv:   fmt.Sprintf("%s-theta%.2f", sub.c, sub.theta),
+		}
 		for _, deg := range degrees {
-			ser, err := comboSeries(fmt.Sprintf("deg %.1f", deg), sub.theta, deg, sub.c)
-			if err != nil {
-				return err
-			}
-			series = append(series, ser)
+			pn.curves = append(pn.curves, curve{fmt.Sprintf("deg %.1f", deg), sub.c.scenario(sub.theta, deg)})
+			pn.headers = append(pn.headers, fmt.Sprintf("deg %.1f (%%)", deg))
 		}
-		s := cfg.sweep(lambdas, series)
-		grid, err := s.Run()
-		if err != nil {
-			return err
-		}
-		t := s.Table(grid, "λ (req/min)", exp.RejectionPct,
-			append([]string{"λ (req/min)"}, degreeLabels(degrees)...))
-		if err := cfg.emit.Table(fmt.Sprintf("fig4%s-%s-theta%.2f", strings.Trim(sub.label, "()"), sub.c, sub.theta), t); err != nil {
-			return err
-		}
-		chart := s.Chart(grid,
-			fmt.Sprintf("Fig. 4%s rejection rate (%%) — %s, θ=%.2f", sub.label, sub.c, sub.theta),
-			"arrival rate (req/min)", "rejection rate (%)", exp.RejectionPct)
-		if err := cfg.emit.Chart(chart); err != nil {
-			return err
-		}
+		f.panels = append(f.panels, pn)
 	}
-	return nil
+	return f.run(cfg)
 }
 
 // figure5 reproduces Fig. 5: impact of the four algorithm combinations on
 // rejection rate at replication degrees 1.2 and 2.0 and two skews.
 func figure5(cfg benchConfig) error {
-	lambdas := lambdaSweep
-	if cfg.quick {
-		lambdas = lambdaSweepQuick
+	f := lambdaFigure{
+		num: "5", title: "\n=== Figure 5: rejection rate vs arrival rate, by algorithm combination ===\n",
+		what: "rejection rate (%)", yLabel: "rejection rate (%)", metric: exp.RejectionPct,
 	}
-	subplots := []struct {
-		label  string
-		theta  float64
-		degree float64
-	}{
-		{"(a)", thetas[0], 1.2},
-		{"(b)", thetas[0], 2.0},
-		{"(c)", thetas[1], 1.2},
-		{"(d)", thetas[1], 2.0},
+	for i, sub := range []struct{ theta, degree float64 }{
+		{thetas[0], 1.2}, {thetas[0], 2.0}, {thetas[1], 1.2}, {thetas[1], 2.0},
+	} {
+		f.panels = append(f.panels, panel{
+			label:  string(rune('a' + i)),
+			desc:   fmt.Sprintf("degree %.1f, θ=%.2f", sub.degree, sub.theta),
+			csv:    fmt.Sprintf("deg%.1f-theta%.2f", sub.degree, sub.theta),
+			curves: comboCurves(sub.theta, sub.degree),
+		})
 	}
-	cfg.emit.Printf("\n=== Figure 5: rejection rate vs arrival rate, by algorithm combination ===\n")
-	for _, sub := range subplots {
-		cfg.emit.Printf("\n--- Fig. 5%s degree %.1f, θ=%.2f ---\n", sub.label, sub.degree, sub.theta)
-		series, err := comboSeriesList(sub.theta, sub.degree, fourCombos)
-		if err != nil {
-			return err
-		}
-		s := cfg.sweep(lambdas, series)
-		grid, err := s.Run()
-		if err != nil {
-			return err
-		}
-		t := s.Table(grid, "λ (req/min)", exp.RejectionPct, nil)
-		if err := cfg.emit.Table(fmt.Sprintf("fig5%s-deg%.1f-theta%.2f", strings.Trim(sub.label, "()"), sub.degree, sub.theta), t); err != nil {
-			return err
-		}
-		chart := s.Chart(grid,
-			fmt.Sprintf("Fig. 5%s rejection rate (%%) — degree %.1f, θ=%.2f", sub.label, sub.degree, sub.theta),
-			"arrival rate (req/min)", "rejection rate (%)", exp.RejectionPct)
-		if err := cfg.emit.Chart(chart); err != nil {
-			return err
-		}
-	}
-	return nil
+	return f.run(cfg)
 }
 
 // figure6 reproduces Fig. 6: the measured load imbalance degree L (%) versus
@@ -178,47 +199,17 @@ func figure5(cfg benchConfig) error {
 // load, peaking at mid arrival rates, and collapsing past saturation (see
 // EXPERIMENTS.md for the discussion of the normalization choice).
 func figure6(cfg benchConfig) error {
-	lambdas := lambdaSweep
-	if cfg.quick {
-		lambdas = lambdaSweepQuick
+	f := lambdaFigure{
+		num: "6", title: "\n=== Figure 6: load imbalance degree L(%) vs arrival rate ===\n",
+		what: "load imbalance L (%)", yLabel: "L (%)", metric: exp.ImbalanceCapPct,
 	}
-	subplots := []struct {
-		label  string
-		degree float64
-	}{
-		{"(a)", 1.2},
-		{"(b)", 2.0},
+	for i, degree := range []float64{1.2, 2.0} {
+		f.panels = append(f.panels, panel{
+			label:  string(rune('a' + i)),
+			desc:   fmt.Sprintf("degree %.1f, θ=%.2f", degree, thetas[0]),
+			csv:    fmt.Sprintf("deg%.1f", degree),
+			curves: comboCurves(thetas[0], degree),
+		})
 	}
-	cfg.emit.Printf("\n=== Figure 6: load imbalance degree L(%%) vs arrival rate ===\n")
-	for _, sub := range subplots {
-		cfg.emit.Printf("\n--- Fig. 6%s degree %.1f, θ=%.2f ---\n", sub.label, sub.degree, thetas[0])
-		series, err := comboSeriesList(thetas[0], sub.degree, fourCombos)
-		if err != nil {
-			return err
-		}
-		s := cfg.sweep(lambdas, series)
-		grid, err := s.Run()
-		if err != nil {
-			return err
-		}
-		t := s.Table(grid, "λ (req/min)", exp.ImbalanceCapPct, nil)
-		if err := cfg.emit.Table(fmt.Sprintf("fig6%s-deg%.1f", strings.Trim(sub.label, "()"), sub.degree), t); err != nil {
-			return err
-		}
-		chart := s.Chart(grid,
-			fmt.Sprintf("Fig. 6%s load imbalance L (%%) — degree %.1f, θ=%.2f", sub.label, sub.degree, thetas[0]),
-			"arrival rate (req/min)", "L (%)", exp.ImbalanceCapPct)
-		if err := cfg.emit.Chart(chart); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func degreeLabels(degrees []float64) []string {
-	out := make([]string, len(degrees))
-	for i, d := range degrees {
-		out[i] = fmt.Sprintf("deg %.1f (%%)", d)
-	}
-	return out
+	return f.run(cfg)
 }

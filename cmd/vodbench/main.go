@@ -66,16 +66,27 @@ var figures = []struct {
 }
 
 func main() {
-	fig := flag.String("fig", "all", "which figure to regenerate: 4|5|6|sa|sens|redirect|avail|dynamic|disk|hetero|hier|striping|erlang|all")
-	runs := flag.Int("runs", 20, "simulation replications per data point")
-	seed := flag.Int64("seed", 42, "master random seed")
-	quick := flag.Bool("quick", false, "coarser sweeps and fewer runs, for a fast look")
-	csvDir := flag.String("csv", "", "also write every table as CSV into this directory")
-	workers := flag.Int("workers", 0, "parallel simulations across each sweep; 0 = GOMAXPROCS, 1 = sequential")
-	annealSteps := flag.Int("anneal-steps", 0, "§4.3 annealer: cap proposals per chain (0 = figure default)")
-	annealChains := flag.Int("anneal-chains", 0, "§4.3 annealer: parallel independent chains (0 = figure default)")
-	annealSeed := flag.Int64("anneal-seed", -1, "§4.3 annealer: seed override (-1 = use -seed)")
-	flag.Parse()
+	fig, cfg := parseArgs(os.Args[0], os.Args[1:])
+	if err := runFigure(fig, cfg); err != nil {
+		fmt.Fprintln(os.Stderr, "vodbench:", err)
+		os.Exit(1)
+	}
+}
+
+// parseArgs reads the command line into the figure to run and the harness
+// knobs; a bad flag exits, as flag.Parse does.
+func parseArgs(name string, args []string) (string, benchConfig) {
+	fs := flag.NewFlagSet(name, flag.ExitOnError)
+	fig := fs.String("fig", "all", "which figure to regenerate: 4|5|6|sa|sens|redirect|avail|dynamic|disk|hetero|hier|striping|erlang|all")
+	runs := fs.Int("runs", 20, "simulation replications per data point")
+	seed := fs.Int64("seed", 42, "master random seed")
+	quick := fs.Bool("quick", false, "coarser sweeps and fewer runs, for a fast look")
+	csvDir := fs.String("csv", "", "also write every table as CSV into this directory")
+	workers := fs.Int("workers", 0, "parallel simulations across each sweep; 0 = GOMAXPROCS, 1 = sequential")
+	annealSteps := fs.Int("anneal-steps", 0, "§4.3 annealer: cap proposals per chain (0 = figure default)")
+	annealChains := fs.Int("anneal-chains", 0, "§4.3 annealer: parallel independent chains (0 = figure default)")
+	annealSeed := fs.Int64("anneal-seed", -1, "§4.3 annealer: seed override (-1 = use -seed)")
+	fs.Parse(args)
 
 	cfg := benchConfig{
 		runs:         *runs,
@@ -90,11 +101,7 @@ func main() {
 	if cfg.quick && cfg.runs > 5 {
 		cfg.runs = 5
 	}
-
-	if err := runFigure(*fig, cfg); err != nil {
-		fmt.Fprintln(os.Stderr, "vodbench:", err)
-		os.Exit(1)
-	}
+	return *fig, cfg
 }
 
 func runFigure(fig string, cfg benchConfig) error {

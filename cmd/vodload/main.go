@@ -32,7 +32,6 @@ import (
 	"strings"
 
 	"vodcluster"
-	"vodcluster/internal/config"
 	"vodcluster/internal/core"
 	"vodcluster/internal/faults"
 	"vodcluster/internal/report"
@@ -82,7 +81,7 @@ func run() error {
 		return fmt.Errorf("-rate and -burst must be positive, got %g and %g", *rate, *burst)
 	}
 
-	p, layout, err := loadLayout(*scenarioPath, *planPath)
+	p, layout, err := vodcluster.LoadLayout(*scenarioPath, *planPath)
 	if err != nil {
 		return err
 	}
@@ -432,34 +431,4 @@ func crossValidate(p *core.Problem, layout *core.Layout, policy string, tr *work
 	}
 	fmt.Printf("post-failure cross-validation OK: %.2f points of margin under the %.2f-point tolerance\n", tolPts-delta, tolPts)
 	return nil
-}
-
-// loadLayout mirrors vodserved's layout resolution so both tools agree on
-// what is being served.
-func loadLayout(scenarioPath, planPath string) (*core.Problem, *core.Layout, error) {
-	if planPath != "" {
-		f, err := os.Open(planPath)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer f.Close()
-		plan, err := config.LoadPlan(f)
-		if err != nil {
-			return nil, nil, err
-		}
-		return plan.Layout()
-	}
-	s := config.Paper()
-	if scenarioPath != "" {
-		f, err := os.Open(scenarioPath)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer f.Close()
-		if s, err = config.Load(f); err != nil {
-			return nil, nil, err
-		}
-	}
-	p, layout, _, err := vodcluster.Pipeline(s)
-	return p, layout, err
 }

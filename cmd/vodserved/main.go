@@ -58,8 +58,6 @@ import (
 	"time"
 
 	"vodcluster"
-	"vodcluster/internal/config"
-	"vodcluster/internal/core"
 	"vodcluster/internal/faults"
 	"vodcluster/internal/obs"
 	"vodcluster/internal/policy"
@@ -110,7 +108,7 @@ func run() error {
 		return nil
 	}
 
-	p, layout, err := loadLayout(*scenarioPath, *planPath)
+	p, layout, err := vodcluster.LoadLayout(*scenarioPath, *planPath)
 	if err != nil {
 		return err
 	}
@@ -238,36 +236,4 @@ func withPprof(next http.Handler) http.Handler {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.Handle("/", next)
 	return mux
-}
-
-// loadLayout materializes the problem/layout pair: a persisted plan wins,
-// then a scenario run through the replicate/place pipeline, then the paper
-// defaults.
-func loadLayout(scenarioPath, planPath string) (*core.Problem, *core.Layout, error) {
-	if planPath != "" {
-		f, err := os.Open(planPath)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer f.Close()
-		plan, err := config.LoadPlan(f)
-		if err != nil {
-			return nil, nil, err
-		}
-		p, layout, err := plan.Layout()
-		return p, layout, err
-	}
-	s := config.Paper()
-	if scenarioPath != "" {
-		f, err := os.Open(scenarioPath)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer f.Close()
-		if s, err = config.Load(f); err != nil {
-			return nil, nil, err
-		}
-	}
-	p, layout, _, err := vodcluster.Pipeline(s)
-	return p, layout, err
 }

@@ -348,14 +348,9 @@ func runSweep(s config.Scenario, cfg sim.Config, list, seriesList string, worker
 		if err != nil {
 			return err
 		}
-		series = append(series, exp.Series{Name: name, Config: func(lam float64) (sim.Config, error) {
-			q := cfg.Problem.Clone()
-			q.ArrivalRate = lam / core.Minute
-			c := cfg
-			c.Problem = q
-			c.NewScheduler = sched
-			return c, nil
-		}})
+		base := cfg
+		base.NewScheduler = sched
+		series = append(series, exp.ArrivalSeries(name, base))
 	}
 	sw := &exp.Sweep{
 		Xs:      lambdas,

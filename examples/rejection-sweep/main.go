@@ -19,7 +19,6 @@ import (
 
 	"vodcluster"
 	"vodcluster/internal/config"
-	"vodcluster/internal/core"
 	"vodcluster/internal/exp"
 	"vodcluster/internal/sim"
 )
@@ -46,14 +45,8 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			series = append(series, exp.Series{
-				Name: combo[0] + "+" + combo[1],
-				Config: func(lam float64) (sim.Config, error) {
-					q := p.Clone()
-					q.ArrivalRate = lam / core.Minute
-					return sim.Config{Problem: q, Layout: layout, NewScheduler: sched}, nil
-				},
-			})
+			series = append(series, exp.ArrivalSeries(combo[0]+"+"+combo[1],
+				sim.Config{Problem: p, Layout: layout, NewScheduler: sched}))
 		}
 
 		sweep := &exp.Sweep{Xs: lambdas, Series: series, Runs: runs, Seed: seed}

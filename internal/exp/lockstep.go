@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
 
 	"vodcluster/internal/cluster"
 	"vodcluster/internal/core"
@@ -223,15 +221,8 @@ func (ls *Lockstep) Run() (*LockstepResult, error) {
 		}
 	}
 
-	// One flat job per (candidate, replication); results land in dense
-	// grids indexed by the job's coordinates.
-	type job struct{ ci, rep int }
-	jobs := make([]job, 0, len(ls.Candidates)*ls.Runs)
-	for ci := range ls.Candidates {
-		for rep := 0; rep < ls.Runs; rep++ {
-			jobs = append(jobs, job{ci, rep})
-		}
-	}
+	// One job per (candidate, replication), numbered candidate-major;
+	// results land in dense grids indexed by the job's coordinates.
 	results := make([][]metrics.Result, len(ls.Candidates))
 	journals := make([][][]sim.Decision, len(ls.Candidates))
 	errs := make([][]error, len(ls.Candidates))
@@ -240,46 +231,20 @@ func (ls *Lockstep) Run() (*LockstepResult, error) {
 		journals[ci] = make([][]sim.Decision, ls.Runs)
 		errs[ci] = make([]error, ls.Runs)
 	}
-
-	workers := ls.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	ch := make(chan job)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range ch {
-				cand := ls.Candidates[j.ci]
-				jr := &sim.DecisionJournal{}
-				cfg := ls.Base
-				cfg.Problem = ls.Problem
-				cfg.Layout = ls.Layout
-				cfg.NewScheduler = cand.NewScheduler
-				cfg.Trace = traces[j.rep]
-				cfg.Duration = duration
-				cfg.Seed = seeds[j.rep]
-				cfg.NewHooks = func() []sim.Hook { return []sim.Hook{jr} }
-				res, err := sim.Run(cfg)
-				if err != nil {
-					errs[j.ci][j.rep] = err
-					continue
-				}
-				results[j.ci][j.rep] = res
-				journals[j.ci][j.rep] = jr.Arrivals()
-			}
-		}()
-	}
-	for _, j := range jobs {
-		ch <- j
-	}
-	close(ch)
-	wg.Wait()
+	runJobs(len(ls.Candidates)*ls.Runs, ls.Workers, func(k int) {
+		ci, rep := k/ls.Runs, k%ls.Runs
+		jr := &sim.DecisionJournal{}
+		cfg := ls.Base
+		cfg.Problem = ls.Problem
+		cfg.Layout = ls.Layout
+		cfg.NewScheduler = ls.Candidates[ci].NewScheduler
+		cfg.Trace = traces[rep]
+		cfg.Duration = duration
+		cfg.Seed = seeds[rep]
+		cfg.NewHooks = func() []sim.Hook { return []sim.Hook{jr} }
+		results[ci][rep], errs[ci][rep] = sim.Run(cfg)
+		journals[ci][rep] = jr.Arrivals()
+	})
 
 	for ci, cand := range ls.Candidates {
 		for rep, err := range errs[ci] {

@@ -17,7 +17,9 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
+	"vodcluster/internal/core"
 	"vodcluster/internal/metrics"
 	"vodcluster/internal/sim"
 	"vodcluster/internal/stats"
@@ -36,6 +38,21 @@ const pointSeedStride = 1000003
 type Series struct {
 	Name   string
 	Config func(x float64) (sim.Config, error)
+}
+
+// ArrivalSeries is the arrival-rate sweep of the paper's Figs. 4–6: the
+// layout is built once, for the peak rate (§5's conservative model), and
+// only the runtime load moves. Each point x (requests/minute) runs base with
+// its Problem cloned at rate x/core.Minute; every other field — layout,
+// scheduler factory, failures, resilience, stream limit — carries through
+// unchanged, and base.Problem itself is never mutated.
+func ArrivalSeries(name string, base sim.Config) Series {
+	return Series{Name: name, Config: func(x float64) (sim.Config, error) {
+		cfg := base
+		cfg.Problem = base.Problem.Clone()
+		cfg.Problem.ArrivalRate = x / core.Minute
+		return cfg, nil
+	}}
 }
 
 // Point is one evaluated cell of a sweep: the swept value, the base seed
@@ -135,78 +152,72 @@ func (s *Sweep) Run() ([][]Point, error) {
 		}
 	}
 
-	// One flat job per (series, x, replication); results land in a dense
-	// grid indexed by the job's coordinates, so aggregation order — and
-	// therefore the result — is independent of worker scheduling.
-	type job struct{ si, xi, rep int }
-	jobs := make([]job, 0, len(s.Series)*len(s.Xs)*s.Runs)
-	for si := range s.Series {
-		for xi := range s.Xs {
-			for rep := 0; rep < s.Runs; rep++ {
-				jobs = append(jobs, job{si, xi, rep})
-			}
-		}
-	}
-	results := make([][][]metrics.Result, len(s.Series))
-	errs := make([][][]error, len(s.Series))
-	for si := range s.Series {
-		results[si] = make([][]metrics.Result, len(s.Xs))
-		errs[si] = make([][]error, len(s.Xs))
-		for xi := range s.Xs {
-			results[si][xi] = make([]metrics.Result, s.Runs)
-			errs[si][xi] = make([]error, s.Runs)
-		}
-	}
-
-	workers := s.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	ch := make(chan job)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range ch {
-				c := cells[j.si][j.xi]
-				runCfg := c.cfg
-				runCfg.Seed = stats.NewRNG(c.seed).Derive(int64(j.rep)).Seed()
-				results[j.si][j.xi][j.rep], errs[j.si][j.xi][j.rep] = sim.Run(runCfg)
-			}
-		}()
-	}
-	for _, j := range jobs {
-		ch <- j
-	}
-	close(ch)
-	wg.Wait()
+	// One flat job per (series, x, replication), numbered in that order;
+	// results land in a dense slice indexed by job number, so aggregation
+	// order — and therefore the result — is independent of worker
+	// scheduling.
+	nx, runs := len(s.Xs), s.Runs
+	results := make([]metrics.Result, len(s.Series)*nx*runs)
+	errs := make([]error, len(results))
+	runJobs(len(results), s.Workers, func(k int) {
+		c := cells[k/(nx*runs)][k/runs%nx]
+		runCfg := c.cfg
+		runCfg.Seed = stats.NewRNG(c.seed).Derive(int64(k % runs)).Seed()
+		results[k], errs[k] = sim.Run(runCfg)
+	})
 
 	grid := make([][]Point, len(s.Series))
 	for si := range s.Series {
-		grid[si] = make([]Point, len(s.Xs))
+		grid[si] = make([]Point, nx)
 		for xi := range s.Xs {
-			for rep, err := range errs[si][xi] {
+			first := (si*nx + xi) * runs
+			for rep, err := range errs[first : first+runs] {
 				if err != nil {
 					return nil, &RunError{Series: s.Series[si].Name, X: s.Xs[xi], Rep: rep, Err: err}
 				}
 			}
+			pointResults := results[first : first+runs : first+runs]
 			agg := &metrics.Aggregate{}
-			for _, res := range results[si][xi] {
+			for _, res := range pointResults {
 				agg.Add(res)
 			}
 			grid[si][xi] = Point{
 				X:       s.Xs[xi],
 				Seed:    cells[si][xi].seed,
 				Agg:     agg,
-				Results: results[si][xi],
+				Results: pointResults,
 			}
 		}
 	}
 	return grid, nil
+}
+
+// runJobs calls job(k) for every k in [0, n) on at most workers goroutines
+// (0 means GOMAXPROCS) and returns once all calls have. It is the one
+// worker pool of the harness: Sweep and Lockstep both write each job's
+// outcome into a slot of their own dense grid, so what they return never
+// depends on which goroutine ran which job.
+func runJobs(n, workers int, job func(k int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				k := int(next.Add(1)) - 1
+				if k >= n {
+					return
+				}
+				job(k)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // Metric extracts one plotted value from an evaluated point.

@@ -10,9 +10,12 @@ import (
 	"strings"
 	"testing"
 
+	"vodcluster/internal/avail"
+	"vodcluster/internal/cluster"
 	"vodcluster/internal/core"
 	"vodcluster/internal/place"
 	"vodcluster/internal/replicate"
+	"vodcluster/internal/resilience"
 	"vodcluster/internal/sim"
 )
 
@@ -285,5 +288,48 @@ func TestEmitterWritesCSV(t *testing.T) {
 	}
 	if !strings.Contains(string(csv), "deg 1.0") {
 		t.Fatalf("CSV missing series column:\n%s", csv)
+	}
+}
+
+// TestArrivalSeries pins the one λ-series constructor: each point runs the
+// base configuration with a fresh problem at x/60 requests per second, and
+// every other field of the base — what `vodsim -sweep` relies on when it
+// sweeps its whole configuration — carries through.
+func TestArrivalSeries(t *testing.T) {
+	p, layout := buildScenario(t, 20, 1.2)
+	sched := func() cluster.Scheduler { return cluster.LeastLoaded{} }
+	failures := &avail.FailureModel{MTBF: 10 * core.Hour, MTTR: 30 * core.Minute}
+	pol := resilience.All()
+	base := sim.Config{
+		Problem: p, Layout: layout, NewScheduler: sched,
+		Failures: failures, Resilience: &pol, StreamLimit: 7,
+	}
+	ser := ArrivalSeries("λ", base)
+	if ser.Name != "λ" {
+		t.Fatalf("name %q", ser.Name)
+	}
+	for _, x := range []float64{16, 40} {
+		cfg, err := ser.Config(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.Problem == p {
+			t.Fatal("point shares the base problem instead of a clone")
+		}
+		if want := x / 60; cfg.Problem.ArrivalRate != want {
+			t.Fatalf("x=%g: rate %g, want %g", x, cfg.Problem.ArrivalRate, want)
+		}
+		if cfg.Problem.M() != p.M() || cfg.Problem.NumServers != p.NumServers {
+			t.Fatalf("x=%g: clone lost the cluster shape", x)
+		}
+		if cfg.Layout != layout || cfg.Failures != failures || cfg.Resilience != &pol || cfg.StreamLimit != 7 {
+			t.Fatalf("x=%g: base fields did not carry through: %+v", x, cfg)
+		}
+		if reflect.ValueOf(cfg.NewScheduler).Pointer() != reflect.ValueOf(sched).Pointer() {
+			t.Fatalf("x=%g: scheduler factory did not carry through", x)
+		}
+	}
+	if p.ArrivalRate != 20.0/core.Minute {
+		t.Fatalf("base problem mutated: rate %g", p.ArrivalRate)
 	}
 }

@@ -165,3 +165,64 @@ func TestRepairerValidation(t *testing.T) {
 		t.Fatal("invalid policy accepted")
 	}
 }
+
+// TestRepairScanStopsAtMaxPerTick: with RepairMaxPerTick 1 and two
+// repairable videos, one Scan starts exactly one copy — the hotter video's.
+func TestRepairScanStopsAtMaxPerTick(t *testing.T) {
+	st := newState(t, 0)
+	pol := repairPolicy()
+	pol.RepairMaxPerTick = 1
+	r, err := NewRepairer(st.Problem(), pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.FailServer(0) // v0 and v1 each drop to one live replica
+	copies := r.Scan(st, nil)
+	if len(copies) != 1 || r.Started() != 1 {
+		t.Fatalf("started %d copies (%+v), want exactly 1", r.Started(), copies)
+	}
+	if copies[0].Video != 0 {
+		t.Fatalf("repaired v%d first, want the hotter v0", copies[0].Video)
+	}
+}
+
+// TestRepairSourceTieGoesToEarlierServer: v0's two holders, servers 0 and
+// 1, have equal free bandwidth, so the copy reads from server 0.
+func TestRepairSourceTieGoesToEarlierServer(t *testing.T) {
+	st := newState(t, 0)
+	r, err := NewRepairer(st.Problem(), repairPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.FreeBandwidth(0) != st.FreeBandwidth(1) {
+		t.Fatal("fixture: holders' free bandwidth differs")
+	}
+	c, ok := r.start(st, 0)
+	if !ok {
+		t.Fatal("copy of v0 not started")
+	}
+	if c.Src != 0 {
+		t.Fatalf("source server %d, want the earlier tied holder 0", c.Src)
+	}
+}
+
+// TestRepairDestinationTieGoesToEarlierServer: v2's copy can land on server
+// 0 or server 2, each with one free slot and equal free bandwidth, so it
+// lands on server 0.
+func TestRepairDestinationTieGoesToEarlierServer(t *testing.T) {
+	st := newState(t, 0)
+	r, err := NewRepairer(st.Problem(), repairPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.FreeBandwidth(0) != st.FreeBandwidth(2) {
+		t.Fatal("fixture: destinations' free bandwidth differs")
+	}
+	c, ok := r.start(st, 2)
+	if !ok {
+		t.Fatal("copy of v2 not started")
+	}
+	if c.Src != 1 || c.Dst != 0 {
+		t.Fatalf("copy %d → %d, want 1 → the earlier tied destination 0", c.Src, c.Dst)
+	}
+}

@@ -97,3 +97,21 @@ func TestRetrierQueueBound(t *testing.T) {
 		t.Fatalf("pending %d after draining", r.Pending())
 	}
 }
+
+// TestRetrierDelayAtExactPatience: a delay that exactly uses up the
+// patience still retries; only one that exceeds it reneges. A jitter of
+// 1e-300 keeps the jitter draw in play while 1 + 1e-300·(U − ½) rounds to
+// exactly 1, so the delay is exactly RetryBase.
+func TestRetrierDelayAtExactPatience(t *testing.T) {
+	pol := (Policy{Retry: true}).WithDefaults()
+	pol.RetryJitter = 1e-300
+	pol.RetryPatience = pol.RetryBase
+	r := NewRetrier(pol, stats.NewRNG(9))
+	d, ok := r.Delay(0, 0)
+	if !ok {
+		t.Fatal("a delay equal to the patience reneged")
+	}
+	if d != pol.RetryBase {
+		t.Fatalf("delay %g, want exactly the base %g", d, pol.RetryBase)
+	}
+}

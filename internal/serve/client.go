@@ -95,6 +95,20 @@ func (c *Client) CloseSession(ctx context.Context, id int64) error {
 	return err
 }
 
+// Close releases the connection Request and CloseSession dialed. It is
+// idempotent, and a later Request or CloseSession dials a fresh one.
+// Replay's connections are its own and close when it returns.
+func (c *Client) Close() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.fc == nil {
+		return nil
+	}
+	err := c.fc.Close()
+	c.fc = nil
+	return err
+}
+
 // Metrics fetches and returns the daemon's raw Prometheus exposition.
 func (c *Client) Metrics(ctx context.Context) (string, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/metrics", nil)

@@ -8,3 +8,10 @@ import "vodcluster/internal/resilience"
 func (r *Repairer) ScanNow() []resilience.Copy { return r.scan() }
 
 func (r *Repairer) LandNow(c resilience.Copy) string { return r.land(c, true) }
+
+// Conns returns the number of client connections the ingress holds open.
+func (g *Ingress) Conns() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return len(g.conns)
+}

@@ -24,6 +24,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, string) {
 func TestHTTPSessionFlow(t *testing.T) {
 	srv, base := newTestServer(t, Config{})
 	client := NewClient(base)
+	defer client.Close()
 	ctx := context.Background()
 
 	info, outcome, lat, err := client.Request(ctx, 0)
@@ -315,6 +316,7 @@ func TestHTTPRebalanceAndLayoutVersion(t *testing.T) {
 func TestClientSharedConn(t *testing.T) {
 	srv, base := newTestServer(t, Config{})
 	client := NewClient(base)
+	defer client.Close()
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ { // four streams of v0 fill both 2-slot holders
@@ -353,9 +355,38 @@ func TestClientSharedConn(t *testing.T) {
 	}
 }
 
+// TestClientClose: Close releases the fast connection Request dialed — the
+// ingress's connection set drains to empty — a second Close is a no-op, and
+// a later Request redials.
+func TestClientClose(t *testing.T) {
+	_, ing, addr := newTestIngress(t, Config{}, IngressConfig{})
+	client := NewClient("http://" + addr)
+	ctx := context.Background()
+	for round := 0; round < 2; round++ {
+		info, outcome, _, err := client.Request(ctx, 0)
+		if err != nil || outcome != OutcomeAccepted {
+			t.Fatalf("round %d: request: outcome %q, err %v", round, outcome, err)
+		}
+		if n := ing.Conns(); n != 1 {
+			t.Fatalf("round %d: ingress holds %d connections, want 1", round, n)
+		}
+		if err := client.CloseSession(ctx, info.ID); err != nil {
+			t.Fatal(err)
+		}
+		if err := client.Close(); err != nil {
+			t.Fatalf("round %d: close: %v", round, err)
+		}
+		if err := client.Close(); err != nil {
+			t.Fatalf("round %d: second close: %v", round, err)
+		}
+		waitUntil(t, 2*time.Second, "ingress connection release", func() bool { return ing.Conns() == 0 })
+	}
+}
+
 func TestHTTPMetricsExposition(t *testing.T) {
 	_, base := newTestServer(t, Config{})
 	client := NewClient(base)
+	defer client.Close()
 	ctx := context.Background()
 	if _, outcome, _, err := client.Request(ctx, 0); err != nil || outcome != OutcomeAccepted {
 		t.Fatalf("request: outcome %q, err %v", outcome, err)
@@ -382,6 +413,7 @@ func TestHTTPMetricsExposition(t *testing.T) {
 func TestHTTPDrainEndpointFailsOver(t *testing.T) {
 	srv, base := newTestServer(t, Config{})
 	client := NewClient(base)
+	defer client.Close()
 	info, outcome, _, err := client.Request(context.Background(), 0)
 	if err != nil || outcome != OutcomeAccepted {
 		t.Fatalf("request: outcome %q, err %v", outcome, err)

@@ -18,6 +18,7 @@ func TestServerTracesLifecycle(t *testing.T) {
 	tr := obs.NewTracer(256)
 	srv, base := newTestServer(t, Config{Tracer: tr})
 	client := NewClient(base)
+	defer client.Close()
 	ctx := context.Background()
 
 	info, outcome, _, err := client.Request(ctx, 0)
@@ -66,6 +67,7 @@ func TestTraceDumpEndpoint(t *testing.T) {
 	tr := obs.NewTracer(256)
 	_, base := newTestServer(t, Config{Tracer: tr})
 	client := NewClient(base)
+	defer client.Close()
 	if _, outcome, _, err := client.Request(context.Background(), 0); err != nil || outcome != OutcomeAccepted {
 		t.Fatalf("request: outcome %q, err %v", outcome, err)
 	}

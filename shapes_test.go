@@ -10,27 +10,47 @@ import (
 
 	"vodcluster"
 	"vodcluster/internal/config"
+	"vodcluster/internal/exp"
 	"vodcluster/internal/metrics"
 	"vodcluster/internal/sim"
 )
+
+// comboScenario is the paper scenario at skew θ, replication degree, and
+// one replication+placement pairing.
+func comboScenario(theta, degree float64, repl, plac string) config.Scenario {
+	s := config.Paper()
+	s.Theta = theta
+	s.Degree = degree
+	s.Replicator, s.Placer = repl, plac
+	return s
+}
+
+// aggregateAt simulates scenario s's layout, built once for its peak rate,
+// at one arrival rate with `runs` replications under seed 42.
+func aggregateAt(tb testing.TB, s config.Scenario, lambdaPerMin float64, runs int) *metrics.Aggregate {
+	tb.Helper()
+	p, layout, sched, err := vodcluster.Pipeline(s)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sw := &exp.Sweep{
+		Xs:     []float64{lambdaPerMin},
+		Series: []exp.Series{exp.ArrivalSeries("point", sim.Config{Problem: p, Layout: layout, NewScheduler: sched})},
+		Runs:   runs,
+		Seed:   42,
+	}
+	grid, err := sw.Run()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return grid[0][0].Agg
+}
 
 // rejectionAt measures the mean rejection rate of a combo at one arrival
 // rate.
 func rejectionAt(t *testing.T, theta, degree float64, repl, plac string, lambdaPerMin float64, runs int) float64 {
 	t.Helper()
-	s := config.Paper()
-	s.Theta = theta
-	s.Degree = degree
-	s.Replicator, s.Placer = repl, plac
-	p, layout, sched, err := vodcluster.Pipeline(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts, err := vodcluster.SweepArrivalRates(p, layout, sched, []float64{lambdaPerMin}, runs, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pts[0].Agg.RejectionRate.Mean()
+	return aggregateAt(t, comboScenario(theta, degree, repl, plac), lambdaPerMin, runs).RejectionRate.Mean()
 }
 
 // TestFigure4Shape: rejection falls as the replication degree grows, and the
@@ -110,18 +130,7 @@ func TestSkewSensitivity(t *testing.T) {
 // above Zipf+SLF throughout the loaded region.
 func TestFigure6Shape(t *testing.T) {
 	imbalanceAt := func(repl, plac string, lambda float64) float64 {
-		s := config.Paper()
-		s.Degree = 1.2
-		s.Replicator, s.Placer = repl, plac
-		p, layout, sched, err := vodcluster.Pipeline(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pts, err := vodcluster.SweepArrivalRates(p, layout, sched, []float64{lambda}, 10, 42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pts[0].Agg.ImbalanceCapAvg.Mean()
+		return aggregateAt(t, comboScenario(0.75, 1.2, repl, plac), lambda, 10).ImbalanceCapAvg.Mean()
 	}
 	zipfMid := imbalanceAt("zipf", "slf", 32)
 	classMid := imbalanceAt("classification", "roundrobin", 32)

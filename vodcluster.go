@@ -12,18 +12,15 @@
 package vodcluster
 
 import (
-	"errors"
 	"fmt"
+	"os"
 
 	"vodcluster/internal/cluster"
 	"vodcluster/internal/config"
 	"vodcluster/internal/core"
-	"vodcluster/internal/exp"
-	"vodcluster/internal/metrics"
 	"vodcluster/internal/place"
 	"vodcluster/internal/policy"
 	"vodcluster/internal/replicate"
-	"vodcluster/internal/sim"
 )
 
 // Replicators returns every replication algorithm, paper algorithms first.
@@ -128,42 +125,34 @@ func Pipeline(s config.Scenario) (*core.Problem, *core.Layout, func() cluster.Sc
 	return p, layout, sched, nil
 }
 
-// SweepPoint is one x-position of a rejection-rate or imbalance curve.
-type SweepPoint struct {
-	// LambdaPerMin is the arrival rate in requests per minute.
-	LambdaPerMin float64
-	// Agg aggregates the replicated simulation runs at this rate.
-	Agg *metrics.Aggregate
-}
-
-// SweepArrivalRates simulates the layout under each arrival rate (requests
-// per minute) with `runs` replications per point. The layout is computed
-// once, for the peak rate, exactly as the paper's conservative model
-// prescribes — replication and placement decisions do not depend on λ, only
-// the runtime load does.
-func SweepArrivalRates(p *core.Problem, layout *core.Layout, newSched func() cluster.Scheduler,
-	lambdasPerMin []float64, runs int, seed int64) ([]SweepPoint, error) {
-	s := &exp.Sweep{
-		Xs: lambdasPerMin,
-		Series: []exp.Series{{Name: "sweep", Config: func(lam float64) (sim.Config, error) {
-			q := p.Clone()
-			q.ArrivalRate = lam / core.Minute
-			return sim.Config{Problem: q, Layout: layout, NewScheduler: newSched}, nil
-		}}},
-		Runs: runs,
-		Seed: seed,
-	}
-	grid, err := s.Run()
-	if err != nil {
-		var re *exp.RunError
-		if errors.As(err, &re) {
-			return nil, fmt.Errorf("vodcluster: sweep at λ=%g/min: %w", re.X, re.Err)
+// LoadLayout materializes the problem/layout pair a daemon serves: a
+// persisted plan (planPath) wins, then a scenario file (scenarioPath) run
+// through Pipeline, then the paper defaults. vodserved and vodload share it,
+// so both tools agree on what is being served.
+func LoadLayout(scenarioPath, planPath string) (*core.Problem, *core.Layout, error) {
+	if planPath != "" {
+		f, err := os.Open(planPath)
+		if err != nil {
+			return nil, nil, err
 		}
-		return nil, fmt.Errorf("vodcluster: sweep: %w", err)
+		defer f.Close()
+		plan, err := config.LoadPlan(f)
+		if err != nil {
+			return nil, nil, err
+		}
+		return plan.Layout()
 	}
-	points := make([]SweepPoint, 0, len(lambdasPerMin))
-	for _, pt := range grid[0] {
-		points = append(points, SweepPoint{LambdaPerMin: pt.X, Agg: pt.Agg})
+	s := config.Paper()
+	if scenarioPath != "" {
+		f, err := os.Open(scenarioPath)
+		if err != nil {
+			return nil, nil, err
+		}
+		defer f.Close()
+		if s, err = config.Load(f); err != nil {
+			return nil, nil, err
+		}
 	}
-	return points, nil
+	p, layout, _, err := Pipeline(s)
+	return p, layout, err
 }

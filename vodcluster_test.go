@@ -6,6 +6,8 @@ import (
 	"vodcluster"
 	"vodcluster/internal/config"
 	"vodcluster/internal/core"
+	"vodcluster/internal/exp"
+	"vodcluster/internal/sim"
 )
 
 func TestReplicatorRegistry(t *testing.T) {
@@ -121,10 +123,17 @@ func TestSweepArrivalRates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts, err := vodcluster.SweepArrivalRates(p, layout, sched, []float64{5, 20, 30}, 4, 1)
+	sw := &exp.Sweep{
+		Xs:     []float64{5, 20, 30},
+		Series: []exp.Series{exp.ArrivalSeries("sweep", sim.Config{Problem: p, Layout: layout, NewScheduler: sched})},
+		Runs:   4,
+		Seed:   1,
+	}
+	grid, err := sw.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
+	pts := grid[0]
 	if len(pts) != 3 {
 		t.Fatalf("points %d", len(pts))
 	}

@@ -146,13 +146,19 @@ figures:
 figures-smoke:
 	$(GO) run ./cmd/vodbench -fig all -runs 1
 
-# Rewrite vodbench's pinned quick output, which `go test ./cmd/vodbench`
-# compares byte for byte at one worker and at four. Run it only for a change
-# that means to move the figures, and say why in the commit.
+# Rewrite the pinned outputs: vodbench's quick output, which
+# `go test ./cmd/vodbench` compares byte for byte at one worker and at four,
+# and vodplace's -verbose stdout and -out plan file at the defaults, which
+# `go test ./cmd/vodplace` compares. Run it only for a change that means to
+# move the figures or the plan, and say why in the commit.
 DIGEST := cmd/vodbench/testdata/all_quick_seed42.txt
+PLACE_DIGEST := cmd/vodplace/testdata
 digests:
 	$(GO) run ./cmd/vodbench -fig all -quick -seed 42 > $(DIGEST).tmp
 	mv $(DIGEST).tmp $(DIGEST)
+	$(GO) run ./cmd/vodplace -verbose > $(PLACE_DIGEST)/verbose.txt.tmp
+	mv $(PLACE_DIGEST)/verbose.txt.tmp $(PLACE_DIGEST)/verbose.txt
+	$(GO) run ./cmd/vodplace -out $(PLACE_DIGEST)/plan.json > /dev/null
 
 examples:
 	$(GO) run ./examples/quickstart

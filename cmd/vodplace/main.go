@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"vodcluster"
@@ -24,28 +26,36 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "vodplace:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run parses args, computes the plan and prints it to w. A bad flag is an
+// error, not an exit, so the test can drive the command in-process.
+func run(args []string, w io.Writer) error {
 	s := config.Paper()
-	flag.IntVar(&s.Servers, "servers", s.Servers, "number of servers N")
-	flag.IntVar(&s.Videos, "videos", s.Videos, "number of videos M")
-	flag.Float64Var(&s.Theta, "theta", s.Theta, "Zipf popularity skew θ")
-	flag.Float64Var(&s.BitRateMbps, "bitrate", s.BitRateMbps, "encoding bit rate (Mb/s)")
-	flag.Float64Var(&s.DurationMin, "duration", s.DurationMin, "video duration (minutes)")
-	flag.Float64Var(&s.BandwidthGbps, "bandwidth", s.BandwidthGbps, "outgoing bandwidth per server (Gb/s)")
-	flag.Float64Var(&s.StorageGB, "storage", s.StorageGB, "storage per server (GB); 0 derives from degree")
-	flag.Float64Var(&s.LambdaPerMin, "lambda", s.LambdaPerMin, "peak arrival rate (requests/minute)")
-	flag.Float64Var(&s.Degree, "degree", s.Degree, "target replication degree")
-	flag.StringVar(&s.Replicator, "replicator", s.Replicator, "replication algorithm: adams|zipf|classification|uniform")
-	flag.StringVar(&s.Placer, "placer", s.Placer, "placement algorithm: slf|roundrobin|greedy|random|wslf|bsr")
-	verbose := flag.Bool("verbose", false, "print the full per-video placement")
-	out := flag.String("out", "", "write the computed plan as JSON to this file (replayable by vodsim -plan)")
-	flag.Parse()
+	fs := flag.NewFlagSet("vodplace", flag.ContinueOnError)
+	fs.IntVar(&s.Servers, "servers", s.Servers, "number of servers N")
+	fs.IntVar(&s.Videos, "videos", s.Videos, "number of videos M")
+	fs.Float64Var(&s.Theta, "theta", s.Theta, "Zipf popularity skew θ")
+	fs.Float64Var(&s.BitRateMbps, "bitrate", s.BitRateMbps, "encoding bit rate (Mb/s)")
+	fs.Float64Var(&s.DurationMin, "duration", s.DurationMin, "video duration (minutes)")
+	fs.Float64Var(&s.BandwidthGbps, "bandwidth", s.BandwidthGbps, "outgoing bandwidth per server (Gb/s)")
+	fs.Float64Var(&s.StorageGB, "storage", s.StorageGB, "storage per server (GB); 0 derives from degree")
+	fs.Float64Var(&s.LambdaPerMin, "lambda", s.LambdaPerMin, "peak arrival rate (requests/minute)")
+	fs.Float64Var(&s.Degree, "degree", s.Degree, "target replication degree")
+	fs.StringVar(&s.Replicator, "replicator", s.Replicator, "replication algorithm: adams|zipf|classification|uniform")
+	fs.StringVar(&s.Placer, "placer", s.Placer, "placement algorithm: slf|roundrobin|greedy|random|wslf|bsr")
+	verbose := fs.Bool("verbose", false, "print the full per-video placement")
+	out := fs.String("out", "", "write the computed plan as JSON to this file (replayable by vodsim -plan)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 
 	p, err := s.Problem()
 	if err != nil {
@@ -67,31 +77,31 @@ func run() error {
 	sat, _ := p.SaturationArrivalRate()
 	if p.Homogeneous() {
 		capPerServer, _ := p.ReplicaCapacityPerServer()
-		fmt.Printf("cluster: N=%d servers, %.1f GB storage (%d replicas) and %.2f Gb/s out each\n",
+		fmt.Fprintf(w, "cluster: N=%d servers, %.1f GB storage (%d replicas) and %.2f Gb/s out each\n",
 			p.N(), p.StorageOf(0)/core.GB, capPerServer, p.BandwidthOf(0)/core.Gbps)
 	} else {
-		fmt.Printf("cluster: N=%d heterogeneous servers, %.1f GB storage and %.2f Gb/s out in total\n",
+		fmt.Fprintf(w, "cluster: N=%d heterogeneous servers, %.1f GB storage and %.2f Gb/s out in total\n",
 			p.N(), p.TotalStorage()/core.GB, p.TotalBandwidth()/core.Gbps)
 	}
-	fmt.Printf("catalog: M=%d videos, θ=%.3g, %.1f Mb/s, %.0f min (%.2f GB each)\n",
+	fmt.Fprintf(w, "catalog: M=%d videos, θ=%.3g, %.1f Mb/s, %.0f min (%.2f GB each)\n",
 		p.M(), s.Theta, s.BitRateMbps, s.DurationMin, p.Catalog[0].SizeBytes()/core.GB)
-	fmt.Printf("workload: peak λ=%.3g req/min for %.0f min (saturation at %.3g req/min)\n\n",
+	fmt.Fprintf(w, "workload: peak λ=%.3g req/min for %.0f min (saturation at %.3g req/min)\n\n",
 		s.LambdaPerMin, s.DurationMin, sat*core.Minute)
 
-	fmt.Printf("plan: %s replication + %s placement, degree %.3f (%d replicas)\n",
+	fmt.Fprintf(w, "plan: %s replication + %s placement, degree %.3f (%d replicas)\n",
 		r.Name(), pl.Name(), layout.ReplicationDegree(), layout.TotalReplicas())
-	fmt.Printf("max per-replica weight (Eq. 8 objective): %.2f expected requests\n",
+	fmt.Fprintf(w, "max per-replica weight (Eq. 8 objective): %.2f expected requests\n",
 		replicate.MaxWeight(p, layout.Replicas))
 	loads := layout.ServerLoads(p)
-	fmt.Printf("load imbalance: Eq.2 L=%.4f  Eq.3 L=%.4f (Theorem 4.2 bound for slf: %.4f)\n",
+	fmt.Fprintf(w, "load imbalance: Eq.2 L=%.4f  Eq.3 L=%.4f (Theorem 4.2 bound for slf: %.4f)\n",
 		core.ImbalanceMax(loads), core.ImbalanceStd(loads), place.GeneralBound(p, layout.Replicas))
 	worst, ok := layout.BandwidthFeasible(p)
-	fmt.Printf("expected peak bandwidth: worst server at %.1f%% of capacity (feasible: %v)\n", 100*worst, ok)
+	fmt.Fprintf(w, "expected peak bandwidth: worst server at %.1f%% of capacity (feasible: %v)\n", 100*worst, ok)
 	if pred, err := analytic.ReplicatedBlocking(p, layout); err == nil {
 		pooled, _ := analytic.PooledBlocking(p)
-		fmt.Printf("predicted steady-state rejection (Erlang-B): %.3f%% (perfect pooling would give %.3f%%)\n", 100*pred, 100*pooled)
+		fmt.Fprintf(w, "predicted steady-state rejection (Erlang-B): %.3f%% (perfect pooling would give %.3f%%)\n", 100*pred, 100*pooled)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
 	srv := report.NewTable("server", "replicas", "storage GB", "expected load", "expected Gb/s")
 	used := layout.ServerStorageUsed(p)
@@ -105,7 +115,7 @@ func run() error {
 	for sv := 0; sv < p.N(); sv++ {
 		srv.AddRowf(sv, perServer[sv], used[sv]/core.GB, loads[sv], demand[sv]/core.Gbps)
 	}
-	if err := srv.Fprint(os.Stdout); err != nil {
+	if err := srv.Fprint(w); err != nil {
 		return err
 	}
 
@@ -118,17 +128,17 @@ func run() error {
 		if err := config.NewPlan(s, layout).Save(f); err != nil {
 			return err
 		}
-		fmt.Printf("\nplan written to %s\n", *out)
+		fmt.Fprintf(w, "\nplan written to %s\n", *out)
 	}
 
 	if *verbose {
-		fmt.Println()
+		fmt.Fprintln(w)
 		tv := report.NewTable("video", "popularity", "replicas", "weight", "servers")
-		w := layout.Weights(p)
+		weights := layout.Weights(p)
 		for v := 0; v < p.M(); v++ {
-			tv.AddRowf(v, p.Catalog[v].Popularity, layout.Replicas[v], w[v], fmt.Sprint(layout.Servers[v]))
+			tv.AddRowf(v, p.Catalog[v].Popularity, layout.Replicas[v], weights[v], fmt.Sprint(layout.Servers[v]))
 		}
-		if err := tv.Fprint(os.Stdout); err != nil {
+		if err := tv.Fprint(w); err != nil {
 			return err
 		}
 	}

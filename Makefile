@@ -22,9 +22,9 @@ all: build test
 
 # Everything the CI workflow runs: formatting, build+vet, tests, race,
 # the one-iteration benchmark smoke pass, the live-serving smoke, the
-# fault-injection chaos smoke, the counterfactual-harness smoke, and the
-# demand-drift rebalancing smoke.
-ci: fmt-check build test race bench-smoke serve-smoke chaos-smoke regret-smoke rebalance-smoke
+# fault-injection chaos smoke, the counterfactual-harness smoke, the
+# demand-drift rebalancing smoke, and the seven examples.
+ci: fmt-check build test race bench-smoke serve-smoke chaos-smoke regret-smoke rebalance-smoke examples
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -160,6 +160,9 @@ digests:
 	mv $(PLACE_DIGEST)/verbose.txt.tmp $(PLACE_DIGEST)/verbose.txt
 	$(GO) run ./cmd/vodplace -out $(PLACE_DIGEST)/plan.json > /dev/null
 
+# Run every example once; each exits nonzero on an error. Six of the seven
+# build or read a core.Layout, so this catches an API change that leaves an
+# example compiling but failing.
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/placement-planner

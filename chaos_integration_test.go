@@ -38,7 +38,6 @@ func chaosScenario(t *testing.T) (*core.Problem, *core.Layout) {
 	}
 	layout := core.NewLayout(len(catalog))
 	for v := range catalog {
-		layout.Replicas[v] = 2
 		for _, s := range []int{v % p.N(), (v + 1) % p.N()} {
 			if err := layout.Place(v, s); err != nil {
 				t.Fatal(err)

@@ -71,11 +71,11 @@ func figureSA(cfg benchConfig) error {
 
 	// Simulate the annealed layout end to end and compare with the
 	// fixed-rate (4 Mb/s) pipeline on the same storage budget.
-	layout, rates, err := bp.Runtime(best)
+	layout, err := bp.Runtime(best)
 	if err != nil {
 		return err
 	}
-	saAgg, _, err := sim.RunMany(sim.Config{Problem: p, Layout: layout, CopyRates: rates, Seed: cfg.seed}, cfg.runs)
+	saAgg, _, err := sim.RunMany(sim.Config{Problem: p, Layout: layout, Seed: cfg.seed}, cfg.runs)
 	if err != nil {
 		return err
 	}

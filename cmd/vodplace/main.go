@@ -91,10 +91,10 @@ func run(args []string, w io.Writer) error {
 	fmt.Fprintf(w, "plan: %s replication + %s placement, degree %.3f (%d replicas)\n",
 		r.Name(), pl.Name(), layout.ReplicationDegree(), layout.TotalReplicas())
 	fmt.Fprintf(w, "max per-replica weight (Eq. 8 objective): %.2f expected requests\n",
-		replicate.MaxWeight(p, layout.Replicas))
+		replicate.MaxWeight(p, layout.ReplicaCounts()))
 	loads := layout.ServerLoads(p)
 	fmt.Fprintf(w, "load imbalance: Eq.2 L=%.4f  Eq.3 L=%.4f (Theorem 4.2 bound for slf: %.4f)\n",
-		core.ImbalanceMax(loads), core.ImbalanceStd(loads), place.GeneralBound(p, layout.Replicas))
+		core.ImbalanceMax(loads), core.ImbalanceStd(loads), place.GeneralBound(p, layout.ReplicaCounts()))
 	worst, ok := layout.BandwidthFeasible(p)
 	fmt.Fprintf(w, "expected peak bandwidth: worst server at %.1f%% of capacity (feasible: %v)\n", 100*worst, ok)
 	if pred, err := analytic.ReplicatedBlocking(p, layout); err == nil {
@@ -136,7 +136,7 @@ func run(args []string, w io.Writer) error {
 		tv := report.NewTable("video", "popularity", "replicas", "weight", "servers")
 		weights := layout.Weights(p)
 		for v := 0; v < p.M(); v++ {
-			tv.AddRowf(v, p.Catalog[v].Popularity, layout.Replicas[v], weights[v], fmt.Sprint(layout.Servers[v]))
+			tv.AddRowf(v, p.Catalog[v].Popularity, len(layout.Servers[v]), weights[v], fmt.Sprint(layout.Servers[v]))
 		}
 		if err := tv.Fprint(w); err != nil {
 			return err

@@ -55,11 +55,11 @@ func TestE7Pinned(t *testing.T) {
 		t.Fatalf("annealed plan is infeasible: %+v", e)
 	}
 
-	layout, rates, err := bp.Runtime(best)
+	layout, err := bp.Runtime(best)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sa, _, err := sim.RunMany(sim.Config{Problem: p, Layout: layout, CopyRates: rates, Seed: seed}, runs)
+	sa, _, err := sim.RunMany(sim.Config{Problem: p, Layout: layout, Seed: seed}, runs)
 	if err != nil {
 		t.Fatal(err)
 	}

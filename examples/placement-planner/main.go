@@ -123,7 +123,7 @@ func figure3() {
 	w := layout.Weights(p)
 	t := report.NewTable("video", "replicas", "weight", "servers")
 	for v := 0; v < p.M(); v++ {
-		t.AddRowf(v+1, layout.Replicas[v], w[v], fmt.Sprint(layout.Servers[v]))
+		t.AddRowf(v+1, len(layout.Servers[v]), w[v], fmt.Sprint(layout.Servers[v]))
 	}
 	fmt.Println(t)
 	loads := layout.ServerLoads(p)

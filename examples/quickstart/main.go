@@ -46,10 +46,10 @@ func main() {
 	fmt.Printf("layout: %d replicas for %d videos (degree %.2f)\n",
 		layout.TotalReplicas(), problem.M(), layout.ReplicationDegree())
 	fmt.Printf("hottest video has %d replicas; coldest has %d\n",
-		layout.Replicas[0], layout.Replicas[problem.M()-1])
+		len(layout.Servers[0]), len(layout.Servers[problem.M()-1]))
 	loads := layout.ServerLoads(problem)
 	fmt.Printf("expected load imbalance: Eq.2 L=%.4f (Theorem 4.2 bound %.2f requests)\n\n",
-		core.ImbalanceMax(loads), place.TheoremBound(problem, layout.Replicas))
+		core.ImbalanceMax(loads), place.TheoremBound(problem, layout.ReplicaCounts()))
 
 	// Simulate one peak period under static round-robin scheduling.
 	result, err := sim.Run(sim.Config{Problem: problem, Layout: layout, Seed: 7})

@@ -220,7 +220,7 @@ func TestTheoremBoundSurvivesPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bound := place.GeneralBound(p, layout.Replicas)
+		bound := place.GeneralBound(p, layout.ReplicaCounts())
 		got := core.ImbalanceStd(layout.ServerLoads(p))
 		if got > bound+1e-9 {
 			t.Fatalf("degree %g: Eq.3 L = %g exceeds bound %g", degree, got, bound)

@@ -239,7 +239,7 @@ func TestAnalyticValidation(t *testing.T) {
 		t.Fatal("mixed rates accepted by replicated blocking")
 	}
 	bad := layout.Clone()
-	bad.Replicas[0] = 0
+	bad.Servers[0] = nil
 	if _, err := ReplicatedBlocking(p, bad); err == nil {
 		t.Fatal("invalid layout accepted")
 	}

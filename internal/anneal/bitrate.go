@@ -522,39 +522,34 @@ func (bp *BitRateProblem) Optimize(opts Options, chains int) (*BitRateLayout, Ev
 	return res.Best, e, nil
 }
 
-// Runtime converts an annealed scalable-bit-rate layout into the simulator's
-// inputs: a core.Layout listing where copies live and the per-copy rate
-// matrix for cluster.WithCopyRates. The §4.3 result can then be simulated
-// end to end instead of only evaluated analytically.
-func (bp *BitRateProblem) Runtime(l *BitRateLayout) (*core.Layout, [][]float64, error) {
+// Runtime converts an annealed scalable-bit-rate layout into the one
+// core.Layout the simulator runs: each video's servers, and in Rates each
+// copy's rate. The §4.3 result can then be simulated end to end instead of
+// only evaluated analytically. The result is validated against bp.P, Eq. 4
+// at per-copy sizes included.
+func (bp *BitRateProblem) Runtime(l *BitRateLayout) (*core.Layout, error) {
 	if err := bp.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	m, n := bp.P.M(), bp.P.N()
-	if l.M() != m {
-		return nil, nil, fmt.Errorf("anneal: layout covers %d videos; problem has %d", l.M(), m)
+	if l.M() != bp.P.M() {
+		return nil, fmt.Errorf("anneal: layout covers %d videos; problem has %d", l.M(), bp.P.M())
 	}
-	if l.N() != n {
-		return nil, nil, fmt.Errorf("anneal: layout covers %d servers; problem has %d", l.N(), n)
+	if l.N() != bp.P.N() {
+		return nil, fmt.Errorf("anneal: layout covers %d servers; problem has %d", l.N(), bp.P.N())
 	}
-	layout := core.NewLayout(m)
-	rates := make([][]float64, m)
-	for v := 0; v < m; v++ {
-		rates[v] = make([]float64, n)
-		for _, c := range l.rows[v] {
-			s := int(c.s)
+	layout := &core.Layout{Servers: make([][]int, l.M()), Rates: make([][]float64, l.M())}
+	for v, row := range l.rows {
+		servers, rates := make([]int, len(row)), make([]float64, len(row))
+		for k, c := range row {
 			if int(c.ri) >= len(bp.RateSet) {
-				return nil, nil, fmt.Errorf("anneal: video %d on server %d has rate index %d of %d", v, s, c.ri, len(bp.RateSet))
+				return nil, fmt.Errorf("anneal: video %d on server %d has rate index %d of %d", v, c.s, c.ri, len(bp.RateSet))
 			}
-			if err := layout.Place(v, s); err != nil {
-				return nil, nil, err
-			}
-			layout.Replicas[v]++
-			rates[v][s] = bp.RateSet[c.ri]
+			servers[k], rates[k] = int(c.s), bp.RateSet[c.ri]
 		}
-		if layout.Replicas[v] == 0 {
-			return nil, nil, fmt.Errorf("anneal: video %d has no copy", v)
-		}
+		layout.Servers[v], layout.Rates[v] = servers, rates
 	}
-	return layout, rates, nil
+	if err := layout.Validate(bp.P); err != nil {
+		return nil, fmt.Errorf("anneal: %w", err)
+	}
+	return layout, nil
 }

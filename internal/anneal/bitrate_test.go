@@ -335,21 +335,25 @@ func TestRuntimeConversion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	layout, rates, err := bp.Runtime(best)
+	layout, err := bp.Runtime(best)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := layout.ValidateStructure(bp.P); err != nil {
+	if err := layout.Validate(bp.P); err != nil {
 		t.Fatal(err)
 	}
-	for v := range rates {
-		for s, r := range rates[v] {
-			holds := layout.Holds(v, s)
-			if holds && r <= 0 {
-				t.Fatalf("copy (%d,%d) has no rate", v, s)
+	// One rate per copy, each the annealed copy's rate from the set.
+	for v, servers := range layout.Servers {
+		if len(layout.Rates[v]) != len(servers) {
+			t.Fatalf("video %d has %d rates for %d servers", v, len(layout.Rates[v]), len(servers))
+		}
+		for k, s := range servers {
+			ri := best.Rate(v, s)
+			if ri < 0 {
+				t.Fatalf("video %d placed on server %d, which the annealed layout does not use", v, s)
 			}
-			if !holds && r != 0 {
-				t.Fatalf("phantom rate at (%d,%d)", v, s)
+			if got := layout.Rates[v][k]; got != bp.RateSet[ri] {
+				t.Fatalf("copy (%d,%d) at %g, want %g", v, s, got, bp.RateSet[ri])
 			}
 		}
 	}
@@ -363,7 +367,7 @@ func TestRuntimeRejectsOrphans(t *testing.T) {
 	bp := bitrateProblem(t, 4, 2, 30)
 	l := NewBitRateLayout(4, 2)
 	l.SetRate(0, 0, 0) // videos 1..3 have no copy
-	if _, _, err := bp.Runtime(l); err == nil {
+	if _, err := bp.Runtime(l); err == nil {
 		t.Fatal("orphaned videos accepted")
 	}
 }

@@ -108,7 +108,7 @@ func VideoUnavailability(u float64, r int) float64 {
 func UnavailableRequestMass(p *core.Problem, l *core.Layout, u float64) float64 {
 	mass := 0.0
 	for i, v := range p.Catalog {
-		mass += v.Popularity * VideoUnavailability(u, l.Replicas[i])
+		mass += v.Popularity * VideoUnavailability(u, len(l.Servers[i]))
 	}
 	return mass
 }

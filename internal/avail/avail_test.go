@@ -95,7 +95,6 @@ func availProblem(t testing.TB) (*core.Problem, *core.Layout) {
 		t.Fatal(err)
 	}
 	l := core.NewLayout(2)
-	l.Replicas = []int{2, 1}
 	for _, pl := range []struct{ v, s int }{{0, 0}, {0, 1}, {1, 2}} {
 		if err := l.Place(pl.v, pl.s); err != nil {
 			t.Fatal(err)
@@ -113,7 +112,6 @@ func TestUnavailableRequestMass(t *testing.T) {
 	}
 	// More replication strictly reduces the mass.
 	full := core.NewLayout(2)
-	full.Replicas = []int{3, 3}
 	for v := 0; v < 2; v++ {
 		for s := 0; s < 3; s++ {
 			if err := full.Place(v, s); err != nil {

@@ -35,7 +35,6 @@ func testProblem(t testing.TB, backbone float64) *core.Problem {
 func testLayout(t testing.TB) *core.Layout {
 	t.Helper()
 	l := core.NewLayout(3)
-	l.Replicas = []int{2, 1, 1}
 	for _, pl := range []struct{ v, s int }{{0, 0}, {0, 1}, {1, 0}, {2, 1}} {
 		if err := l.Place(pl.v, pl.s); err != nil {
 			t.Fatal(err)
@@ -58,6 +57,12 @@ func TestNewRejectsInvalidLayout(t *testing.T) {
 	bad := core.NewLayout(3) // no placements at all
 	if _, err := New(p, bad); err == nil {
 		t.Fatal("invalid layout accepted")
+	}
+	// Per-copy rates whose sizes overfill server 0 (Eq. 4).
+	over := testLayout(t)
+	over.Rates = [][]float64{{50 * core.Mbps, 2 * core.Mbps}, {50 * core.Mbps}, {2 * core.Mbps}}
+	if _, err := New(p, over); err == nil {
+		t.Fatal("oversized per-copy rates accepted")
 	}
 }
 

@@ -6,32 +6,24 @@ import (
 	"vodcluster/internal/core"
 )
 
-// ratesFor builds a copy-rate matrix matching the test layout (v0 on {0,1},
-// v1 on {0}, v2 on {1}) with the given rates.
-func ratesFor(t testing.TB, p *core.Problem, r00, r01, r10, r21 float64) [][]float64 {
-	t.Helper()
-	rates := make([][]float64, p.M())
-	for v := range rates {
-		rates[v] = make([]float64, p.N())
-	}
-	rates[0][0], rates[0][1] = r00, r01
-	rates[1][0] = r10
-	rates[2][1] = r21
-	return rates
+// ratesFor gives the test layout (v0 on {0,1}, v1 on {0}, v2 on {1}) the
+// given per-copy rates.
+func ratesFor(l *core.Layout, r00, r01, r10, r21 float64) *core.Layout {
+	l.Rates = [][]float64{{r00, r01}, {r10}, {r21}}
+	return l
 }
 
 func TestCopyRatesAccounting(t *testing.T) {
 	p := testProblem(t, 0)
 	p.StoragePerServer = 7 * core.GB // room for the mixed sizes below
-	l := testLayout(t)
 	// v0 at 2 Mb/s on s0 and 6 Mb/s on s1; v1 at 4, v2 at 4.
-	rates := ratesFor(t, p, 2*core.Mbps, 6*core.Mbps, 4*core.Mbps, 4*core.Mbps)
-	st, err := New(p, l, WithCopyRates(rates))
+	l := ratesFor(testLayout(t), 2*core.Mbps, 6*core.Mbps, 4*core.Mbps, 4*core.Mbps)
+	st, err := New(p, l)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.RateOf(0, 0) != 2*core.Mbps || st.RateOf(0, 1) != 6*core.Mbps {
-		t.Fatal("RateOf ignores the matrix")
+		t.Fatal("RateOf ignores the layout's rates")
 	}
 	// Storage accounting uses per-copy sizes: s0 = (2+4) Mb/s × 90 min / 8.
 	wantS0 := (2 + 4) * core.Mbps * 90 * core.Minute / 8
@@ -52,38 +44,12 @@ func TestCopyRatesAccounting(t *testing.T) {
 	}
 }
 
-func TestCopyRatesValidationAtClusterLevel(t *testing.T) {
-	p := testProblem(t, 0)
-	l := testLayout(t)
-	// Rate missing for a held copy.
-	rates := ratesFor(t, p, 2*core.Mbps, 0, 4*core.Mbps, 4*core.Mbps)
-	if _, err := New(p, l, WithCopyRates(rates)); err == nil {
-		t.Fatal("missing copy rate accepted")
-	}
-	// Rate present for an absent copy.
-	rates = ratesFor(t, p, 2*core.Mbps, 2*core.Mbps, 4*core.Mbps, 4*core.Mbps)
-	rates[1][1] = 4 * core.Mbps
-	if _, err := New(p, l, WithCopyRates(rates)); err == nil {
-		t.Fatal("phantom copy rate accepted")
-	}
-	// Per-copy sizes exceeding the server's storage.
-	rates = ratesFor(t, p, 50*core.Mbps, 2*core.Mbps, 50*core.Mbps, 2*core.Mbps)
-	if _, err := New(p, l, WithCopyRates(rates)); err == nil {
-		t.Fatal("oversized copies accepted")
-	}
-	// Wrong shape.
-	if _, err := New(p, l, WithCopyRates(make([][]float64, 1))); err == nil {
-		t.Fatal("wrong-shape matrix accepted")
-	}
-}
-
 func TestCopyRatesBandwidthBoundary(t *testing.T) {
 	p := testProblem(t, 0) // 10 Mb/s links
 	p.StoragePerServer = 8 * core.GB
-	l := testLayout(t)
 	// v1's only copy runs at 6 Mb/s: one stream fits, two exceed 10 Mb/s.
-	rates := ratesFor(t, p, 2*core.Mbps, 2*core.Mbps, 6*core.Mbps, 2*core.Mbps)
-	st, err := New(p, l, WithCopyRates(rates))
+	l := ratesFor(testLayout(t), 2*core.Mbps, 2*core.Mbps, 6*core.Mbps, 2*core.Mbps)
+	st, err := New(p, l)
 	if err != nil {
 		t.Fatal(err)
 	}

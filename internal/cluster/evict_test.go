@@ -177,14 +177,13 @@ func TestEvictReplicaLastCopyAndBounds(t *testing.T) {
 // evicts it again once its stream drains.
 func TestAddReplicaRateUnderLiveLoad(t *testing.T) {
 	p, layout := evictProblem(t)
-	rates := make([][]float64, p.M())
-	for v := range rates {
-		rates[v] = make([]float64, p.N())
-		for _, s := range layout.Servers[v] {
-			rates[v][s] = p.Catalog[v].BitRate
+	layout.Rates = make([][]float64, p.M())
+	for v, servers := range layout.Servers {
+		for range servers {
+			layout.Rates[v] = append(layout.Rates[v], p.Catalog[v].BitRate)
 		}
 	}
-	st, err := New(p, layout, WithCopyRates(rates))
+	st, err := New(p, layout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,12 +208,9 @@ func TestAddReplicaRateUnderLiveLoad(t *testing.T) {
 	if v == -1 {
 		t.Fatal("layout saturated; no slot for a new replica")
 	}
-	if err := st.AddReplica(v, dst); err == nil {
-		t.Fatal("AddReplica accepted on a per-copy-rate state")
-	}
 	rate := p.Catalog[v].BitRate / 2
 	usedBefore := st.StorageUsed(dst)
-	if err := st.AddReplicaRate(v, dst, rate); err != nil {
+	if err := st.AddReplica(v, dst, rate); err != nil {
 		t.Fatal(err)
 	}
 	wantCharge := rate * p.Catalog[v].Duration / 8

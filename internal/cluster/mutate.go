@@ -2,7 +2,8 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 )
 
 // Runtime layout mutation: the operations dynamic replication (paper §4.1.2
@@ -24,73 +25,51 @@ func (st *State) StorageFree(s int) float64 {
 // stay readable while it refuses streams.
 func (st *State) Readable(s int) bool { return st.up[s] }
 
-// CopySize returns the bytes of video v's copy on server s: the catalog
-// size, or rate·duration/8 at the copy's own rate under WithCopyRates.
+// CopySize returns the bytes of video v's copy on server s, at the copy's
+// rate.
 func (st *State) CopySize(v, s int) float64 {
-	if st.copyRates != nil {
-		return st.RateOf(v, s) * st.p.Catalog[v].Duration / 8
-	}
-	return st.p.Catalog[v].SizeBytes()
+	return st.p.Catalog[v].SizeAtRate(st.RateOf(v, s))
 }
 
 // Replicas returns the current number of replicas of video v.
 func (st *State) Replicas(v int) int { return len(st.holders[v]) }
 
-// AddReplica places a new replica of video v on server s at runtime. The
-// server must be up, must not already hold the video, and must have storage
-// room. The cursor arithmetic of the static round-robin scheduler adapts
-// automatically to the longer holder list. States running WithCopyRates
-// must use AddReplicaRate so the new copy gets an encoding rate.
-func (st *State) AddReplica(v, s int) error {
-	if st.copyRates != nil {
-		return fmt.Errorf("cluster: per-copy rates configured; use AddReplicaRate")
-	}
-	return st.addReplica(v, s, 0)
-}
-
-// AddReplicaRate places a new replica of video v on server s with an
-// explicit encoding rate in bits/s — the WithCopyRates counterpart of
-// AddReplica, charging rate·duration/8 bytes of storage for the new copy.
-func (st *State) AddReplicaRate(v, s int, rate float64) error {
-	if st.copyRates == nil {
-		return fmt.Errorf("cluster: no per-copy rates configured; use AddReplica")
-	}
-	if rate <= 0 {
-		return fmt.Errorf("cluster: copy rate must be positive, got %g", rate)
-	}
-	return st.addReplica(v, s, rate)
-}
-
-func (st *State) addReplica(v, s int, rate float64) error {
+// AddReplica places a new replica of video v on server s at runtime, stored
+// at rate bits/s and charging that rate's copy size in storage. A state
+// whose layout has no per-copy rates keeps every copy at the catalog rate
+// and refuses any other. The server must be up, must not already hold the
+// video, and must have storage room. The cursor arithmetic of the static
+// round-robin scheduler adapts automatically to the longer holder list.
+func (st *State) AddReplica(v, s int, rate float64) error {
 	if v < 0 || v >= st.p.M() {
 		return fmt.Errorf("cluster: no video %d", v)
 	}
 	if s < 0 || s >= st.p.N() {
 		return fmt.Errorf("cluster: no server %d", s)
 	}
+	if st.rates == nil && rate != st.p.Catalog[v].BitRate {
+		return fmt.Errorf("cluster: video %d's copies are at the catalog rate %g; refusing rate %g", v, st.p.Catalog[v].BitRate, rate)
+	}
+	if !(rate > 0) || math.IsInf(rate, 1) {
+		return fmt.Errorf("cluster: copy rate must be finite and positive, got %g", rate)
+	}
 	if !st.up[s] {
 		return fmt.Errorf("cluster: server %d is down", s)
 	}
 	holders := st.holders[v]
-	i := sort.SearchInts(holders, s)
-	if i < len(holders) && holders[i] == s {
+	i, held := slices.BinarySearch(holders, s)
+	if held {
 		return fmt.Errorf("cluster: server %d already holds video %d", s, v)
 	}
-	size := st.p.Catalog[v].SizeBytes()
-	if rate > 0 {
-		size = rate * st.p.Catalog[v].Duration / 8
-	}
+	size := st.p.Catalog[v].SizeAtRate(rate)
 	if st.StorageFree(s) < size-1e-6 {
 		return fmt.Errorf("cluster: server %d lacks %g bytes for video %d", s, size, v)
 	}
-	holders = append(holders, 0)
-	copy(holders[i+1:], holders[i:])
-	holders[i] = s
-	st.holders[v] = holders
-	st.storageUsed[s] += size
-	if st.copyRates != nil {
-		st.copyRates[v][s] = rate
+	st.holders[v] = slices.Insert(holders, i, s)
+	if st.rates != nil {
+		st.rates[v] = slices.Insert(st.rates[v], i, rate)
 	}
+	st.storageUsed[s] += size
 	return nil
 }
 
@@ -103,19 +82,17 @@ func (st *State) RemoveReplica(v, s int) error {
 		return fmt.Errorf("cluster: no video %d", v)
 	}
 	holders := st.holders[v]
-	i := sort.SearchInts(holders, s)
-	if i >= len(holders) || holders[i] != s {
+	i, held := slices.BinarySearch(holders, s)
+	if !held {
 		return fmt.Errorf("cluster: server %d does not hold video %d", s, v)
 	}
 	if len(holders) == 1 {
 		return fmt.Errorf("cluster: refusing to remove the last replica of video %d", v)
 	}
+	size := st.CopySize(v, s)
 	st.holders[v] = append(holders[:i], holders[i+1:]...)
-	size := st.p.Catalog[v].SizeBytes()
-	if st.copyRates != nil {
-		// Per-copy rates charge rate·duration/8 per copy; refund the same.
-		size = st.copyRates[v][s] * st.p.Catalog[v].Duration / 8
-		st.copyRates[v][s] = 0
+	if st.rates != nil {
+		st.rates[v] = append(st.rates[v][:i], st.rates[v][i+1:]...)
 	}
 	st.storageUsed[s] -= size
 	if st.storageUsed[s] < 0 {

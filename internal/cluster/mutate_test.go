@@ -1,63 +1,102 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 
 	"vodcluster/internal/core"
 )
 
+// TestAddReplicaRuntime grows and shrinks a video's holder set at runtime,
+// on a state whose copies are at the catalog rate and on one whose layout
+// gives per-copy rates. A catalog-rate state refuses any other rate; a
+// per-copy state refuses a rate that is not finite and > 0.
 func TestAddReplicaRuntime(t *testing.T) {
-	st := newState(t, 0)
-	// Layout: v0 on {0,1}, v1 on {0}, v2 on {1}; each server holds 2 of 2.
-	if err := st.AddReplica(1, 1); err == nil {
-		t.Fatal("add beyond storage capacity accepted")
-	}
-	// Free a slot first.
-	if err := st.RemoveReplica(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if st.Replicas(0) != 1 {
-		t.Fatalf("replicas of v0 = %d", st.Replicas(0))
-	}
-	if err := st.AddReplica(1, 1); err != nil {
-		t.Fatalf("add after eviction failed: %v", err)
-	}
-	if st.Replicas(1) != 2 {
-		t.Fatalf("replicas of v1 = %d", st.Replicas(1))
-	}
-	holders := st.Holders(1)
-	if len(holders) != 2 || holders[0] != 0 || holders[1] != 1 {
-		t.Fatalf("holders of v1 = %v", holders)
-	}
-	// Round-robin over the grown holder set reaches the new replica.
-	seen := map[int]bool{}
-	for i := 0; i < 4; i++ {
-		if id, ok := st.Admit(1, StaticRoundRobin{}); ok {
-			s, _ := st.Lookup(id)
-			seen[s.Server] = true
-			if err := st.Release(id); err != nil {
+	for _, tc := range []struct {
+		name    string
+		rates   [][]float64 // the layout's per-copy rates; nil for catalog
+		add     float64     // rate of the copy of v1 landed on server 1
+		refused []float64   // rates refused even with storage to spare
+	}{
+		{"catalog rates", nil, 4 * core.Mbps, []float64{2 * core.Mbps, 0}},
+		{"per-copy rates", [][]float64{{2 * core.Mbps, 4 * core.Mbps}, {4 * core.Mbps}, {4 * core.Mbps}}, 2 * core.Mbps,
+			[]float64{0, -core.Mbps, math.NaN(), math.Inf(1)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, l := testProblem(t, 0), testLayout(t)
+			l.Rates = tc.rates
+			st, err := New(p, l)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
-	if !seen[0] || !seen[1] {
-		t.Fatalf("scheduler never used the new replica: %v", seen)
+			// Layout: v0 on {0,1}, v1 on {0}, v2 on {1}; server 1 is full.
+			if err := st.AddReplica(1, 1, tc.add); err == nil {
+				t.Fatal("add beyond storage capacity accepted")
+			}
+			// Free a slot first.
+			if err := st.RemoveReplica(0, 1); err != nil {
+				t.Fatal(err)
+			}
+			if st.Replicas(0) != 1 {
+				t.Fatalf("replicas of v0 = %d", st.Replicas(0))
+			}
+			for _, rate := range tc.refused {
+				if err := st.AddReplica(1, 1, rate); err == nil {
+					t.Fatalf("rate %g accepted", rate)
+				}
+			}
+			used := st.StorageUsed(1)
+			if err := st.AddReplica(1, 1, tc.add); err != nil {
+				t.Fatalf("add after eviction failed: %v", err)
+			}
+			if st.Replicas(1) != 2 {
+				t.Fatalf("replicas of v1 = %d", st.Replicas(1))
+			}
+			holders := st.Holders(1)
+			if len(holders) != 2 || holders[0] != 0 || holders[1] != 1 {
+				t.Fatalf("holders of v1 = %v", holders)
+			}
+			if got := st.RateOf(1, 1); got != tc.add {
+				t.Fatalf("new copy's rate %g, want %g", got, tc.add)
+			}
+			if got, want := st.StorageUsed(1)-used, p.Catalog[1].SizeAtRate(tc.add); got != want {
+				t.Fatalf("storage charge %g, want %g", got, want)
+			}
+			// The layout's rows stay as built: states copy the rates.
+			if tc.rates != nil && (len(l.Rates[1]) != 1 || len(l.Rates[0]) != 2) {
+				t.Fatalf("state mutation leaked into the layout's rates: %v", l.Rates)
+			}
+			// Round-robin over the grown holder set reaches the new replica.
+			seen := map[int]bool{}
+			for i := 0; i < 4; i++ {
+				if id, ok := st.Admit(1, StaticRoundRobin{}); ok {
+					s, _ := st.Lookup(id)
+					seen[s.Server] = true
+					if err := st.Release(id); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if !seen[0] || !seen[1] {
+				t.Fatalf("scheduler never used the new replica: %v", seen)
+			}
+		})
 	}
 }
 
 func TestAddReplicaValidation(t *testing.T) {
 	st := newState(t, 0)
-	if err := st.AddReplica(-1, 0); err == nil {
+	if err := st.AddReplica(-1, 0, 4*core.Mbps); err == nil {
 		t.Fatal("negative video accepted")
 	}
-	if err := st.AddReplica(0, 9); err == nil {
+	if err := st.AddReplica(0, 9, 4*core.Mbps); err == nil {
 		t.Fatal("bad server accepted")
 	}
-	if err := st.AddReplica(0, 0); err == nil {
+	if err := st.AddReplica(0, 0, 4*core.Mbps); err == nil {
 		t.Fatal("duplicate replica accepted (Eq. 6)")
 	}
 	st.FailServer(1)
-	if err := st.AddReplica(1, 1); err == nil {
+	if err := st.AddReplica(1, 1, 4*core.Mbps); err == nil {
 		t.Fatal("add to down server accepted")
 	}
 }
@@ -156,59 +195,13 @@ func TestNominalRate(t *testing.T) {
 	}
 	// Per-copy rates: the nominal rate is the best copy's.
 	p, l := testProblem(t, 0), testLayout(t)
-	rates := [][]float64{
-		{2 * core.Mbps, 6 * core.Mbps},
-		{4 * core.Mbps, 0},
-		{0, 2 * core.Mbps},
-	}
-	rs, err := New(p, l, WithCopyRates(rates))
+	l.Rates = [][]float64{{2 * core.Mbps, 6 * core.Mbps}, {4 * core.Mbps}, {2 * core.Mbps}}
+	rs, err := New(p, l)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := rs.NominalRate(0); got != 6*core.Mbps {
 		t.Fatalf("copy-rate nominal %g, want 6 Mb/s", got)
-	}
-}
-
-func TestAddReplicaRate(t *testing.T) {
-	p, l := testProblem(t, 0), testLayout(t)
-	rates := [][]float64{
-		{2 * core.Mbps, 2 * core.Mbps},
-		{4 * core.Mbps, 0},
-		{0, 4 * core.Mbps},
-	}
-	shared := make([][]float64, len(rates))
-	for v := range rates {
-		shared[v] = append([]float64(nil), rates[v]...)
-	}
-	st, err := New(p, l, WithCopyRates(shared))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.AddReplica(1, 1); err == nil {
-		t.Fatal("AddReplica accepted on a copy-rate state")
-	}
-	if err := st.AddReplicaRate(1, 1, 0); err == nil {
-		t.Fatal("non-positive rate accepted")
-	}
-	// Evict v0's 2 Mb/s copy from server 1 and add v1 there at 2 Mb/s.
-	if err := st.RemoveReplica(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.AddReplicaRate(1, 1, 2*core.Mbps); err != nil {
-		t.Fatal(err)
-	}
-	if got := st.RateOf(1, 1); got != 2*core.Mbps {
-		t.Fatalf("new copy's rate %g, want 2 Mb/s", got)
-	}
-	// The caller's matrix must be untouched (states deep-copy the rates).
-	if shared[1][1] != 0 || shared[0][1] != 2*core.Mbps {
-		t.Fatal("state mutation leaked into the caller's rate matrix")
-	}
-	// Plain states reject the rate-carrying variant.
-	plain := newState(t, 0)
-	if err := plain.AddReplicaRate(1, 1, 2*core.Mbps); err == nil {
-		t.Fatal("AddReplicaRate accepted without per-copy rates")
 	}
 }
 

@@ -26,7 +26,7 @@ func randomTestState(t *testing.T) *State {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	layout := &core.Layout{Replicas: []int{3}, Servers: [][]int{{0, 1, 2}}}
+	layout := &core.Layout{Servers: [][]int{{0, 1, 2}}}
 	st, err := New(p, layout)
 	if err != nil {
 		t.Fatal(err)

@@ -44,7 +44,6 @@ func TestMostFreeFailoverSkipsDownAndExcluded(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := core.NewLayout(2)
-	l.Replicas = []int{3, 1}
 	for _, pl := range []struct{ v, s int }{{0, 0}, {0, 1}, {0, 2}, {1, 2}} {
 		if err := l.Place(pl.v, pl.s); err != nil {
 			t.Fatal(err)

@@ -105,7 +105,6 @@ func newState3(t testing.TB) *State {
 	p := testProblem(t, 100*core.Mbps)
 	p.NumServers = 3
 	l := core.NewLayout(3)
-	l.Replicas = []int{1, 2, 1}
 	for _, pl := range []struct{ v, s int }{{0, 0}, {1, 0}, {1, 1}, {2, 2}} {
 		if err := l.Place(pl.v, pl.s); err != nil {
 			t.Fatal(err)

@@ -15,6 +15,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"vodcluster/internal/core"
@@ -66,15 +67,18 @@ type State struct {
 	p       *core.Problem
 	layout  *core.Layout
 	holders [][]int // video -> sorted servers holding it
+	// rates[v][k] is the encoding rate of video v's copy on holders[v][k]
+	// when the layout gives per-copy rates; nil when every copy is at its
+	// catalog rate.
+	rates [][]float64
 
 	usedBW       []float64 // outgoing bits/s in use per server
 	activeByServ []int     // active streams per server (outgoing link)
 	backboneUsed float64
 
-	up          []bool      // server liveness (failure injection)
-	storageUsed []float64   // bytes of content per server
-	streamLimit int         // max concurrent streams per server; 0 = unlimited
-	copyRates   [][]float64 // optional per-(video,server) encoding rates
+	up          []bool    // server liveness (failure injection)
+	storageUsed []float64 // bytes of content per server
+	streamLimit int       // max concurrent streams per server; 0 = unlimited
 
 	streams StreamTable[Stream]
 	nextID  StreamID
@@ -93,18 +97,14 @@ func WithStreamLimit(limit int) Option {
 	return func(st *State) { st.streamLimit = limit }
 }
 
-// WithCopyRates gives each placed copy its own encoding rate in bits/s
-// (rates[v][s] > 0 exactly where the layout places video v on server s) —
-// the scalable-bit-rate runtime of the paper's §4.3, where different copies
-// of a video serve different qualities. Admission then charges the chosen
-// copy's rate, and storage accounting uses rate·duration/8 per copy; the
-// catalog's own BitRate fields are ignored.
-func WithCopyRates(rates [][]float64) Option {
-	return func(st *State) { st.copyRates = rates }
-}
-
-// New builds runtime state for a validated problem/layout pair.
+// New builds runtime state for a problem/layout pair, validating the
+// layout first. Under the layout's per-copy Rates (the scalable-bit-rate
+// runtime of the paper's §4.3), admission charges the chosen copy's rate
+// and storage counts every copy at its own size.
 func New(p *core.Problem, layout *core.Layout, opts ...Option) (*State, error) {
+	if err := layout.Validate(p); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
 	st := &State{
 		p:            p,
 		layout:       layout,
@@ -120,96 +120,43 @@ func New(p *core.Problem, layout *core.Layout, opts ...Option) (*State, error) {
 	for v := range st.holders {
 		st.holders[v] = append([]int(nil), layout.Servers[v]...)
 	}
+	if layout.Rates != nil {
+		// Runtime mutation (AddReplica, RemoveReplica) edits the rows, and
+		// parallel replications share the caller's layout: keep a copy.
+		st.rates = make([][]float64, p.M())
+		for v := range st.rates {
+			st.rates[v] = append([]float64(nil), layout.Rates[v]...)
+		}
+	}
 	st.storageUsed = layout.ServerStorageUsed(p)
 	for _, opt := range opts {
 		opt(st)
 	}
-	if st.copyRates == nil {
-		if err := layout.Validate(p); err != nil {
-			return nil, fmt.Errorf("cluster: %w", err)
-		}
-	} else {
-		if err := st.validateCopyRates(layout); err != nil {
-			return nil, err
-		}
-	}
 	return st, nil
 }
 
-// validateCopyRates checks the per-copy rate matrix against the layout and
-// re-derives storage accounting with per-copy sizes.
-func (st *State) validateCopyRates(layout *core.Layout) error {
-	p := st.p
-	if err := layout.ValidateStructure(p); err != nil {
-		return fmt.Errorf("cluster: %w", err)
-	}
-	if len(st.copyRates) != p.M() {
-		return fmt.Errorf("cluster: copy rates cover %d videos; problem has %d", len(st.copyRates), p.M())
-	}
-	used := make([]float64, p.N())
-	for v := 0; v < p.M(); v++ {
-		if len(st.copyRates[v]) != p.N() {
-			return fmt.Errorf("cluster: copy rates for video %d cover %d servers; want %d", v, len(st.copyRates[v]), p.N())
-		}
-		for s := 0; s < p.N(); s++ {
-			rate := st.copyRates[v][s]
-			holds := layout.Holds(v, s)
-			if holds && rate <= 0 {
-				return fmt.Errorf("cluster: video %d on server %d has no copy rate", v, s)
-			}
-			if !holds && rate > 0 {
-				return fmt.Errorf("cluster: copy rate set for video %d on server %d, which holds no copy", v, s)
-			}
-			if holds {
-				used[s] += rate * p.Catalog[v].Duration / 8
-			}
-		}
-	}
-	for s, u := range used {
-		if u > p.StorageOf(s)*(1+1e-9) {
-			return fmt.Errorf("cluster: server %d stores %.0f bytes of %.0f available (Eq. 4, per-copy rates)", s, u, p.StorageOf(s))
-		}
-	}
-	st.storageUsed = used
-	// Runtime mutation (AddReplicaRate, RemoveReplica) edits the matrix, and
-	// parallel replications share the caller's slice — keep a private copy.
-	rates := make([][]float64, len(st.copyRates))
-	for v := range st.copyRates {
-		rates[v] = append([]float64(nil), st.copyRates[v]...)
-	}
-	st.copyRates = rates
-	return nil
-}
-
 // RateOf returns the encoding rate served when video v streams from server
-// s's copy: the per-copy rate when configured, the catalog rate otherwise.
+// s's copy: the copy's own rate under per-copy rates (0 when s holds no
+// copy), the catalog rate otherwise.
 func (st *State) RateOf(v, s int) float64 {
-	if st.copyRates != nil {
-		return st.copyRates[v][s]
+	if st.rates != nil {
+		if k, held := slices.BinarySearch(st.holders[v], s); held {
+			return st.rates[v][k]
+		}
+		return 0
 	}
 	return st.p.Catalog[v].BitRate
 }
 
-// HasCopyRates reports whether the state runs with per-copy encoding rates
-// (WithCopyRates). It decides which replica-addition entry point applies:
-// AddReplicaRate with rates, AddReplica without.
-func (st *State) HasCopyRates() bool { return st.copyRates != nil }
-
 // NominalRate returns the full-quality rate of video v: the catalog rate,
-// or — under WithCopyRates, where the catalog field is ignored — the highest
-// rate among the video's current copies. It is the reference degradation
-// floors are relative to.
+// or — under per-copy rates, where the catalog field does not say what is
+// stored — the highest rate among the video's current copies. It is the
+// reference degradation floors are relative to.
 func (st *State) NominalRate(v int) float64 {
-	if st.copyRates == nil {
+	if st.rates == nil {
 		return st.p.Catalog[v].BitRate
 	}
-	max := 0.0
-	for _, r := range st.copyRates[v] {
-		if r > max {
-			max = r
-		}
-	}
-	return max
+	return slices.Max(st.rates[v])
 }
 
 // Problem returns the problem this state was built for.

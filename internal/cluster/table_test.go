@@ -185,7 +185,6 @@ func TestStateStreamsMatchMapModel(t *testing.T) {
 	}
 	layout := core.NewLayout(p.M())
 	for v := 0; v < p.M(); v++ {
-		layout.Replicas[v] = 2
 		if err := layout.Place(v, v%p.N()); err != nil {
 			t.Fatal(err)
 		}

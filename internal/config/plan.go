@@ -17,7 +17,9 @@ type Plan struct {
 	Version int `json:"version"`
 	// Scenario reproduces the problem the plan was computed for.
 	Scenario Scenario `json:"scenario"`
-	// Replicas and Servers mirror core.Layout.
+	// Replicas[i] is r_i and Servers[i] lists the servers holding video i,
+	// as core.Layout's Servers does; Layout refuses a file where the two
+	// disagree.
 	Replicas []int   `json:"replicas"`
 	Servers  [][]int `json:"servers"`
 }
@@ -25,9 +27,10 @@ type Plan struct {
 // planVersion is the current plan file version.
 const planVersion = 1
 
-// NewPlan captures a layout computed for a scenario.
+// NewPlan captures a layout computed for a scenario. A plan holds servers
+// only, so every copy replays at its catalog rate.
 func NewPlan(s Scenario, layout *core.Layout) *Plan {
-	p := &Plan{Version: planVersion, Scenario: s, Replicas: append([]int(nil), layout.Replicas...)}
+	p := &Plan{Version: planVersion, Scenario: s, Replicas: layout.ReplicaCounts()}
 	p.Servers = make([][]int, len(layout.Servers))
 	for i, servers := range layout.Servers {
 		p.Servers[i] = append([]int(nil), servers...)
@@ -44,9 +47,14 @@ func (p *Plan) Layout() (*core.Problem, *core.Layout, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("config: plan scenario: %w", err)
 	}
-	layout := &core.Layout{Replicas: append([]int(nil), p.Replicas...)}
-	layout.Servers = make([][]int, len(p.Servers))
+	if len(p.Replicas) != len(p.Servers) {
+		return nil, nil, fmt.Errorf("config: plan lists %d replica counts for %d videos", len(p.Replicas), len(p.Servers))
+	}
+	layout := core.NewLayout(len(p.Servers))
 	for i, servers := range p.Servers {
+		if p.Replicas[i] != len(servers) {
+			return nil, nil, fmt.Errorf("config: plan video %d declares %d replicas but lists %d servers", i, p.Replicas[i], len(servers))
+		}
 		layout.Servers[i] = append([]int(nil), servers...)
 	}
 	if err := layout.Validate(problem); err != nil {

@@ -17,7 +17,6 @@ func planFixture(t *testing.T) (Scenario, *core.Layout) {
 	s.LambdaPerMin = 10
 	s.Degree = 1.5
 	layout := core.NewLayout(4)
-	layout.Replicas = []int{2, 2, 1, 1}
 	for _, pl := range []struct{ v, sv int }{{0, 0}, {0, 1}, {1, 0}, {1, 1}, {2, 0}, {3, 1}} {
 		if err := layout.Place(pl.v, pl.sv); err != nil {
 			t.Fatal(err)
@@ -56,9 +55,8 @@ func TestPlanRoundtrip(t *testing.T) {
 func TestPlanDeepCopies(t *testing.T) {
 	s, layout := planFixture(t)
 	plan := NewPlan(s, layout)
-	plan.Replicas[0] = 99
 	plan.Servers[0][0] = 99
-	if layout.Replicas[0] == 99 || layout.Servers[0][0] == 99 {
+	if layout.Servers[0][0] == 99 {
 		t.Fatal("NewPlan shares slices with the layout")
 	}
 }
@@ -88,5 +86,30 @@ func TestLoadPlanRejectsBadInput(t *testing.T) {
 	}
 	if _, err := LoadPlan(&buf); err == nil {
 		t.Fatal("invalid placement accepted")
+	}
+}
+
+// TestLoadPlanRejectsReplicaMismatch edits a saved plan by hand so its
+// "replicas" counts disagree with its "servers" lists. The layout holds no
+// counts of its own, so only the plan reader can catch it.
+func TestLoadPlanRejectsReplicaMismatch(t *testing.T) {
+	s, layout := planFixture(t)
+	var buf bytes.Buffer
+	if err := NewPlan(s, layout).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	saved := buf.String()
+	const head = "\"replicas\": [\n    2,\n    2,\n    1,\n    1\n  ]"
+	if !strings.Contains(saved, head) {
+		t.Fatalf("saved plan has no %q:\n%s", head, saved)
+	}
+	for _, tc := range []struct{ name, replicas, want string }{
+		{"count differs", "\"replicas\": [1, 2, 1, 1]", "video 0 declares 1 replicas but lists 2 servers"},
+		{"one count short", "\"replicas\": [2, 2, 1]", "3 replica counts for 4 videos"},
+	} {
+		_, err := LoadPlan(strings.NewReader(strings.Replace(saved, head, tc.replicas, 1)))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: error %v, want one mentioning %q", tc.name, err, tc.want)
+		}
 	}
 }

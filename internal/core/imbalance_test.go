@@ -157,7 +157,6 @@ func TestObjectiveMonotoneInReplication(t *testing.T) {
 	p := tinyProblem(t)
 	low := tinyLayout(t)
 	high := NewLayout(3)
-	high.Replicas = []int{2, 2, 2}
 	for _, pl := range []struct{ v, s int }{{0, 0}, {0, 1}, {1, 0}, {1, 1}, {2, 0}, {2, 1}} {
 		if err := high.Place(pl.v, pl.s); err != nil {
 			t.Fatal(err)

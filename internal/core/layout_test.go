@@ -33,7 +33,6 @@ func tinyProblem(t testing.TB) *Problem {
 func tinyLayout(t testing.TB) *Layout {
 	t.Helper()
 	l := NewLayout(3)
-	l.Replicas = []int{2, 1, 1}
 	for _, pl := range []struct{ v, s int }{{0, 0}, {0, 1}, {1, 0}, {2, 1}} {
 		if err := l.Place(pl.v, pl.s); err != nil {
 			t.Fatal(err)
@@ -68,6 +67,9 @@ func TestLayoutTotalsAndDegree(t *testing.T) {
 	l := tinyLayout(t)
 	if l.TotalReplicas() != 4 {
 		t.Fatalf("total = %d", l.TotalReplicas())
+	}
+	if got := l.ReplicaCounts(); len(got) != 3 || got[0] != 2 || got[1] != 1 || got[2] != 1 {
+		t.Fatalf("replica counts = %v, want [2 1 1]", got)
 	}
 	if got := l.ReplicationDegree(); math.Abs(got-4.0/3) > 1e-12 {
 		t.Fatalf("degree = %g", got)
@@ -156,10 +158,9 @@ func TestLayoutValidate(t *testing.T) {
 		mutate func(*Layout)
 		want   string
 	}{
-		{"wrong length", func(l *Layout) { l.Replicas = l.Replicas[:2]; l.Servers = l.Servers[:2] }, "covers"},
-		{"zero replicas", func(l *Layout) { l.Replicas[1] = 0 }, "Eq. 7"},
-		{"too many replicas", func(l *Layout) { l.Replicas[0] = 3 }, "Eq. 7"},
-		{"count mismatch", func(l *Layout) { l.Servers[1] = nil }, "lists"},
+		{"wrong length", func(l *Layout) { l.Servers = l.Servers[:2] }, "covers"},
+		{"zero replicas", func(l *Layout) { l.Servers[1] = nil }, "Eq. 7"},
+		{"too many replicas", func(l *Layout) { l.Servers[0] = []int{0, 1, 2} }, "Eq. 7"},
 		{"bad server", func(l *Layout) { l.Servers[1][0] = 9 }, "invalid server"},
 		{"duplicate server", func(l *Layout) { l.Servers[0] = []int{1, 1} }, "Eq. 6"},
 	}
@@ -188,32 +189,79 @@ func TestLayoutValidateStorage(t *testing.T) {
 	}
 }
 
-func TestLayoutClone(t *testing.T) {
-	l := tinyLayout(t)
-	c := l.Clone()
-	c.Replicas[0] = 9
-	c.Servers[0][0] = 9
-	if l.Replicas[0] == 9 || l.Servers[0][0] == 9 {
-		t.Fatal("Clone shares state")
+// TestLayoutValidateRates runs Validate over per-copy rates on tinyLayout,
+// whose servers are full at the catalog's 4 Mb/s: one rate per copy, each
+// finite and > 0, and Eq. 4 with every copy sized at its own rate. Each
+// case's Clone must validate the same way.
+func TestLayoutValidateRates(t *testing.T) {
+	p := tinyProblem(t)
+	const over = 6 * (1 + 1e-6) * Mbps
+	cases := []struct {
+		name  string
+		rates [][]float64
+		want  string // "" when the layout is valid
+	}{
+		{"catalog rates", [][]float64{{4 * Mbps, 4 * Mbps}, {4 * Mbps}, {4 * Mbps}}, ""},
+		{"mixed rates at capacity", [][]float64{{2 * Mbps, 6 * Mbps}, {6 * Mbps}, {2 * Mbps}}, ""},
+		{"just over capacity", [][]float64{{2 * Mbps, 6 * Mbps}, {over}, {2 * Mbps}}, "Eq. 4"},
+		{"rate row shorter", [][]float64{{4 * Mbps}, {4 * Mbps}, {4 * Mbps}}, "2 servers but 1 rates"},
+		{"rate row longer", [][]float64{{4 * Mbps, 4 * Mbps}, {4 * Mbps, 4 * Mbps}, {4 * Mbps}}, "1 servers but 2 rates"},
+		{"rates for fewer videos", [][]float64{{4 * Mbps, 4 * Mbps}, {4 * Mbps}}, "rates cover 2 videos"},
+		{"zero rate", [][]float64{{4 * Mbps, 0}, {4 * Mbps}, {4 * Mbps}}, "finite and > 0"},
+		{"negative rate", [][]float64{{4 * Mbps, 4 * Mbps}, {-4 * Mbps}, {4 * Mbps}}, "finite and > 0"},
+		{"NaN rate", [][]float64{{4 * Mbps, 4 * Mbps}, {4 * Mbps}, {math.NaN()}}, "finite and > 0"},
+		{"infinite rate", [][]float64{{math.Inf(1), 4 * Mbps}, {4 * Mbps}, {4 * Mbps}}, "finite and > 0"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			l := tinyLayout(t)
+			l.Rates = tc.rates
+			for _, x := range []*Layout{l, l.Clone()} {
+				err := x.Validate(p)
+				if tc.want == "" && err != nil {
+					t.Fatalf("valid layout rejected: %v", err)
+				}
+				if tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+					t.Fatalf("error %v does not mention %q", err, tc.want)
+				}
+			}
+		})
 	}
 }
 
-func TestFromReplicaVector(t *testing.T) {
-	l := FromReplicaVector([]int{1, 2, 3})
-	if l.TotalReplicas() != 6 {
-		t.Fatalf("total = %d", l.TotalReplicas())
+func TestLayoutClone(t *testing.T) {
+	l := tinyLayout(t)
+	c := l.Clone()
+	if c.Rates != nil {
+		t.Fatal("Clone of a catalog-rate layout has rates")
 	}
-	for _, s := range l.Servers {
-		if len(s) != 0 {
-			t.Fatal("FromReplicaVector must not pre-place")
+	c.Servers[0][0] = 9
+	if l.Servers[0][0] == 9 {
+		t.Fatal("Clone shares state")
+	}
+
+	l.Rates = [][]float64{{2 * Mbps, 6 * Mbps}, {6 * Mbps}, {2 * Mbps}}
+	c = l.Clone()
+	for v := range l.Servers {
+		if len(c.Rates[v]) != len(c.Servers[v]) {
+			t.Fatalf("clone of video %d has %d rates for %d servers", v, len(c.Rates[v]), len(c.Servers[v]))
 		}
+		for k := range l.Rates[v] {
+			if c.Rates[v][k] != l.Rates[v][k] {
+				t.Fatalf("clone rate [%d][%d] = %g, want %g", v, k, c.Rates[v][k], l.Rates[v][k])
+			}
+		}
+	}
+	c.Rates[0][1] = Mbps
+	if l.Rates[0][1] != 6*Mbps {
+		t.Fatal("Clone shares rates")
 	}
 }
 
 func TestZeroReplicaWeightIsZero(t *testing.T) {
 	p := tinyProblem(t)
 	l := NewLayout(3)
-	l.Replicas = []int{0, 1, 1}
+	l.Servers = [][]int{nil, {0}, {1}}
 	w := l.Weights(p)
 	if w[0] != 0 {
 		t.Fatalf("weight of unplaced video = %g", w[0])

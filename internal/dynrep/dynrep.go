@@ -253,7 +253,7 @@ func (m *Manager) startMigration(v int, target []int, st *cluster.State, schedul
 		delete(m.inflight, v)
 		// The destination may have died or filled up during the copy;
 		// dropping the finished copy then is the faithful outcome.
-		if err := st.AddReplica(v, dst); err == nil {
+		if err := st.AddReplica(v, dst, m.p.Catalog[v].BitRate); err == nil {
 			m.migrations++
 		}
 	})

@@ -30,8 +30,7 @@ func lockstepProblem(t *testing.T) (*core.Problem, *core.Layout) {
 		t.Fatal(err)
 	}
 	layout := &core.Layout{
-		Replicas: []int{3, 1, 1, 1},
-		Servers:  [][]int{{0, 1, 2}, {0}, {1}, {2}},
+		Servers: [][]int{{0, 1, 2}, {0}, {1}, {2}},
 	}
 	return p, layout
 }

@@ -30,7 +30,6 @@ func simProblem(t *testing.T) (*core.Problem, *core.Layout) {
 		t.Fatal(err)
 	}
 	l := core.NewLayout(3)
-	l.Replicas = []int{2, 1, 1}
 	for _, pl := range []struct{ v, s int }{{0, 0}, {0, 1}, {1, 0}, {2, 1}} {
 		if err := l.Place(pl.v, pl.s); err != nil {
 			t.Fatal(err)

@@ -84,21 +84,24 @@ func groupedReplicas(p *core.Problem, replicas []int) []replicaRef {
 	return refs
 }
 
-// state tracks the mutable placement state: accumulated expected load,
-// remaining storage bytes, and the layout under construction.
+// state tracks the mutable placement state: the target replica vector,
+// accumulated expected load, remaining storage bytes, and the layout under
+// construction.
 type state struct {
-	p       *core.Problem
-	layout  *core.Layout
-	loads   []float64
-	storage []float64 // bytes remaining
+	p        *core.Problem
+	replicas []int // target r_i; the layout's rows reach it as placement ends
+	layout   *core.Layout
+	loads    []float64
+	storage  []float64 // bytes remaining
 }
 
 func newState(p *core.Problem, replicas []int) *state {
 	s := &state{
-		p:       p,
-		layout:  core.FromReplicaVector(replicas),
-		loads:   make([]float64, p.N()),
-		storage: make([]float64, p.N()),
+		p:        p,
+		replicas: replicas,
+		layout:   core.NewLayout(len(replicas)),
+		loads:    make([]float64, p.N()),
+		storage:  make([]float64, p.N()),
 	}
 	for i := range s.storage {
 		s.storage[i] = p.StorageOf(i)
@@ -203,9 +206,9 @@ func (s *state) relocateDepth(v, depth int) int {
 }
 
 // weightOf returns the per-replica communication weight of video v under the
-// state's replica vector.
+// target replica vector, not the replicas placed so far.
 func (s *state) weightOf(v int) float64 {
-	r := s.layout.Replicas[v]
+	r := s.replicas[v]
 	if r <= 0 {
 		return 0
 	}

@@ -51,7 +51,7 @@ func TestPlacersSatisfyConstraints(t *testing.T) {
 			t.Fatalf("%s produced invalid layout: %v", pl.Name(), err)
 		}
 		for v, want := range r {
-			if layout.Replicas[v] != want || len(layout.Servers[v]) != want {
+			if len(layout.Servers[v]) != want {
 				t.Fatalf("%s changed the replica vector at video %d", pl.Name(), v)
 			}
 		}
@@ -433,6 +433,35 @@ func TestPlacersKeepReplicaGroupsIntact(t *testing.T) {
 			if len(servers) != r[v] {
 				t.Fatalf("%s: video %d has %d placements, want %d", pl.Name(), v, len(servers), r[v])
 			}
+		}
+	}
+}
+
+// TestRelocateWeighsByTargetReplicas moves a video that has one of its two
+// target replicas placed. The relocation must charge the moved replica at
+// the target vector's weight, p·peak/2, not at the weight its one placed
+// copy would give, or the loads the next placements read go wrong.
+func TestRelocateWeighsByTargetReplicas(t *testing.T) {
+	p := makeProblem(t, 3, 3, 0.75, 1)
+	size := p.Catalog[0].SizeBytes()
+	p.ServerStorage = []float64{size, size, 2 * size}
+	replicas := []int{2, 2, 1}
+	st := newState(p, replicas)
+	for _, a := range []struct{ s, v int }{{2, 0}, {0, 1}, {1, 2}} {
+		if err := st.assign(a.s, a.v, st.weightOf(a.v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Video 0's second replica fits nowhere: servers 0 and 1 are full, and
+	// server 2 holds it. Moving video 1 from server 0 to server 2 frees 0.
+	if sf := st.relocateFor(0); sf != 0 {
+		t.Fatalf("relocateFor freed server %d, want 0", sf)
+	}
+	peak := p.PeakRequests()
+	want := []float64{0, p.Catalog[2].Popularity * peak, (p.Catalog[0].Popularity + p.Catalog[1].Popularity) * peak / 2}
+	for s := range want {
+		if math.Abs(st.loads[s]-want[s]) > 1e-9 {
+			t.Fatalf("loads %v, want %v", st.loads, want)
 		}
 	}
 }

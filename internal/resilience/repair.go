@@ -249,12 +249,7 @@ func (r *Repairer) Tick(_ float64, st *cluster.State, schedule func(delay float6
 func (r *Repairer) Landing(st *cluster.State, c Copy) func(now float64) {
 	rate := st.RateOf(c.Video, c.Src)
 	return func(float64) {
-		r.Land(st, c, func() error {
-			if st.HasCopyRates() {
-				return st.AddReplicaRate(c.Video, c.Dst, rate)
-			}
-			return st.AddReplica(c.Video, c.Dst)
-		})
+		r.Land(st, c, func() error { return st.AddReplica(c.Video, c.Dst, rate) })
 	}
 }
 

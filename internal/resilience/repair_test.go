@@ -126,13 +126,8 @@ func TestRepairerAbortsWhenSourceDies(t *testing.T) {
 
 func TestRepairerCopyRates(t *testing.T) {
 	p, l := testProblem(t, 0), testLayout(t)
-	rates := [][]float64{
-		{4 * core.Mbps, 2 * core.Mbps, 0},
-		{4 * core.Mbps, 0, 4 * core.Mbps},
-		{0, 4 * core.Mbps, 0},
-		{0, 0, 4 * core.Mbps},
-	}
-	st, err := cluster.New(p, l, cluster.WithCopyRates(rates))
+	l.Rates = [][]float64{{4 * core.Mbps, 2 * core.Mbps}, {4 * core.Mbps, 4 * core.Mbps}, {4 * core.Mbps}, {4 * core.Mbps}}
+	st, err := cluster.New(p, l)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,8 +59,8 @@ type Policy struct {
 	RetryLimit int
 
 	// Degrade serves a lower-rate copy when full-rate admission fails —
-	// meaningful under per-copy rates (cluster.WithCopyRates), where it
-	// trades delivered quality for admission.
+	// meaningful under a layout with per-copy rates (core.Layout.Rates),
+	// where it trades delivered quality for admission.
 	Degrade bool
 	// DegradeFloor is the minimum acceptable fraction of the nominal rate
 	// for degraded service and failover, in (0, 1] (default 0.5).

@@ -37,7 +37,6 @@ func testProblem(t testing.TB, backbone float64) *core.Problem {
 func testLayout(t testing.TB) *core.Layout {
 	t.Helper()
 	l := core.NewLayout(4)
-	l.Replicas = []int{2, 2, 1, 1}
 	for _, pl := range []struct{ v, s int }{{0, 0}, {0, 1}, {1, 0}, {1, 2}, {2, 1}, {3, 2}} {
 		if err := l.Place(pl.v, pl.s); err != nil {
 			t.Fatal(err)
@@ -114,13 +113,8 @@ func TestTryFailoverPicksSurvivingReplica(t *testing.T) {
 func TestTryFailoverHonorsFloor(t *testing.T) {
 	p, l := testProblem(t, 0), testLayout(t)
 	// v0's copies: 4 Mb/s on server 0, 2 Mb/s on server 1 (half quality).
-	rates := [][]float64{
-		{4 * core.Mbps, 2 * core.Mbps, 0},
-		{4 * core.Mbps, 0, 4 * core.Mbps},
-		{0, 4 * core.Mbps, 0},
-		{0, 0, 4 * core.Mbps},
-	}
-	st, err := cluster.New(p, l, cluster.WithCopyRates(rates))
+	l.Rates = [][]float64{{4 * core.Mbps, 2 * core.Mbps}, {4 * core.Mbps, 4 * core.Mbps}, {4 * core.Mbps}, {4 * core.Mbps}}
+	st, err := cluster.New(p, l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,13 +135,8 @@ func TestTryFailoverHonorsFloor(t *testing.T) {
 
 func TestDegraderServesLowerRateCopy(t *testing.T) {
 	p, l := testProblem(t, 0), testLayout(t)
-	rates := [][]float64{
-		{4 * core.Mbps, 2 * core.Mbps, 0},
-		{4 * core.Mbps, 0, 4 * core.Mbps},
-		{0, 4 * core.Mbps, 0},
-		{0, 0, 4 * core.Mbps},
-	}
-	st, err := cluster.New(p, l, cluster.WithCopyRates(rates))
+	l.Rates = [][]float64{{4 * core.Mbps, 2 * core.Mbps}, {4 * core.Mbps, 4 * core.Mbps}, {4 * core.Mbps}, {4 * core.Mbps}}
+	st, err := cluster.New(p, l)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,13 +82,17 @@ type Cluster struct {
 }
 
 // NewCluster validates the layout against the problem and builds the
-// concurrent accounting state.
+// concurrent accounting state. The daemon serves every copy at its catalog
+// rate, so it refuses a layout with per-copy rates.
 func NewCluster(p *core.Problem, layout *core.Layout) (*Cluster, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	if err := layout.Validate(p); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
+	}
+	if layout.Rates != nil {
+		return nil, fmt.Errorf("serve: the daemon does not serve per-copy rates yet; the layout must leave Rates nil")
 	}
 	c := &Cluster{
 		p:           p,

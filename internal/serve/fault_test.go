@@ -194,7 +194,6 @@ func TestFailoverAdmissionOrder(t *testing.T) {
 	}
 	// v0 on {0, 1}, v1 on {1}, v2 on {2, 3}.
 	l := core.NewLayout(3)
-	l.Replicas = []int{2, 1, 2}
 	for _, pl := range []struct{ v, s int }{{0, 0}, {0, 1}, {1, 1}, {2, 2}, {2, 3}} {
 		if err := l.Place(pl.v, pl.s); err != nil {
 			t.Fatal(err)
@@ -400,7 +399,6 @@ func repairScenario(t *testing.T) (*core.Problem, *core.Layout) {
 		t.Fatal(err)
 	}
 	l := core.NewLayout(2)
-	l.Replicas = []int{2, 2}
 	for _, pl := range []struct{ v, s int }{{0, 0}, {0, 1}, {1, 1}, {1, 2}} {
 		if err := l.Place(pl.v, pl.s); err != nil {
 			t.Fatal(err)
@@ -534,7 +532,6 @@ func TestRepairerRespectsStorage(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := core.NewLayout(3)
-	l.Replicas = []int{2, 2, 1}
 	for _, pl := range []struct{ v, s int }{{0, 0}, {0, 1}, {1, 0}, {1, 1}, {2, 2}} {
 		if err := l.Place(pl.v, pl.s); err != nil {
 			t.Fatal(err)

@@ -352,7 +352,7 @@ func (s *Server) handleLayout(w http.ResponseWriter, _ *http.Request) {
 		Compress:        s.compress,
 		BackboneBps:     int64(s.c.Problem().BackboneBandwidth),
 		CapacityBps:     caps,
-		Replicas:        append([]int(nil), s.c.Layout().Replicas...),
+		Replicas:        s.c.Layout().ReplicaCounts(),
 		VideoServers:    servers,
 		LayoutVersion:   s.c.LayoutVersion(),
 		LiveReplicas:    liveReplicas,

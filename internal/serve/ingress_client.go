@@ -21,13 +21,14 @@ import (
 	"time"
 )
 
+// fastTimeout bounds each FastConn flush-to-response round trip.
+const fastTimeout = 30 * time.Second
+
 // FastConn pipelines admission requests over one TCP connection.
 type FastConn struct {
 	conn net.Conn
 	br   *bufio.Reader
 	host string
-	// Timeout bounds each flush-to-response round trip (default 30s).
-	Timeout time.Duration
 
 	out      []byte // queued request bytes
 	req      []byte // request-body scratch
@@ -46,10 +47,9 @@ func DialFast(hostport string) (*FastConn, error) {
 		tc.SetNoDelay(true)
 	}
 	return &FastConn{
-		conn:    conn,
-		br:      bufio.NewReaderSize(conn, 16<<10),
-		host:    hostport,
-		Timeout: 30 * time.Second,
+		conn: conn,
+		br:   bufio.NewReaderSize(conn, 16<<10),
+		host: hostport,
 	}, nil
 }
 
@@ -119,9 +119,7 @@ func (fc *FastConn) Flush() error {
 	if len(fc.out) == 0 {
 		return nil
 	}
-	if fc.Timeout > 0 {
-		fc.conn.SetDeadline(time.Now().Add(fc.Timeout))
-	}
+	fc.conn.SetDeadline(time.Now().Add(fastTimeout))
 	_, err := fc.conn.Write(fc.out)
 	fc.out = fc.out[:0]
 	return err

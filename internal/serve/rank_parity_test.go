@@ -59,7 +59,6 @@ func genParityCase(seed int64) (*parityCase, error) {
 				return nil, err
 			}
 		}
-		l.Replicas[v] = len(l.Servers[v])
 	}
 	c := &parityCase{p: p, layout: l, down: map[int]serve.BackendState{}, live: make([]serve.BackendState, n)}
 	for i := rng.Intn(4 * n); i > 0; i-- {

@@ -82,9 +82,6 @@ type Config struct {
 	// recorded trace replayed C× faster reproduces the simulator's
 	// occupancy process in C× less wall time. 0 means 1 (real time).
 	Compress float64
-	// MaxSessionWall caps any single session's wall-clock lifetime
-	// regardless of compression; 0 means no cap beyond the video duration.
-	MaxSessionWall time.Duration
 	// Tracer, when non-nil, records every session lifecycle transition
 	// (arrive → admit/reject → end/tear/failover) into its ring buffer and
 	// exposes GET /debug/trace on the HTTP API. Nil disables tracing at the
@@ -115,7 +112,6 @@ type Server struct {
 	met      *Metrics
 	tracer   *obs.Tracer
 	compress float64
-	maxWall  time.Duration
 	epoch    time.Time // zero of nowNS
 
 	baseCtx  context.Context
@@ -172,7 +168,6 @@ func New(p *core.Problem, layout *core.Layout, cfg Config) (*Server, error) {
 		met:      NewMetrics(streamCeiling(p)),
 		tracer:   cfg.Tracer,
 		compress: compress,
-		maxWall:  cfg.MaxSessionWall,
 		epoch:    time.Now(),
 		baseCtx:  ctx,
 		baseStop: stop,
@@ -240,11 +235,7 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 
 // wallDuration returns the compressed wall-clock lifetime of video v.
 func (s *Server) wallDuration(v int) time.Duration {
-	d := s.wall(s.c.Problem().Catalog[v].Duration)
-	if s.maxWall > 0 && d > s.maxWall {
-		d = s.maxWall
-	}
-	return d
+	return s.wall(s.c.Problem().Catalog[v].Duration)
 }
 
 // wall converts virtual seconds to the compressed wall-clock duration,

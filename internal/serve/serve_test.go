@@ -43,7 +43,6 @@ func testProblem(t testing.TB, backbone float64) *core.Problem {
 func testLayout(t testing.TB) *core.Layout {
 	t.Helper()
 	l := core.NewLayout(3)
-	l.Replicas = []int{2, 1, 1}
 	for _, pl := range []struct{ v, s int }{{0, 0}, {0, 1}, {1, 0}, {2, 1}} {
 		if err := l.Place(pl.v, pl.s); err != nil {
 			t.Fatal(err)
@@ -620,6 +619,14 @@ func TestNewClusterRejectsInvalidLayout(t *testing.T) {
 	if _, err := NewCluster(p, core.NewLayout(3)); err == nil {
 		t.Fatal("layout with no placements accepted")
 	}
+	rated := testLayout(t)
+	rated.Rates = [][]float64{{4 * core.Mbps, 4 * core.Mbps}, {4 * core.Mbps}, {4 * core.Mbps}}
+	if err := rated.Validate(p); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewCluster(p, rated); err == nil || !strings.Contains(err.Error(), "per-copy rates") {
+		t.Fatalf("layout with per-copy rates: error %v, want a refusal naming per-copy rates", err)
+	}
 }
 
 func TestWallDurationCompression(t *testing.T) {
@@ -630,14 +637,6 @@ func TestWallDurationCompression(t *testing.T) {
 	defer srv.Shutdown()
 	if got := srv.wallDuration(0); got != time.Second {
 		t.Fatalf("wall duration = %s, want 1s", got)
-	}
-	capped, err := New(testProblem(t, 0), testLayout(t), Config{MaxSessionWall: 100 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer capped.Shutdown()
-	if got := capped.wallDuration(0); got != 100*time.Millisecond {
-		t.Fatalf("capped wall duration = %s, want 100ms", got)
 	}
 	if _, err := New(testProblem(t, 0), testLayout(t), Config{Compress: -1}); err == nil {
 		t.Fatal("negative compression accepted")

@@ -41,9 +41,7 @@ func shardProblem(t testing.TB) *core.Problem {
 func shardLayout(t testing.TB) *core.Layout {
 	t.Helper()
 	l := core.NewLayout(8)
-	l.Replicas = make([]int, 8)
 	for v := 0; v < 8; v++ {
-		l.Replicas[v] = 2
 		for _, s := range []int{v % 8, (v + 4) % 8} {
 			if err := l.Place(v, s); err != nil {
 				t.Fatal(err)

@@ -10,7 +10,7 @@ import (
 
 // scalableScenario anneals a small scalable-bit-rate layout and converts it
 // for the runtime.
-func scalableScenario(t testing.TB) (*anneal.BitRateProblem, *core.Layout, [][]float64) {
+func scalableScenario(t testing.TB) (*anneal.BitRateProblem, *core.Layout) {
 	t.Helper()
 	c, err := core.NewCatalog(20, 0.75, 4*core.Mbps, 90*core.Minute)
 	if err != nil {
@@ -38,16 +38,16 @@ func scalableScenario(t testing.TB) (*anneal.BitRateProblem, *core.Layout, [][]f
 	if err != nil {
 		t.Fatal(err)
 	}
-	layout, rates, err := bp.Runtime(best)
+	layout, err := bp.Runtime(best)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return bp, layout, rates
+	return bp, layout
 }
 
 func TestCopyRatesSimulation(t *testing.T) {
-	bp, layout, rates := scalableScenario(t)
-	res, err := Run(Config{Problem: bp.P, Layout: layout, CopyRates: rates, Seed: 5})
+	bp, layout := scalableScenario(t)
+	res, err := Run(Config{Problem: bp.P, Layout: layout, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestCopyRatesSimulation(t *testing.T) {
 	}
 	// Analytic mean rate (weighted by copies, not popularity) and measured
 	// (popularity-weighted) differ, but both live between the set's ends.
-	e := bp.Evaluate(mustLayout(t, bp, layout, rates))
+	e := bp.Evaluate(mustLayout(t, bp, layout))
 	if e.MeanRateMbps <= 2 {
 		t.Fatalf("annealed analytic mean rate %.2f did not move off the floor", e.MeanRateMbps)
 	}
@@ -71,14 +71,12 @@ func TestCopyRatesSimulation(t *testing.T) {
 // mustLayout reconstructs the BitRateLayout from runtime form for
 // re-evaluation; it keeps the test honest about the conversion being
 // lossless.
-func mustLayout(t *testing.T, bp *anneal.BitRateProblem, layout *core.Layout, rates [][]float64) *anneal.BitRateLayout {
+func mustLayout(t *testing.T, bp *anneal.BitRateProblem, layout *core.Layout) *anneal.BitRateLayout {
 	t.Helper()
 	l := anneal.NewBitRateLayout(bp.P.M(), bp.P.N())
-	for v := range rates {
-		for s, r := range rates[v] {
-			if r == 0 {
-				continue
-			}
+	for v, servers := range layout.Servers {
+		for k, s := range servers {
+			r := layout.Rates[v][k]
 			idx := -1
 			for i, setRate := range bp.RateSet {
 				if math.Abs(setRate-r) < 1 {
@@ -98,18 +96,18 @@ func TestCopyRatesFixedSetMatchesPlainRun(t *testing.T) {
 	// Copy rates equal to the catalog rate must reproduce the plain run
 	// exactly: same admissions, same metrics.
 	p, layout := buildScenario(t, 9, 1.2)
-	rates := make([][]float64, p.M())
-	for v := range rates {
-		rates[v] = make([]float64, p.N())
-		for _, s := range layout.Servers[v] {
-			rates[v][s] = p.Catalog[v].BitRate
+	rated := layout.Clone()
+	rated.Rates = make([][]float64, p.M())
+	for v, servers := range rated.Servers {
+		for range servers {
+			rated.Rates[v] = append(rated.Rates[v], p.Catalog[v].BitRate)
 		}
 	}
 	plain, err := Run(Config{Problem: p, Layout: layout, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	withRates, err := Run(Config{Problem: p, Layout: layout, CopyRates: rates, Seed: 8})
+	withRates, err := Run(Config{Problem: p, Layout: rated, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,30 +116,5 @@ func TestCopyRatesFixedSetMatchesPlainRun(t *testing.T) {
 	}
 	if math.Abs(withRates.MeanSessionRateMbps-4) > 1e-9 {
 		t.Fatalf("session rate %.3f, want exactly 4", withRates.MeanSessionRateMbps)
-	}
-}
-
-func TestCopyRatesValidation(t *testing.T) {
-	p, layout := buildScenario(t, 9, 1.2)
-	// Wrong shape.
-	if _, err := Run(Config{Problem: p, Layout: layout, CopyRates: make([][]float64, 3)}); err == nil {
-		t.Fatal("wrong-shape copy rates accepted")
-	}
-	// Missing rate for a held copy.
-	rates := make([][]float64, p.M())
-	for v := range rates {
-		rates[v] = make([]float64, p.N())
-	}
-	if _, err := Run(Config{Problem: p, Layout: layout, CopyRates: rates}); err == nil {
-		t.Fatal("held copies without rates accepted")
-	}
-	// Storage blow-up: every copy at a rate whose size exceeds the server.
-	for v := range rates {
-		for _, s := range layout.Servers[v] {
-			rates[v][s] = 100 * core.Mbps
-		}
-	}
-	if _, err := Run(Config{Problem: p, Layout: layout, CopyRates: rates}); err == nil {
-		t.Fatal("oversized copies accepted")
 	}
 }

@@ -73,7 +73,6 @@ func mixedScenario(t testing.TB) (*core.Problem, *core.Layout) {
 	}
 	layout := core.NewLayout(m)
 	for v := 0; v < m; v++ {
-		layout.Replicas[v] = 2
 		for _, s := range []int{v % n, (v + 1) % n} {
 			if err := layout.Place(v, s); err != nil {
 				t.Fatal(err)
@@ -288,7 +287,6 @@ func TestTraceArrivalPrecedesDepartureAtSameInstant(t *testing.T) {
 	}
 	layout := core.NewLayout(2)
 	for v := 0; v < 2; v++ {
-		layout.Replicas[v] = 1
 		if err := layout.Place(v, 0); err != nil {
 			t.Fatal(err)
 		}

@@ -34,7 +34,6 @@ func resilienceScenario(t testing.TB, duration float64) (*core.Problem, *core.La
 		t.Fatal(err)
 	}
 	l := core.NewLayout(2)
-	l.Replicas = []int{2, 1}
 	for _, pl := range []struct{ v, s int }{{0, 0}, {0, 1}, {1, 1}} {
 		if err := l.Place(pl.v, pl.s); err != nil {
 			t.Fatal(err)
@@ -174,16 +173,12 @@ func TestScriptedDegradationExactCounts(t *testing.T) {
 	// Reverse the layout sense: v0 at 4 Mb/s on server 0 and 2 Mb/s on
 	// server 1; v1 full-rate on server 0 only.
 	l = core.NewLayout(2)
-	l.Replicas = []int{2, 1}
 	for _, pl := range []struct{ v, s int }{{0, 0}, {0, 1}, {1, 0}} {
 		if err := l.Place(pl.v, pl.s); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rates := [][]float64{
-		{4 * core.Mbps, 2 * core.Mbps},
-		{4 * core.Mbps, 0},
-	}
+	l.Rates = [][]float64{{4 * core.Mbps, 2 * core.Mbps}, {4 * core.Mbps}}
 	// Three v1 streams fill server 0; the v0 arrival finds its designated
 	// full-rate copy saturated.
 	tr := traceOf(
@@ -193,7 +188,7 @@ func TestScriptedDegradationExactCounts(t *testing.T) {
 		workload.Request{Time: 10, Video: 0},
 	)
 
-	off, err := Run(Config{Problem: p, Layout: l, Trace: tr, CopyRates: rates})
+	off, err := Run(Config{Problem: p, Layout: l, Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +196,7 @@ func TestScriptedDegradationExactCounts(t *testing.T) {
 		t.Fatalf("baseline rejected %d degraded %d, want 1/0", off.Rejected, off.Degraded)
 	}
 
-	on, err := Run(Config{Problem: p, Layout: l, Trace: tr, CopyRates: rates,
+	on, err := Run(Config{Problem: p, Layout: l, Trace: tr,
 		Resilience: &resilience.Policy{Degrade: true}})
 	if err != nil {
 		t.Fatal(err)

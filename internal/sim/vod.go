@@ -68,10 +68,6 @@ type Config struct {
 	// derived from internal/disk); 0 means network-only admission, the
 	// paper's model.
 	StreamLimit int
-	// CopyRates, when non-nil, gives every placed copy its own encoding
-	// rate (cluster.WithCopyRates) — the §4.3 scalable-bit-rate runtime.
-	// rates[v][s] must be positive exactly where Layout places v on s.
-	CopyRates [][]float64
 	// NewController, when non-nil, constructs a runtime controller for the
 	// run (a factory for the same reason as NewScheduler). The controller
 	// observes every arrival and ticks at its own cadence, and may mutate
@@ -156,9 +152,6 @@ func newRun(cfg Config) (*run, error) {
 	var opts []cluster.Option
 	if cfg.StreamLimit > 0 {
 		opts = append(opts, cluster.WithStreamLimit(cfg.StreamLimit))
-	}
-	if cfg.CopyRates != nil {
-		opts = append(opts, cluster.WithCopyRates(cfg.CopyRates))
 	}
 	st, err := cluster.New(p, cfg.Layout, opts...)
 	if err != nil {

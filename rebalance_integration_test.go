@@ -52,7 +52,6 @@ func driftScenario(t *testing.T) (*core.Problem, *core.Layout) {
 	}
 	layout := core.NewLayout(len(catalog))
 	for v, servers := range placement {
-		layout.Replicas[v] = len(servers)
 		for _, s := range servers {
 			if err := layout.Place(v, s); err != nil {
 				t.Fatal(err)

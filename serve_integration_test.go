@@ -79,7 +79,6 @@ func TestLiveMatchesSimOnSaturatedTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	layout := core.NewLayout(len(catalog))
-	layout.Replicas = []int{2, 2, 2, 2, 2}
 	for v := range catalog {
 		for s := 0; s < 2; s++ {
 			if err := layout.Place(v, s); err != nil {

@@ -66,7 +66,8 @@ bench-workload:
 # head, head, base (the VM drifts 15-20 % over a run, so a pair shares its
 # stretch of it), then -compare per pair. -compare exits nonzero when an
 # end-to-end metric is worse than the base by more than its bound or more
-# operations fail. About twenty minutes. The base checkout, both binaries and
+# operations fail; both pairs are always compared, and the target fails when
+# either comparison does. About twenty minutes. The base checkout, both binaries and
 # the result files stay under benchmark/out/ (git-ignored, like everything the
 # benchmark writes).
 bench-compare:
@@ -79,8 +80,10 @@ bench-compare:
 	benchmark/out/compare/bench-head -all -seed 1 -seconds 16 -out benchmark/out/compare/head-1.json
 	benchmark/out/compare/bench-head -all -seed 2 -seconds 16 -out benchmark/out/compare/head-2.json
 	benchmark/out/compare/bench-base -all -seed 2 -seconds 16 -out benchmark/out/compare/base-2.json
-	benchmark/out/compare/bench-head -compare benchmark/out/compare/base-1.json benchmark/out/compare/head-1.json | tee benchmark/out/compare/compare-1.txt
-	benchmark/out/compare/bench-head -compare benchmark/out/compare/base-2.json benchmark/out/compare/head-2.json | tee benchmark/out/compare/compare-2.txt
+	status=0; \
+	benchmark/out/compare/bench-head -compare benchmark/out/compare/base-1.json benchmark/out/compare/head-1.json | tee benchmark/out/compare/compare-1.txt || status=1; \
+	benchmark/out/compare/bench-head -compare benchmark/out/compare/base-2.json benchmark/out/compare/head-2.json | tee benchmark/out/compare/compare-2.txt || status=1; \
+	exit $$status
 
 # Boot the live daemon in-process, fire a 1-second 8000 req/s burst through
 # the open-loop load generator while the scripted fault schedule crashes and

@@ -163,9 +163,9 @@ func TestConcurrentFailDrainStorm(t *testing.T) {
 		}
 	}
 	m := srv.Metrics()
-	if ended := m.completed.Load() + m.canceled.Load() + m.dropped.Load(); ended != m.accepted.Load() {
+	if ended := m.totals().completed + m.totals().canceled + m.dropped.Load(); ended != m.totals().accepted {
 		t.Fatalf("ended %d sessions (completed+canceled+dropped), accepted %d — some session settled zero or multiple times",
-			ended, m.accepted.Load())
+			ended, m.totals().accepted)
 	}
 }
 

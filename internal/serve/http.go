@@ -125,7 +125,7 @@ func (s *Server) admission(r route) http.HandlerFunc {
 		if body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxBody)); err != nil {
 			b.resp = appendOutcome(nil, "", "request body too large")
 		} else {
-			vd = s.answer(req.Context(), r, body, defaultMaxBatch, &b)
+			vd = s.answer(req.Context(), nil, r, body, defaultMaxBatch, &b)
 		}
 		h := w.Header()
 		h.Set("Content-Type", "application/json")

@@ -8,12 +8,15 @@ package serve
 // pipelining (responses accumulate while more requests are already
 // buffered, and flush before the loop would block), and the wire.go codecs
 // on the /open, /open/batch, and /close hot paths — no encoding/json, no
-// net/http machinery, no per-request goroutine. Admissions call
-// Server.OpenRetry, which decides and commits on the connection's own
-// goroutine. Every other route (admin, /metrics, /fault, …), and every
-// request line other than HTTP/1.1, is replayed into a net/http fallback
-// handler and answered with Connection: close; such traffic is rare enough
-// that correctness beats reuse there.
+// net/http machinery, no per-request goroutine. Each connection gets a home
+// registry partition at accept, round-robin: every admission it makes
+// decides and commits on the connection's own goroutine, registers in that
+// home and counts on the home's telemetry row, and the connection's request
+// counters fold into its listener's row before each write. Every other
+// route (admin, /metrics, /fault, …), and every request line other than
+// HTTP/1.1, is replayed into a net/http fallback handler and answered with
+// Connection: close; such traffic is rare enough that correctness beats
+// reuse there.
 
 import (
 	"bufio"
@@ -73,11 +76,14 @@ type Ingress struct {
 
 // connState is the pooled per-connection working set: the read buffer and
 // the response, body, and batch scratch slices, so a warm connection serves
-// requests without touching the allocator.
+// requests without touching the allocator, plus the connection's home
+// partition and the counts it has not yet folded into its listener's row.
 type connState struct {
 	br   *bufio.Reader
-	out  []byte // pending (possibly pipelined) response bytes
-	body []byte // request-body scratch
+	out  []byte     // pending (possibly pipelined) response bytes
+	body []byte     // request-body scratch
+	home *partition // where this connection's sessions register
+	pend connCounts // served since the last write
 	replyBuf
 }
 
@@ -203,26 +209,33 @@ func (g *Ingress) acceptLoop(li int, ln net.Listener) {
 	}
 }
 
+// getState takes a working set for conn from the pool and gives the
+// connection its home partition.
 func (g *Ingress) getState(conn net.Conn) *connState {
+	home := g.s.nextHome()
 	if v := g.bufPool.Get(); v != nil {
 		cs := v.(*connState)
 		cs.br.Reset(conn)
 		cs.out, cs.body, cs.resp = cs.out[:0], cs.body[:0], cs.resp[:0]
 		cs.vids = cs.vids[:0]
+		cs.home, cs.pend = home, connCounts{}
 		return cs
 	}
-	return &connState{br: bufio.NewReaderSize(conn, 16<<10)}
+	return &connState{br: bufio.NewReaderSize(conn, 16<<10), home: home}
 }
 
 // serveConn is the per-connection request loop. The flush rule is the
 // pipelining contract: a pending response is written out whenever no
 // further request bytes are already buffered (the next read would block on
 // a client that is itself waiting for us) or the pending bytes passed the
-// flush threshold.
+// flush threshold. The connection's counts fold into its listener's row
+// before every write, so a reply the client has read is already counted.
 func (g *Ingress) serveConn(li int, conn net.Conn) {
 	defer g.wg.Done()
 	cs := g.getState(conn)
+	st := &g.stats.ls[li]
 	defer func() {
+		cs.pend.fold(st)
 		g.bufPool.Put(cs)
 		g.mu.Lock()
 		delete(g.conns, conn)
@@ -231,13 +244,15 @@ func (g *Ingress) serveConn(li int, conn net.Conn) {
 	}()
 	for {
 		if len(cs.out) > 0 && (cs.br.Buffered() == 0 || len(cs.out) >= flushBytes) {
+			cs.pend.fold(st)
 			if _, err := conn.Write(cs.out); err != nil {
 				return
 			}
 			cs.out = cs.out[:0]
 		}
-		if !g.serveOne(li, conn, cs) {
+		if !g.serveOne(st, conn, cs) {
 			if len(cs.out) > 0 {
+				cs.pend.fold(st)
 				conn.Write(cs.out)
 			}
 			return
@@ -258,7 +273,7 @@ const (
 // serveOne reads and answers one request, appending the response to cs.out.
 // It returns false when the connection must close (read error, protocol
 // violation, Connection: close, or a fallback-handled request).
-func (g *Ingress) serveOne(li int, conn net.Conn, cs *connState) bool {
+func (g *Ingress) serveOne(st *listenerStats, conn net.Conn, cs *connState) bool {
 	line, err := cs.br.ReadSlice('\n')
 	if err != nil {
 		if err == bufio.ErrBufferFull {
@@ -267,7 +282,6 @@ func (g *Ingress) serveOne(li int, conn net.Conn, cs *connState) bool {
 		return false // EOF between requests is the normal end of keep-alive
 	}
 	start := g.s.nowNS()
-	st := &g.stats.ls[li]
 	method, path, proto, ok := parseRequestLine(line)
 	if !ok {
 		return refuseConn(cs, st, http.StatusBadRequest, "malformed request line")
@@ -285,7 +299,7 @@ func (g *Ingress) serveOne(li int, conn net.Conn, cs *connState) bool {
 	}
 	if r == routeNone {
 		st.fallbacks.Add(1)
-		g.serveFallback(conn, cs, line)
+		g.serveFallback(conn, cs, st, line)
 		return false
 	}
 
@@ -345,24 +359,25 @@ func (g *Ingress) serveOne(li int, conn net.Conn, cs *connState) bool {
 	if _, err := io.ReadFull(cs.br, body); err != nil {
 		return false
 	}
-	st.requests.Add(1)
-	g.serveAdmission(cs, st, r, body, connClose)
-	st.latency.Observe(time.Duration(g.s.nowNS() - start).Seconds())
+	g.serveAdmission(cs, r, body, connClose)
+	cs.pend.observe(time.Duration(g.s.nowNS() - start).Seconds())
 	return !connClose
 }
 
-// serveAdmission runs one admission request through the route's shared answer,
-// counts it on the listener and appends the reply to the connection.
-func (g *Ingress) serveAdmission(cs *connState, st *listenerStats, r route, body []byte, connClose bool) {
-	vd := g.s.answer(context.Background(), r, body, g.maxBatch, &cs.replyBuf)
+// serveAdmission runs one admission request through the route's shared
+// answer in the connection's home, counts it on the connection and appends
+// the reply to it.
+func (g *Ingress) serveAdmission(cs *connState, r route, body []byte, connClose bool) {
+	vd := g.s.answer(context.Background(), cs.home, r, body, g.maxBatch, &cs.replyBuf)
+	cs.pend.requests++
 	switch {
 	case vd.decided > 0:
-		st.decisions.Add(int64(vd.decided))
+		cs.pend.decisions += int64(vd.decided)
 	case vd.status == http.StatusBadRequest:
-		st.parseErrors.Add(1)
+		cs.pend.parseErrors++
 	}
 	if r == routeBatch && vd.status == http.StatusOK {
-		st.batches.Add(1)
+		cs.pend.batches++
 	}
 	appendReply(cs, vd.status, cs.resp, connClose, vd.retry)
 }
@@ -385,9 +400,10 @@ type replyBuf struct {
 }
 
 // answer is the one answer of each admission route, for the ingress and
-// Handler() alike: it decodes body, runs the decisions, and leaves the
-// reply body in b.resp. Batches above maxBatch are refused undecided.
-func (s *Server) answer(ctx context.Context, r route, body []byte, maxBatch int, b *replyBuf) verdict {
+// Handler() alike: it decodes body, runs the decisions with their sessions
+// registered in partition home (nil: round-robin), and leaves the reply body
+// in b.resp. Batches above maxBatch are refused undecided.
+func (s *Server) answer(ctx context.Context, home *partition, r route, body []byte, maxBatch int, b *replyBuf) verdict {
 	b.resp = b.resp[:0]
 	switch r {
 	case routeOpen:
@@ -395,7 +411,7 @@ func (s *Server) answer(ctx context.Context, r route, body []byte, maxBatch int,
 		if err != nil {
 			return b.badBody(err.Error())
 		}
-		info, out, oerr := s.OpenRetry(ctx, v)
+		info, out, oerr := s.openRetry(ctx, home, v)
 		b.resp = appendOpenResult(b.resp, info, out, oerr)
 		vd := verdict{status: http.StatusOK, decided: 1}
 		switch {
@@ -419,7 +435,7 @@ func (s *Server) answer(ctx context.Context, r route, body []byte, maxBatch int,
 			if i > 0 {
 				resp = append(resp, ',')
 			}
-			info, out, oerr := s.OpenRetry(ctx, v)
+			info, out, oerr := s.openRetry(ctx, home, v)
 			resp = appendOpenResult(resp, info, out, oerr)
 		}
 		b.resp = append(resp, ']')
@@ -481,8 +497,9 @@ func appendReply(cs *connState, status int, body []byte, connClose, retryAfter b
 // handler: any pipelined responses flush first (ordering), the consumed
 // request line is stitched back in front of the buffered reader, and the
 // handler's response goes out with Connection: close.
-func (g *Ingress) serveFallback(conn net.Conn, cs *connState, line []byte) {
+func (g *Ingress) serveFallback(conn net.Conn, cs *connState, st *listenerStats, line []byte) {
 	if len(cs.out) > 0 {
+		cs.pend.fold(st)
 		if _, err := conn.Write(cs.out); err != nil {
 			return
 		}

@@ -6,14 +6,20 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"vodcluster"
+	"vodcluster/internal/config"
 	"vodcluster/internal/core"
 	"vodcluster/internal/policy"
+	"vodcluster/internal/stats"
+	"vodcluster/internal/zipf"
 )
 
 // newTestIngress binds a sharded ingress over a fresh micro-cluster daemon
@@ -479,12 +485,11 @@ func TestAdmissionPathAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs := &connState{}
-	st := &ing.stats.ls[0]
 	openBody := []byte(`{"video":0}`)
 	var closeBody []byte
 	roundTrip := func() {
 		cs.out = cs.out[:0]
-		ing.serveAdmission(cs, st, routeOpen, openBody, false)
+		ing.serveAdmission(cs, routeOpen, openBody, false)
 		id, _, ok := parseInt(cs.resp, len(`{"id":`))
 		if !ok {
 			t.Fatalf("open response %q has no canonical id", cs.resp)
@@ -493,7 +498,7 @@ func TestAdmissionPathAllocs(t *testing.T) {
 		closeBody = strconv.AppendInt(closeBody, id, 10)
 		closeBody = append(closeBody, '}')
 		cs.out = cs.out[:0]
-		ing.serveAdmission(cs, st, routeClose, closeBody, false)
+		ing.serveAdmission(cs, routeClose, closeBody, false)
 	}
 	for i := 0; i < 100; i++ { // warm buffers and pools
 		roundTrip()
@@ -564,14 +569,13 @@ func BenchmarkAdmissionPath(b *testing.B) {
 		b.Fatal(err)
 	}
 	cs := &connState{}
-	st := &ing.stats.ls[0]
 	openBody := []byte(`{"video":0}`)
 	var closeBody []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cs.out = cs.out[:0]
-		ing.serveAdmission(cs, st, routeOpen, openBody, false)
+		ing.serveAdmission(cs, routeOpen, openBody, false)
 		id, _, ok := parseInt(cs.resp, len(`{"id":`))
 		if !ok {
 			b.Fatalf("open response %q has no canonical id", cs.resp)
@@ -580,8 +584,73 @@ func BenchmarkAdmissionPath(b *testing.B) {
 		closeBody = strconv.AppendInt(closeBody, id, 10)
 		closeBody = append(closeBody, '}')
 		cs.out = cs.out[:0]
-		ing.serveAdmission(cs, st, routeClose, closeBody, false)
+		ing.serveAdmission(cs, routeClose, closeBody, false)
 	}
+}
+
+// BenchmarkAdmissionPathParallel is the admission path's cost per decision
+// when every core admits: the paper's problem and layout (M = 100, N = 8),
+// least-loaded, eight registry partitions, and one goroutine per P, each
+// with its own connState and so its own home partition. Each goroutine
+// cycles a seeded Zipf sequence of opens through a ring of session slots
+// that holds 80 % of the cluster's streams between the goroutines; a slot's
+// session is closed before the slot is reused. At -cpu 1,2 the aggregate
+// ns/op shows whether the second core adds admission throughput.
+func BenchmarkAdmissionPathParallel(b *testing.B) {
+	p, layout, _, err := vodcluster.Pipeline(config.Paper())
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := New(p, layout, Config{Shards: 8, Policy: "least-loaded"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Shutdown()
+	ing, err := NewIngress(srv, IngressConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	openBodies := make([][]byte, p.M())
+	for v := range openBodies {
+		openBodies[v] = []byte(fmt.Sprintf(`{"video":%d}`, v))
+	}
+	rate, _ := p.Catalog.FixedBitRate()
+	ringLen := max(int(0.8*p.TotalBandwidth()/rate)/runtime.GOMAXPROCS(0), 1)
+	sampler := zipf.NewSampler(zipf.MustNew(p.M(), config.Paper().Theta))
+	var stream atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		rng := stats.NewRNG(1).Derive(stream.Add(1))
+		vids := make([]int, 4096)
+		for i := range vids {
+			vids[i] = sampler.Sample(rng)
+		}
+		cs := &connState{home: srv.nextHome()}
+		ring := make([]int64, ringLen)
+		var closeBody []byte
+		for i := 0; pb.Next(); i++ {
+			slot := &ring[i%len(ring)]
+			if *slot > 0 {
+				closeBody = append(closeBody[:0], `{"id":`...)
+				closeBody = strconv.AppendInt(closeBody, *slot, 10)
+				closeBody = append(closeBody, '}')
+				cs.out = cs.out[:0]
+				ing.serveAdmission(cs, routeClose, closeBody, false)
+			}
+			cs.out = cs.out[:0]
+			ing.serveAdmission(cs, routeOpen, openBodies[vids[i%len(vids)]], false)
+			*slot = -1
+			if id, _, ok := parseInt(cs.resp, len(`{"id":`)); ok {
+				*slot = id
+			}
+		}
+		for _, id := range ring {
+			if id > 0 {
+				srv.Close(id)
+			}
+		}
+	})
 }
 
 // FuzzIngressConn throws arbitrary bytes — truncated requests, oversized

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // renderString renders the metrics against the micro test cluster.
@@ -55,7 +56,7 @@ func TestRenderLatencyHistogram(t *testing.T) {
 		10 * time.Second, // beyond the last edge: only +Inf
 	}
 	for _, lat := range lats {
-		m.Decision(true, false, false, lat)
+		m.rows[0].decision(true, false, false, lat)
 	}
 	out := renderString(t, m, "p")
 
@@ -99,8 +100,8 @@ func TestRenderLatencyHistogram(t *testing.T) {
 // and each decision lands in exactly one outcome.
 func TestRenderCountersMonotonic(t *testing.T) {
 	m := NewMetrics(8)
-	m.Decision(true, false, false, time.Millisecond)
-	m.Decision(false, false, false, time.Millisecond)
+	m.rows[0].decision(true, false, false, time.Millisecond)
+	m.rows[0].decision(false, false, false, time.Millisecond)
 	first := renderString(t, m, "p")
 	acc1 := promValue(t, first, `vod_requests_total{outcome="accepted"}`)
 	rej1 := promValue(t, first, `vod_requests_total{outcome="rejected"}`)
@@ -108,8 +109,8 @@ func TestRenderCountersMonotonic(t *testing.T) {
 		t.Fatalf("after one accept + one reject: accepted=%g rejected=%g", acc1, rej1)
 	}
 
-	m.Decision(true, true, false, time.Millisecond)
-	m.Decision(false, false, true, time.Millisecond)
+	m.rows[0].decision(true, true, false, time.Millisecond)
+	m.rows[0].decision(false, false, true, time.Millisecond)
 	second := renderString(t, m, "p")
 	for _, sample := range []string{
 		`vod_requests_total{outcome="accepted"}`,
@@ -134,12 +135,12 @@ func TestRenderCountersMonotonic(t *testing.T) {
 }
 
 // TestRenderQueueDepth: the queue-depth histogram renders when constructed
-// via NewMetrics and reflects ObserveQueueDepth calls; the zero Metrics
-// value renders without it (and without panicking).
+// via NewMetrics and reflects the depths observed; the zero Metrics value
+// renders without it (and without panicking).
 func TestRenderQueueDepth(t *testing.T) {
 	m := NewMetrics(8)
-	m.ObserveQueueDepth(0)
-	m.ObserveQueueDepth(3)
+	m.rows[0].observeDepth(0)
+	m.rows[0].observeDepth(3)
 	out := renderString(t, m, "p")
 	if !strings.Contains(out, "# TYPE vod_queue_depth histogram\n") {
 		t.Fatalf("exposition lacks the queue-depth histogram:\n%s", out)
@@ -152,7 +153,6 @@ func TestRenderQueueDepth(t *testing.T) {
 	}
 
 	var zero Metrics
-	zero.ObserveQueueDepth(1) // nil inner histogram: must be a no-op
 	out = renderString(t, &zero, "p")
 	if strings.Contains(out, "vod_queue_depth") {
 		t.Fatalf("zero-value Metrics should skip the queue-depth family:\n%s", out)
@@ -162,19 +162,17 @@ func TestRenderQueueDepth(t *testing.T) {
 // TestRenderGolden pins the whole exposition for a fixed set of decisions,
 // queue depths and lifecycle counts against testdata/metrics_render.golden,
 // captured from the mutexed float histogram and the explicit request and
-// latency counters: the lock-free histogram and the derived counters must
-// render the same observations byte for byte.
+// latency counters of one shared panel: the per-partition rows, with the
+// observations dealt across two of them, must render the same observations
+// byte for byte.
 func TestRenderGolden(t *testing.T) {
-	m := NewMetrics(8)
+	m := newMetrics(8, 2)
+	row := func(i int) *partStats { return &m.rows[i%2] }
 	// Depths below, inside, on the edge of and beyond [0, 8).
-	m.ObserveQueueDepth(0)
-	m.ObserveQueueDepth(1)
-	m.ObserveQueueDepth(3)
-	m.ObserveQueueDepth(3)
-	m.ObserveQueueDepth(7)
-	m.ObserveQueueDepth(8)
-	m.ObserveQueueDepth(100)
-	for _, d := range []struct {
+	for i, d := range []int64{0, 1, 3, 3, 7, 8, 100} {
+		row(i).observeDepth(d)
+	}
+	for i, d := range []struct {
 		accepted, redirected, draining bool
 		lat                            time.Duration
 	}{
@@ -186,12 +184,12 @@ func TestRenderGolden(t *testing.T) {
 		{true, false, false, 1234567 * time.Nanosecond},
 		{false, false, false, 10 * time.Second}, // only +Inf
 	} {
-		m.Decision(d.accepted, d.redirected, d.draining, d.lat)
+		row(i).decision(d.accepted, d.redirected, d.draining, d.lat)
 	}
 	m.BadVideo()
-	m.Completed()
-	m.Canceled()
-	m.Canceled()
+	row(0).ended(true)
+	row(0).ended(false)
+	row(1).ended(false)
 	m.FailedOver()
 	m.Dropped()
 	m.Retried()
@@ -211,5 +209,17 @@ func TestRenderGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Fatalf("exposition diverged from the golden capture.\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestTelemetryRowsFillCacheLines: a partition's telemetry row and a
+// listener's row are whole cache lines, so neighbours in their slices never
+// share one.
+func TestTelemetryRowsFillCacheLines(t *testing.T) {
+	if n := unsafe.Sizeof(partStats{}); n%64 != 0 {
+		t.Errorf("partStats is %d bytes, not a whole number of 64-byte lines", n)
+	}
+	if n := unsafe.Sizeof(listenerStats{}); n%64 != 0 {
+		t.Errorf("listenerStats is %d bytes, not a whole number of 64-byte lines", n)
 	}
 }

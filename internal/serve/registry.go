@@ -1,12 +1,15 @@
 package serve
 
 // Session registry (DESIGN.md §15). Server.attempt decides and reserves on
-// the calling goroutine, then registers the pooled session in partition
-// id mod k under that partition's lock and pushes (deadline, id) onto the
-// partition's expiry heap in the same critical section. Each partition has
-// one goroutine and one timer that only fire expiries; an admission wakes it
-// only when its push becomes the new heap top, which with equal-length
-// titles is rare.
+// the calling goroutine, then registers the pooled session in the caller's
+// home partition under that partition's lock — every ingress connection has
+// one, picked round-robin at accept; a caller without a connection gets one
+// round-robin per admission — which hands out the session id from its own
+// sequence and pushes (deadline, id) onto the partition's expiry heap in the
+// same critical section. The id's low bits name the partition, so a Close
+// finds it without a table. Each partition has one goroutine and one timer
+// that only fire expiries; an admission wakes it only when its push becomes
+// the new heap top, which with equal-length titles is rare.
 //
 // Presence in a partition's session index is the settlement token: natural
 // expiry, a client Close, an eviction scan and the shutdown flush race to
@@ -16,32 +19,41 @@ package serve
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 	"sync"
 	"time"
+
+	"vodcluster/internal/obs"
 )
 
 // partition is one slice of the session registry with its expiry queue.
 type partition struct {
-	s *Server
+	s   *Server
+	idx int64      // this partition's index, the low bits of its session ids
+	tel *partStats // this partition's telemetry row
 
 	mu        sync.Mutex
 	reg       sessionIndex
 	exp       expiryHeap
-	compactAt int  // heap length at which compact runs
-	dead      bool // set by the shutdown flush; later inserts are refused
+	seq       int64 // ids handed out; the next is (seq+1)<<idBits | idx
+	compactAt int   // heap length at which compact runs
+	dead      bool  // set by the shutdown flush; later inserts are refused
 
 	wake chan struct{} // 1-buffered: an insert moved the heap top earlier
 	done chan struct{} // closed when the expiry goroutine has flushed and exited
 }
 
-// startPartitions builds k registry partitions and starts their expiry
-// goroutines.
+// startPartitions builds k registry partitions over the metrics' k rows and
+// starts their expiry goroutines.
 func (s *Server) startPartitions(k int) {
 	s.parts = make([]*partition, k)
+	s.idBits = uint8(bits.Len(uint(k - 1)))
 	for i := range s.parts {
 		p := &partition{
 			s:         s,
+			idx:       int64(i),
+			tel:       &s.met.rows[i],
 			compactAt: compactSlack,
 			wake:      make(chan struct{}, 1),
 			done:      make(chan struct{}),
@@ -55,8 +67,20 @@ func (s *Server) startPartitions(k int) {
 // Shards reports how many registry partitions the daemon runs.
 func (s *Server) Shards() int { return len(s.parts) }
 
-// partOf returns the partition that registers session id.
-func (s *Server) partOf(id int64) *partition { return s.parts[id%int64(len(s.parts))] }
+// partOf returns the partition that registered session id, or nil when the
+// id names no partition.
+func (s *Server) partOf(id int64) *partition {
+	if i := id & (1<<s.idBits - 1); i < int64(len(s.parts)) {
+		return s.parts[i]
+	}
+	return nil
+}
+
+// nextHome picks the next partition round-robin: the home of a new ingress
+// connection, or of one admission by a caller without a connection.
+func (s *Server) nextHome() *partition {
+	return s.parts[(s.homes.Add(1)-1)%uint64(len(s.parts))]
+}
 
 // waitPartitions blocks until every expiry goroutine has exited (after
 // baseStop).
@@ -87,17 +111,21 @@ const (
 	insertStopped              // the partition has shut down
 )
 
-// insert registers grant g as live session id expiring at deadline (nowNS
-// time). It re-checks that g.Source still holds the video under the
-// partition lock: EvictReplica removes the holder before its pinned-session
-// re-check, which takes this lock, so either that re-check sees the session
-// and rolls the eviction back, or this check sees the removal and the caller
-// decides again.
-func (p *partition) insert(id int64, g Grant, deadline int64) insertResult {
+// insert registers grant g as a live session expiring at deadline (nowNS
+// time) and returns its id, the partition's next. It re-checks that g.Source
+// still holds the video under the partition lock: EvictReplica removes the
+// holder before its pinned-session re-check, which takes this lock, so either
+// that re-check sees the session and rolls the eviction back, or this check
+// sees the removal and the caller decides again. A refused insert uses up its
+// id, as a refused admission always has, so one caller's ids stay in
+// admission order across partitions whatever is refused.
+func (p *partition) insert(g Grant, deadline int64) (int64, insertResult) {
 	s := p.s
 	sess := s.getSession()
-	sess.id, sess.video, sess.grant = id, g.Video, g
+	sess.video, sess.grant = g.Video, g
 	p.mu.Lock()
+	p.seq++
+	id := p.seq<<s.idBits | p.idx
 	if p.dead || !holds(s.c, g.Video, g.Source) {
 		res := insertEvicted
 		if p.dead {
@@ -105,11 +133,12 @@ func (p *partition) insert(id int64, g Grant, deadline int64) insertResult {
 		}
 		p.mu.Unlock()
 		s.putSession(sess)
-		return res
+		return 0, res
 	}
+	sess.id = id
 	// Counted before it is visible, so an eviction scan that drops it at once
 	// cannot drive the gauge negative.
-	s.activeN.Add(1)
+	p.tel.active.Add(1)
 	p.reg.put(id, sess)
 	top := p.exp.push(expiry{at: deadline, id: id})
 	if len(p.exp) >= p.compactAt {
@@ -122,7 +151,7 @@ func (p *partition) insert(id int64, g Grant, deadline int64) insertResult {
 		default:
 		}
 	}
-	return inserted
+	return id, inserted
 }
 
 // compactSlack is the heap length below which a partition never compacts.
@@ -153,9 +182,28 @@ func (p *partition) settle(id int64, natural bool) bool {
 	sess := p.reg.del(id)
 	p.mu.Unlock()
 	if sess != nil {
-		p.s.end(sess, natural)
+		p.end(sess, natural)
 	}
 	return sess != nil
+}
+
+// end releases a session that the partition's settler has just removed from
+// the registry, counts how it ended, and recycles the record. natural reports
+// a completed playback rather than a close or shutdown.
+func (p *partition) end(sess *session, natural bool) {
+	s := p.s
+	id, video, g := sess.id, sess.video, sess.grant
+	s.putSession(sess)
+	s.pol.Release(g)
+	p.tel.active.Add(-1)
+	p.tel.ended(natural)
+	if natural {
+		s.tracer.Record(obs.Event{TS: s.tracer.NowNS(), Kind: obs.KindEnd,
+			Session: id, Video: video, Server: g.Server})
+	} else {
+		s.tracer.Record(obs.Event{TS: s.tracer.NowNS(), Kind: obs.KindTear,
+			Session: id, Video: video, Server: g.Server, Detail: "canceled"})
+	}
 }
 
 // run is the partition's expiry goroutine: wake at the next deadline or on
@@ -194,13 +242,13 @@ func (p *partition) fireExpired() time.Duration {
 		sess := p.reg.del(p.exp.popMin().id)
 		p.mu.Unlock()
 		if sess != nil {
-			p.s.end(sess, true)
+			p.end(sess, true)
 		}
 	}
 }
 
 // shutdown refuses further inserts and settles every registered session as
-// canceled, in ID (admission) order.
+// canceled, in ID order (admission order for one caller's sessions).
 func (p *partition) shutdown() {
 	p.mu.Lock()
 	p.dead = true
@@ -211,7 +259,7 @@ func (p *partition) shutdown() {
 	p.mu.Unlock()
 	slices.SortFunc(live, func(x, y *session) int { return cmp.Compare(x.id, y.id) })
 	for _, sess := range live {
-		p.s.end(sess, false)
+		p.end(sess, false)
 	}
 }
 

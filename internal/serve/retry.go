@@ -46,8 +46,14 @@ func (s *Server) RetryPending() (pending, peak int64) {
 // one settled decision is recorded per call, whatever the attempt count.
 // With no retry configured it is exactly Open.
 func (s *Server) OpenRetry(ctx context.Context, v int) (SessionInfo, Outcome, error) {
+	return s.openRetry(ctx, nil, v)
+}
+
+// openRetry is OpenRetry for a caller whose sessions register in partition
+// home (nil: round-robin, as for Open).
+func (s *Server) openRetry(ctx context.Context, home *partition, v int) (SessionInfo, Outcome, error) {
 	if s.retry == nil {
-		return s.Open(v)
+		return s.open(home, v)
 	}
 	arriveNS := s.tracer.NowNS()
 	s.tracer.Record(obs.Event{TS: arriveNS, Kind: obs.KindArrive, Video: v})
@@ -57,11 +63,11 @@ func (s *Server) OpenRetry(ctx context.Context, v int) (SessionInfo, Outcome, er
 	}
 	s.observeDemand(v) // once per request, however many retry attempts follow
 	start := s.nowNS()
-	info, outcome := s.attempt(v, arriveNS, false)
+	info, outcome := s.attempt(home, v, arriveNS, false)
 	if outcome != OutcomeRejected {
 		return info, outcome, nil
 	}
-	return s.retry.run(ctx, v, arriveNS, start)
+	return s.retry.run(ctx, home, v, arriveNS, start)
 }
 
 // delay is the Retrier's backoff before retry number attempt, under the
@@ -74,14 +80,15 @@ func (r *retrier) delay(attempt int, waited float64) (float64, bool) {
 
 // run owns one rejected request from its first (unsettled) rejection to its
 // final outcome; start is the request's nowNS stamp.
-func (r *retrier) run(ctx context.Context, v int, arriveNS, start int64) (SessionInfo, Outcome, error) {
+func (r *retrier) run(ctx context.Context, home *partition, v int, arriveNS, start int64) (SessionInfo, Outcome, error) {
 	s := r.s
+	row := s.rowOf(home)
 	r.mu.Lock()
 	queued := r.q.TryEnqueue()
 	r.mu.Unlock()
 	if !queued {
 		// Bounded queue: a full queue makes the rejection final immediately.
-		s.met.Decision(false, false, false, time.Duration(s.nowNS()-start))
+		row.decision(false, false, false, time.Duration(s.nowNS()-start))
 		s.tracer.Record(obs.Event{TS: arriveNS, Kind: obs.KindReject, Video: v,
 			DurNS: s.tracer.NowNS() - arriveNS, Detail: "retry queue full"})
 		return SessionInfo{}, OutcomeRejected, nil
@@ -94,7 +101,7 @@ func (r *retrier) run(ctx context.Context, v int, arriveNS, start int64) (Sessio
 
 	renege := func(detail string) (SessionInfo, Outcome, error) {
 		s.met.Reneged()
-		s.met.Decision(false, false, false, time.Duration(s.nowNS()-start))
+		row.decision(false, false, false, time.Duration(s.nowNS()-start))
 		s.tracer.Record(obs.Event{TS: arriveNS, Kind: obs.KindRenege, Video: v,
 			DurNS: s.tracer.NowNS() - arriveNS, Detail: detail})
 		return SessionInfo{}, OutcomeRejected, nil
@@ -115,13 +122,13 @@ func (r *retrier) run(ctx context.Context, v int, arriveNS, start int64) (Sessio
 			return renege("context canceled")
 		case <-s.baseCtx.Done():
 			t.Stop()
-			info, outcome := s.refuse(v, arriveNS, start)
+			info, outcome := s.refuse(row, v, arriveNS, start)
 			return info, outcome, nil
 		}
 		s.met.Retried()
 		s.tracer.Record(obs.Event{TS: s.tracer.NowNS(), Kind: obs.KindRetry, Video: v,
 			Detail: fmt.Sprintf("attempt %d", attempt+1)})
-		info, outcome := s.attempt(v, arriveNS, false)
+		info, outcome := s.attempt(home, v, arriveNS, false)
 		if outcome != OutcomeRejected {
 			return info, outcome, nil
 		}

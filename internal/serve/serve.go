@@ -97,7 +97,8 @@ type Config struct {
 	// and Degrade true. Nil means failover only.
 	Resilience *resilience.Policy
 	// Shards splits the session registry into that many partitions, each
-	// with its own lock, expiry heap and expiry goroutine (DESIGN.md §15).
+	// with its own lock, expiry heap, expiry goroutine and telemetry row
+	// (DESIGN.md §15); each ingress connection registers in one of them.
 	// Admission decisions do not depend on it: every policy commits on the
 	// calling goroutine at any partition count. 0 means 1; values above the
 	// server count are clamped to it.
@@ -117,10 +118,10 @@ type Server struct {
 	baseCtx  context.Context
 	baseStop context.CancelFunc
 
-	parts    []*partition // session registry partitions; id mod len picks one
-	sessPool sync.Pool    // *session
-	nextID   atomic.Int64
-	activeN  atomic.Int64 // live sessions across every partition
+	parts    []*partition  // session registry partitions
+	idBits   uint8         // low id bits naming the partition: ⌈log2 len(parts)⌉
+	homes    atomic.Uint64 // round-robin cursor of nextHome
+	sessPool sync.Pool     // *session
 	draining atomic.Bool
 
 	retry *retrier  // nil unless Config.Resilience enables retry
@@ -161,11 +162,12 @@ func New(p *core.Problem, layout *core.Layout, cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
+	k := min(max(cfg.Shards, 1), c.Servers())
 	ctx, stop := context.WithCancel(context.Background())
 	s := &Server{
 		c:        c,
 		pol:      pol,
-		met:      NewMetrics(streamCeiling(p)),
+		met:      newMetrics(streamCeiling(p), k),
 		tracer:   cfg.Tracer,
 		compress: compress,
 		epoch:    time.Now(),
@@ -183,7 +185,7 @@ func New(p *core.Problem, layout *core.Layout, cfg Config) (*Server, error) {
 		}
 		s.rep = r
 	}
-	s.startPartitions(min(max(cfg.Shards, 1), c.Servers()))
+	s.startPartitions(k)
 	return s, nil
 }
 
@@ -227,8 +229,8 @@ func (s *Server) PolicyName() string { return s.pol.Name() }
 // Compress reports the time-compression factor sessions run under.
 func (s *Server) Compress() float64 { return s.compress }
 
-// Active returns the number of live sessions.
-func (s *Server) Active() int64 { return s.activeN.Load() }
+// Active returns the number of live sessions, summed over the partitions.
+func (s *Server) Active() int64 { return s.met.active() }
 
 // Draining reports whether the daemon refuses new sessions.
 func (s *Server) Draining() bool { return s.draining.Load() }
@@ -256,8 +258,13 @@ func (s *Server) nowNS() int64 { return int64(time.Since(s.epoch)) }
 // Open runs one admission decision for video v. On acceptance the session
 // is registered with its deadline and releases its reservation when it
 // expires, is closed, or is dropped. The returned outcome distinguishes a
-// capacity rejection from a drain refusal.
-func (s *Server) Open(v int) (SessionInfo, Outcome, error) {
+// capacity rejection from a drain refusal. Open has no connection, so its
+// session goes to the next partition round-robin.
+func (s *Server) Open(v int) (SessionInfo, Outcome, error) { return s.open(nil, v) }
+
+// open is Open for a caller whose sessions register in partition home; nil
+// means the next partition round-robin at each admission.
+func (s *Server) open(home *partition, v int) (SessionInfo, Outcome, error) {
 	arriveNS := s.tracer.NowNS()
 	s.tracer.Record(obs.Event{TS: arriveNS, Kind: obs.KindArrive, Video: v})
 	if v < 0 || v >= s.c.Videos() {
@@ -265,46 +272,62 @@ func (s *Server) Open(v int) (SessionInfo, Outcome, error) {
 		return SessionInfo{}, OutcomeRejected, fmt.Errorf("serve: video %d outside catalog of %d", v, s.c.Videos())
 	}
 	s.observeDemand(v)
-	info, outcome := s.attempt(v, arriveNS, true)
+	info, outcome := s.attempt(home, v, arriveNS, true)
 	return info, outcome, nil
 }
 
+// rowOf returns the telemetry row that counts home's decisions: its own, or
+// the first partition's for a caller without a home.
+func (s *Server) rowOf(home *partition) *partStats {
+	if home == nil {
+		return s.parts[0].tel
+	}
+	return home.tel
+}
+
 // attempt runs one admission attempt on the calling goroutine: the policy
-// decides and reserves, then the session is registered in its partition.
+// decides and reserves, then the session is registered in partition home
+// (nil: the next round-robin, picked only once a grant is in hand, so a lone
+// caller's ids ascend in admission order at any partition count).
 // settleReject controls whether a capacity rejection is recorded as a
 // settled decision: the retry path passes false for attempts it may later
 // convert into an acceptance and records the one final outcome itself, so
 // retries never inflate the request counters. Accepted and draining outcomes
 // are always final and always recorded here.
-func (s *Server) attempt(v int, arriveNS int64, settleReject bool) (SessionInfo, Outcome) {
+func (s *Server) attempt(home *partition, v int, arriveNS int64, settleReject bool) (SessionInfo, Outcome) {
+	row := s.rowOf(home)
 	start := s.nowNS()
-	s.met.ObserveQueueDepth(s.activeN.Load())
+	row.observeDepth(s.Active())
 	if s.draining.Load() {
-		return s.refuse(v, arriveNS, start)
+		return s.refuse(row, v, arriveNS, start)
 	}
 	for {
 		g, ok := s.pol.Admit(v)
 		if !ok {
 			if settleReject {
-				s.met.Decision(false, false, false, time.Duration(s.nowNS()-start))
+				row.decision(false, false, false, time.Duration(s.nowNS()-start))
 				s.tracer.Record(obs.Event{TS: arriveNS, Kind: obs.KindReject, Video: v,
 					DurNS: s.tracer.NowNS() - arriveNS})
 			}
 			return SessionInfo{}, OutcomeRejected
 		}
-		id := s.nextID.Add(1)
+		p := home
+		if p == nil {
+			p = s.nextHome()
+		}
 		wall := s.wallDuration(v)
-		switch s.partOf(id).insert(id, g, deadline(start, wall)) {
+		id, res := p.insert(g, deadline(start, wall))
+		switch res {
 		case insertStopped:
 			s.pol.Release(g)
-			return s.refuse(v, arriveNS, start)
+			return s.refuse(row, v, arriveNS, start)
 		case insertEvicted:
 			// The source lost its replica between the decision and the
 			// insert: give the reservation back, uncounted, and decide again.
 			s.pol.Release(g)
 			continue
 		}
-		s.met.Decision(true, g.Redirected, false, time.Duration(s.nowNS()-start))
+		row.decision(true, g.Redirected, false, time.Duration(s.nowNS()-start))
 		s.tracer.Record(obs.Event{TS: arriveNS, Kind: obs.KindAdmit,
 			Session: id, Video: v, Server: g.Server,
 			DurNS: s.tracer.NowNS() - arriveNS})
@@ -330,31 +353,13 @@ func deadline(start int64, d time.Duration) int64 {
 	return start + int64(d)
 }
 
-// refuse settles one request as a drain refusal; start is its nowNS stamp.
-func (s *Server) refuse(v int, arriveNS, start int64) (SessionInfo, Outcome) {
-	s.met.Decision(false, false, true, time.Duration(s.nowNS()-start))
+// refuse settles one request as a drain refusal on row; start is its nowNS
+// stamp.
+func (s *Server) refuse(row *partStats, v int, arriveNS, start int64) (SessionInfo, Outcome) {
+	row.decision(false, false, true, time.Duration(s.nowNS()-start))
 	s.tracer.Record(obs.Event{TS: arriveNS, Kind: obs.KindDrain, Video: v,
 		DurNS: s.tracer.NowNS() - arriveNS})
 	return SessionInfo{}, OutcomeDraining
-}
-
-// end releases a session that its settler has just removed from the
-// registry, counts how it ended, and recycles the record. natural reports a
-// completed playback rather than a close or shutdown.
-func (s *Server) end(sess *session, natural bool) {
-	id, video, g := sess.id, sess.video, sess.grant
-	s.putSession(sess)
-	s.pol.Release(g)
-	s.activeN.Add(-1)
-	if natural {
-		s.met.Completed()
-		s.tracer.Record(obs.Event{TS: s.tracer.NowNS(), Kind: obs.KindEnd,
-			Session: id, Video: video, Server: g.Server})
-	} else {
-		s.met.Canceled()
-		s.tracer.Record(obs.Event{TS: s.tracer.NowNS(), Kind: obs.KindTear,
-			Session: id, Video: video, Server: g.Server, Detail: "canceled"})
-	}
 }
 
 // Close ends session id early (the client hung up). It reports whether the
@@ -363,7 +368,8 @@ func (s *Server) Close(id int64) bool {
 	if id <= 0 {
 		return false
 	}
-	return s.partOf(id).settle(id, false)
+	p := s.partOf(id)
+	return p != nil && p.settle(id, false)
 }
 
 // landRepair publishes a repaired replica of video v on backend dst. It
@@ -440,8 +446,9 @@ func (s *Server) FailBackend(b int) (failedOver, dropped int, err error) {
 // every affected session's bandwidth is released exactly once. The loop
 // repeats until no session references b, catching sessions another
 // backend's eviction concurrently failed over *onto* b. Each pass settles
-// the sessions in ID (admission) order, the order State.FailServer tears
-// them in, so which ones fail over and which are dropped when the survivors
+// the sessions in ID order — admission order for one connection's sessions
+// and for a caller without a connection, the order State.FailServer tears
+// them in — so which ones fail over and which are dropped when the survivors
 // run short does not depend on table order or the partition count.
 func (s *Server) evictSessions(b int, cause string) (failedOver, dropped int) {
 	type ref struct {
@@ -505,7 +512,7 @@ func (s *Server) evictSessions(b int, cause string) (failedOver, dropped int) {
 				s.pol.Release(ng)
 			}
 			s.putSession(sess)
-			s.activeN.Add(-1)
+			p.tel.active.Add(-1)
 			s.met.Dropped()
 			s.tracer.Record(obs.Event{TS: s.tracer.NowNS(), Kind: obs.KindTear,
 				Session: r.id, Video: r.video, Server: b, Detail: cause})
@@ -556,7 +563,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
 	t := time.NewTicker(2 * time.Millisecond)
 	defer t.Stop()
-	for s.activeN.Load() != 0 {
+	for s.Active() != 0 {
 		select {
 		case <-ctx.Done():
 			s.baseStop()

@@ -208,7 +208,7 @@ func TestServerSessionLifecycle(t *testing.T) {
 	waitUntil(t, 2*time.Second, "session expiry", func() bool { return srv.Active() == 0 })
 	// The active count drops before the completion is counted, so wait for
 	// the counter, the last step of the settlement.
-	waitUntil(t, 2*time.Second, "completion count", func() bool { return srv.Metrics().completed.Load() == 1 })
+	waitUntil(t, 2*time.Second, "completion count", func() bool { return srv.Metrics().totals().completed == 1 })
 	if got := srv.Cluster().Used(info.Server); got != 0 {
 		t.Fatalf("server %d used = %d after expiry", info.Server, got)
 	}
@@ -232,7 +232,7 @@ func TestServerClose(t *testing.T) {
 	if srv.Close(info.ID) {
 		t.Fatal("second close found the session again")
 	}
-	if got := srv.Metrics().canceled.Load(); got != 1 {
+	if got := srv.Metrics().totals().canceled; got != 1 {
 		t.Fatalf("canceled = %d, want 1", got)
 	}
 	if got := srv.Cluster().Used(info.Server); got != 0 {
@@ -407,7 +407,7 @@ func TestServerDrainGraceful(t *testing.T) {
 	if _, outcome, _ := srv.Open(0); outcome != OutcomeDraining {
 		t.Fatalf("open during drain: outcome %q, want draining", outcome)
 	}
-	if got := srv.Metrics().draining.Load(); got != 1 {
+	if got := srv.Metrics().totals().draining; got != 1 {
 		t.Fatalf("draining rejections = %d, want 1", got)
 	}
 }
@@ -557,13 +557,13 @@ func TestConcurrentOpenCloseStress(t *testing.T) {
 						t.Fatalf("backbone used = %d after all sessions ended", got)
 					}
 					m := srv.Metrics()
-					if tc.p.BackboneBandwidth > 0 && m.redirects.Load() == 0 {
+					if tc.p.BackboneBandwidth > 0 && m.totals().redirects == 0 {
 						t.Fatal("vod_redirected_total = 0 on a saturated backbone cluster")
 					}
 					// Active() drops before the end is counted, so wait for
 					// the counters, the last step of each settlement.
 					waitUntil(t, 5*time.Second, "every end to be counted", func() bool {
-						return m.completed.Load()+m.canceled.Load() == m.accepted.Load()
+						return m.totals().completed+m.totals().canceled == m.totals().accepted
 					})
 				})
 			}
@@ -666,7 +666,7 @@ func TestUnboundedSessionNeverExpires(t *testing.T) {
 	if d := srv.partOf(info.ID).fireExpired(); d < 100*365*24*time.Hour {
 		t.Fatalf("next expiry in %v", d)
 	}
-	if n := srv.Metrics().completed.Load(); n != 0 {
+	if n := srv.Metrics().totals().completed; n != 0 {
 		t.Fatalf("%d sessions expired; an unbounded lifetime must not", n)
 	}
 	if !srv.Close(info.ID) {

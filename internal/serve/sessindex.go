@@ -10,11 +10,11 @@ import "math/bits"
 // fills and never shrinks. The zero value is an empty table. Session ids
 // are positive; key 0 marks an empty slot.
 //
-// A partition's ids are consecutive multiples of its partition count k, so
-// the slot is a multiplicative (Fibonacci) hash of the id. Slotting by
-// id / k would pack the live ids into one contiguous run, and every lookup
-// of a closed session's stale id — compact does one per heap entry — would
-// then scan that whole run.
+// A partition's ids step by 2^b from its index (the low b bits name the
+// partition), so the slot is a multiplicative (Fibonacci) hash of the id.
+// Slotting by id >> b would pack the live ids into one contiguous run, and
+// every lookup of a closed session's stale id — compact does one per heap
+// entry — would then scan that whole run.
 type sessionIndex struct {
 	keys  []int64
 	vals  []*session

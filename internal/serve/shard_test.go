@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -233,7 +234,7 @@ func TestExpiryHeapCompaction(t *testing.T) {
 		t.Fatalf("expiry heap holds %d entries for %d live sessions", n, live)
 	}
 	m := srv.Metrics()
-	waitUntil(t, 5*time.Second, "kept sessions to expire", func() bool { return m.completed.Load() == int64(kept) })
+	waitUntil(t, 5*time.Second, "kept sessions to expire", func() bool { return m.totals().completed == int64(kept) })
 	assertNoLeaks(t, srv)
 }
 
@@ -596,8 +597,8 @@ func TestShardedFailoverThenExpiry(t *testing.T) {
 	}
 	m := srv.Metrics()
 	survivors := int64(opened - dropped)
-	waitUntil(t, 5*time.Second, "survivors to expire", func() bool { return m.completed.Load() == survivors })
-	if got := m.canceled.Load(); got != 0 {
+	waitUntil(t, 5*time.Second, "survivors to expire", func() bool { return m.totals().completed == survivors })
+	if got := m.totals().canceled; got != 0 {
 		t.Errorf("canceled = %d, want 0: every survivor ends by natural expiry", got)
 	}
 	if got := m.dropped.Load(); got != int64(dropped) {
@@ -673,7 +674,7 @@ func TestShardedFailoverTargetDrained(t *testing.T) {
 			opened, closed, dropped, opened-closed-dropped)
 	}
 	m := srv.Metrics()
-	if got := m.canceled.Load(); got != int64(closed) {
+	if got := m.totals().canceled; got != int64(closed) {
 		t.Errorf("canceled metric = %d, Close settled %d", got, closed)
 	}
 	if got := m.dropped.Load(); got != int64(dropped) {
@@ -687,30 +688,247 @@ func TestShardedFailoverTargetDrained(t *testing.T) {
 // settled by id, over a backlog of live sessions the size of a loaded
 // daemon's, with the heap compactions that closed sessions' stale entries
 // cause. Grants are zero-rate, so the one compare-and-swap reservation per
-// operation never fails and the cluster holds any backlog.
+// operation never fails and the cluster holds any backlog. The partitions
+// take turns round-robin, as the homes of a caller without a connection do.
 func BenchmarkRegistryInsertSettle(b *testing.B) {
 	for _, k := range []int{1, 8} {
 		b.Run(fmt.Sprintf("partitions=%d", k), func(b *testing.B) {
 			srv := newShardedServer(b, Config{Shards: k})
 			far := srv.nowNS() + int64(time.Hour)
-			grant := func(id int64) Grant {
-				v := int(id % 8)
+			grant := func(i int) Grant {
+				v := i % 8
 				srv.c.TryReserve(v, 0)
 				return Grant{Video: v, Server: v, Source: v}
 			}
 			for i := 0; i < 4096; i++ { // the live backlog
-				id := srv.nextID.Add(1)
-				srv.partOf(id).insert(id, grant(id), far)
+				srv.nextHome().insert(grant(i), far)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				id := srv.nextID.Add(1)
-				p := srv.partOf(id)
-				if p.insert(id, grant(id), far) != inserted || !p.settle(id, false) {
+				p := srv.nextHome()
+				id, res := p.insert(grant(i), far)
+				if res != inserted || !p.settle(id, false) {
 					b.Fatalf("session %d did not insert and settle", id)
 				}
 			}
 		})
+	}
+}
+
+// TestIngressTotalsUnderConcurrency: four connections open, batch and close
+// concurrently through a real ingress over four partitions while short
+// sessions also expire on their own, then go quiet. The per-partition and
+// per-connection telemetry must then sum to what the clients saw: every
+// decision once in vod_requests_total and in the latency histogram, every
+// accepted session ended once, every request once in vod_http_requests_total,
+// nothing live and no bandwidth held. Every id is unique, a connection's ids
+// all name its one home, and a checker running alongside finds every live
+// session registered in the partition its id names.
+func TestIngressTotalsUnderConcurrency(t *testing.T) {
+	const conns, rounds = 4, 150
+	// 90 minutes play in about a millisecond, so many sessions expire before
+	// their close.
+	srv := newShardedServer(t, Config{Shards: 4, Compress: 5e6})
+	ing, err := NewIngress(srv, IngressConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := ing.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ing.Close()
+
+	stop := make(chan struct{})
+	checked := make(chan error, 1)
+	go func() { // every live session sits in the partition its id names
+		var bad error
+		for {
+			for _, p := range srv.parts {
+				p.mu.Lock()
+				p.reg.each(func(sess *session) {
+					if bad == nil && srv.partOf(sess.id) != p {
+						bad = fmt.Errorf("session %d is registered in partition %d but names %v", sess.id, p.idx, srv.partOf(sess.id))
+					}
+				})
+				p.mu.Unlock()
+			}
+			select {
+			case <-stop:
+				checked <- bad
+				return
+			default:
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+	}()
+
+	var (
+		wg                      sync.WaitGroup
+		decided, accepted, reqs [conns]int64
+		ids                     [conns][]int64
+		errs                    [conns]error
+	)
+	for c := 0; c < conns; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fc, err := DialFast(addr.String())
+			if err != nil {
+				errs[c] = err
+				return
+			}
+			defer fc.Close()
+			var open []int64
+			var res []OpenResult
+			batch := []int{c, c + 1, c + 2, c + 3, 7 - c, 0}
+			for i := 0; i < rounds; i++ {
+				info, out, err := fc.Open((c + i) % 8)
+				if err != nil {
+					errs[c] = err
+					return
+				}
+				reqs[c]++
+				decided[c]++
+				if out == OutcomeAccepted {
+					open = append(open, info.ID)
+				}
+				if res, err = fc.OpenBatch(batch, res[:0]); err != nil {
+					errs[c] = err
+					return
+				}
+				reqs[c]++
+				decided[c] += int64(len(batch))
+				for _, r := range res {
+					if r.Outcome == OutcomeAccepted {
+						open = append(open, r.Info.ID)
+					}
+				}
+				for len(open) > 6 { // close the oldest; an expired one answers 404
+					if _, err := fc.CloseSession(open[0]); err != nil {
+						errs[c] = err
+						return
+					}
+					reqs[c]++
+					accepted[c]++
+					ids[c] = append(ids[c], open[0])
+					open = open[1:]
+				}
+			}
+			for _, id := range open {
+				if _, err := fc.CloseSession(id); err != nil {
+					errs[c] = err
+					return
+				}
+				reqs[c]++
+				accepted[c]++
+				ids[c] = append(ids[c], id)
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	if err := <-checked; err != nil {
+		t.Error(err)
+	}
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitUntil(t, 5*time.Second, "every session to settle", func() bool { return srv.Active() == 0 })
+
+	var sumDecided, sumAccepted, sumReqs int64
+	seen := make(map[int64]bool)
+	homes := make(map[*partition]bool)
+	for c := 0; c < conns; c++ {
+		sumDecided, sumAccepted, sumReqs = sumDecided+decided[c], sumAccepted+accepted[c], sumReqs+reqs[c]
+		if len(ids[c]) == 0 {
+			t.Fatalf("connection %d had no session accepted", c)
+		}
+		home := srv.partOf(ids[c][0])
+		for _, id := range ids[c] {
+			if seen[id] {
+				t.Fatalf("session id %d handed out twice", id)
+			}
+			seen[id] = true
+			if p := srv.partOf(id); p != home {
+				t.Fatalf("connection %d's session %d names partition %v, its first named %v", c, id, p, home)
+			}
+		}
+		homes[home] = true
+	}
+	if len(homes) != conns {
+		t.Errorf("%d connections share %d home partitions, want one each", conns, len(homes))
+	}
+
+	var sb strings.Builder
+	srv.Metrics().Render(&sb, srv.Cluster(), srv.Active(), srv.PolicyName())
+	out := sb.String()
+	acc := promValue(t, out, `vod_requests_total{outcome="accepted"}`)
+	rej := promValue(t, out, `vod_requests_total{outcome="rejected"}`)
+	if acc+rej != float64(sumDecided) {
+		t.Errorf("vod_requests_total = %g accepted + %g rejected, the clients counted %d decisions", acc, rej, sumDecided)
+	}
+	if got := promValue(t, out, "vod_admission_latency_seconds_count"); got != float64(sumDecided) {
+		t.Errorf("vod_admission_latency_seconds_count = %g, the clients counted %d decisions", got, sumDecided)
+	}
+	if acc != float64(sumAccepted) {
+		t.Errorf("vod_requests_total accepted = %g, the clients were granted %d sessions", acc, sumAccepted)
+	}
+	ended := promValue(t, out, `vod_sessions_ended_total{cause="completed"}`) +
+		promValue(t, out, `vod_sessions_ended_total{cause="canceled"}`)
+	if ended != acc {
+		t.Errorf("vod_sessions_ended_total completed + canceled = %g, accepted %g", ended, acc)
+	}
+	if got := promValue(t, out, `vod_http_requests_total{listener="0"}`); got != float64(sumReqs) {
+		t.Errorf("vod_http_requests_total = %g, the clients sent %d requests", got, sumReqs)
+	}
+	if got := promValue(t, out, `vod_http_decisions_total{listener="0"}`); got != float64(sumDecided) {
+		t.Errorf("vod_http_decisions_total = %g, the clients counted %d decisions", got, sumDecided)
+	}
+	t.Logf("%g accepted, %g rejected, %g completed", acc, rej, promValue(t, out, `vod_sessions_ended_total{cause="completed"}`))
+	if got := promValue(t, out, "vod_sessions_active"); got != 0 {
+		t.Errorf("vod_sessions_active = %g after everything settled", got)
+	}
+	assertNoLeaks(t, srv)
+}
+
+// TestLoneCallerIDsAscend: a caller without a connection gets its homes
+// round-robin, one per admission, so at any partition count — three here,
+// which leaves one of the two partition bits' values unused — its ids
+// ascend in admission order across rejections and closes, as State.FailServer's
+// tear order needs, and each names the partition its turn picked. An id
+// whose partition bits name no partition closes nothing.
+func TestLoneCallerIDsAscend(t *testing.T) {
+	srv := newShardedServer(t, Config{Shards: 3})
+	var last int64
+	turn := 0
+	for i := 0; i < 200; i++ {
+		info, outcome, err := srv.Open(i % 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if outcome != OutcomeAccepted {
+			continue
+		}
+		if info.ID <= last {
+			t.Fatalf("admission %d got id %d after %d", i, info.ID, last)
+		}
+		if p := srv.partOf(info.ID); p != srv.parts[turn%3] {
+			t.Fatalf("id %d names partition %v, turn %d is partition %d", info.ID, p, turn, turn%3)
+		}
+		last = info.ID
+		turn++
+		if i%3 == 0 && !srv.Close(info.ID) {
+			t.Fatalf("session %d did not close", info.ID)
+		}
+	}
+	if turn == 0 || turn == 200 {
+		t.Fatalf("%d of 200 admissions accepted; the test needs both outcomes", turn)
+	}
+	if srv.Close(1<<2 | 3) {
+		t.Fatal("an id naming partition 3 of 3 closed a session")
 	}
 }

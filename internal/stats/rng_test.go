@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -182,5 +183,52 @@ func TestIntnRange(t *testing.T) {
 		if v := rng.Intn(7); v < 0 || v >= 7 {
 			t.Fatalf("Intn(7) = %d", v)
 		}
+	}
+}
+
+// TestLazySeedingMatchesEager: seeding on the first draw changes no stream.
+// Every RNG built by NewRNG or Derive, at seeds around 0 and of both signs,
+// draws exactly what a generator seeded eagerly from its source seed draws,
+// through a mix of the samplers.
+func TestLazySeedingMatchesEager(t *testing.T) {
+	for _, seed := range []int64{0, 1, -1, 42, -987654321, math.MaxInt64, math.MinInt64} {
+		derived := mix64(uint64(seed)*0x9E3779B97F4A7C15 + uint64(5) + 1)
+		for _, c := range []struct {
+			name string
+			lazy *RNG
+			src  int64
+		}{
+			{"NewRNG", NewRNG(seed), mix64(uint64(seed))},
+			{"Derive", NewRNG(seed).Derive(5), derived},
+		} {
+			eager := rand.New(rand.NewSource(c.src))
+			for i := 0; i < 50; i++ {
+				if got, want := c.lazy.Float64(), eager.Float64(); got != want {
+					t.Fatalf("%s(%d) Float64 draw %d = %g, eager %g", c.name, seed, i, got, want)
+				}
+				if got, want := c.lazy.Intn(97), eager.Intn(97); got != want {
+					t.Fatalf("%s(%d) Intn draw %d = %d, eager %d", c.name, seed, i, got, want)
+				}
+				if got, want := c.lazy.Exponential(2), eager.ExpFloat64()/2; got != want {
+					t.Fatalf("%s(%d) Exponential draw %d = %g, eager %g", c.name, seed, i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestDeriveSeedBuildsNoGenerator: an RNG that is only derived from, or
+// whose Seed alone is read, never seeds a math/rand source; the two small
+// RNG records are the only allocations.
+func TestDeriveSeedBuildsNoGenerator(t *testing.T) {
+	var seed int64
+	allocs := testing.AllocsPerRun(100, func() {
+		seed += NewRNG(seed).Derive(3).Seed()
+	})
+	if allocs > 2 {
+		t.Fatalf("NewRNG(s).Derive(r).Seed() allocates %.0f objects, want at most the 2 RNG records", allocs)
+	}
+	if g := NewRNG(9).Derive(1); g.r != nil {
+		t.Fatal("Derive seeded a generator before the first draw")
 	}
 }
